@@ -15,6 +15,7 @@ or keys are errors, never ignored.
 import argparse
 import configparser
 import csv
+import itertools
 import json
 import math
 import sys
@@ -200,6 +201,9 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         raise ConfigError("no task given (flag --task or key task in [run])")
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}; choose one of {', '.join(TASKS)}")
+    if task == "converge" and "dim" not in raw.get("potential", {}):
+        # the box fixes the study's dimension; an unset potential dim follows it
+        sections["potential"]["dim"] = len(sections["converge"]["box"])
     if sections["run"]["threads"] < 1:
         raise ConfigError("threads must be at least 1")
     return RunConfig(sections)
@@ -439,14 +443,16 @@ def _task_convexify(cfg: RunConfig) -> tuple[dict, list, list, int]:
         )
     change = result.max_change_on_interior()
     fixed = change <= cfg["lattice"]["fixed-point-tol"]
-    coords = lat.coordinates
-    mask = result.interior_mask
-    rows = []
-    for idx in np.ndindex(result.values.shape):
-        rows.append(
-            [" ".join(repr(float(coords[i])) for i in idx),
-             _fmt(float(result.values[idx])), int(mask[idx])]
+    # C-order lattice points, each coordinate formatted once
+    labels = [repr(float(c)) for c in lat.coordinates]
+    rows = [
+        [" ".join(point), _fmt(value), int(inside)]
+        for point, value, inside in zip(
+            itertools.product(labels, repeat=result.values.ndim),
+            result.values.ravel().tolist(),
+            result.interior_mask.ravel().tolist(),
         )
+    ]
     summary = {
         "task": "convexify",
         "density": density.describe(),
@@ -466,7 +472,11 @@ def _task_converge(cfg: RunConfig) -> tuple[dict, list, list, int]:
     sides = cfg["converge"]["box"]
     dim = len(sides)
     if cfg["potential"]["dim"] != dim:
-        raise ConfigError("potential dim must match the box dimension")
+        box = " ".join(_fmt(s) for s in sides)
+        raise ConfigError(
+            f"[potential] dim = {cfg['potential']['dim']} does not match the "
+            f"{dim}D [converge] box = {box}"
+        )
     entries = cfg["converge"]["matrix"]
     if len(entries) != dim * dim:
         raise ConfigError(f"affine matrix needs {dim * dim} row-major entries")

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .linalg import INF
 from .potentials import StoredEnergy
@@ -259,6 +258,9 @@ def _random_direction_pass(
     """
     if lattice.mode == "diagonal" or lattice.dim == 1 or count <= 0:
         return values
+    # imported here: scipy.ndimage takes longer to import than most tasks run
+    from scipy.ndimage import map_coordinates
+
     shape = values.shape
     grid_idx = np.indices(shape, dtype=float).reshape(len(shape), -1)
     work = values.copy()

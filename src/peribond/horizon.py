@@ -17,11 +17,15 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .pipeline import BlowupResult, compute_blowup, local_density
 from .potentials import PairwisePotential
 from .quadrature import build_rule
+
+# 24-node Gauss-Legendre rule for the chord integrals of rim cells; built
+# once because the eigenvalue solve behind it costs more than one integral
+_CHORD_NODES, _CHORD_WEIGHTS = leggauss(24)
 
 
 @dataclass(frozen=True)
@@ -93,11 +97,9 @@ class DeformationField:
     @staticmethod
     def analytic(fn: Callable, grad_fn: Callable | None = None,
                  out_dim: int | None = None) -> "DeformationField":
-        f = DeformationField("analytic", fn=fn, grad_fn=grad_fn, out_dim=out_dim)
-        if f.out_dim is None:
-            probe = np.asarray(fn(np.zeros((1, 2))), dtype=float)
-            f.out_dim = probe.shape[-1]
-        return f
+        """Without ``out_dim``, it is read off the first evaluation, since
+        only the domain knows the dimension of the points ``fn`` accepts."""
+        return DeformationField("analytic", fn=fn, grad_fn=grad_fn, out_dim=out_dim)
 
     @staticmethod
     def sampled(values, domain: BoxDomain) -> "DeformationField":
@@ -111,7 +113,10 @@ class DeformationField:
         if self.kind == "affine":
             return points @ self.matrix.T
         if self.kind == "analytic":
-            return np.asarray(self.fn(points), dtype=float)
+            out = np.asarray(self.fn(points), dtype=float)
+            if self.out_dim is None:
+                self.out_dim = out.shape[-1]
+            return out
         from scipy.ndimage import map_coordinates
 
         h = self.domain.spacing
@@ -163,15 +168,14 @@ def _circle_box_area(a1, b1, a2, b2, radius) -> float:
         if a1 < s < b1:
             breaks.add(s)
     pts = sorted(breaks)
-    nodes, wts = roots_legendre(24)
     total = 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
         if hi <= -radius or lo >= radius:
             continue
-        xm = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+        xm = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHORD_NODES
         g = np.sqrt(np.maximum(radius * radius - xm * xm, 0.0))
         chord = np.maximum(np.minimum(b2, g) - np.maximum(a2, -g), 0.0)
-        total += 0.5 * (hi - lo) * float(np.dot(wts, chord))
+        total += 0.5 * (hi - lo) * float(np.dot(_CHORD_WEIGHTS, chord))
     return total
 
 
@@ -244,7 +248,7 @@ def _near_block_integral(
     ``centers`` has shape (C, dim); rays are clipped exactly to the block
     and to the domain box. Returns shape (C,).
     """
-    gl_x, gl_w = roots_legendre(radial_nodes)
+    gl_x, gl_w = leggauss(radial_nodes)
     half = 1.5 * dom.spacing  # block half-widths
     sides = np.asarray(dom.sides)
     d = directions  # (M, dim)
@@ -455,7 +459,8 @@ def local_reference(
     """Grid quadrature of the local density at the deformation gradient."""
     if field.kind == "affine":
         return float(np.prod(dom.sides)) * local_density(limit, field.matrix, rule)
-    grads = field.gradient(dom.centers()).reshape(-1, field.out_dim, dom.dim)
+    grads = field.gradient(dom.centers())
+    grads = grads.reshape(-1, *grads.shape[-2:])
     total = 0.0
     for g in grads:
         total += local_density(limit, g, rule)

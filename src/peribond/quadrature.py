@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .linalg import INF
 
@@ -92,7 +92,7 @@ def build_sphere_rule(order: int) -> SphereQuadrature:
     """
     if order < 2:
         raise ValueError(f"sphere rule needs order >= 2, got {order}")
-    t, wt = roots_legendre(order)  # t = cos(polar angle) on [-1, 1]
+    t, wt = leggauss(order)  # t = cos(polar angle) on [-1, 1]
     nphi = 2 * order
     phi = 2.0 * math.pi * (np.arange(nphi) + 0.5) / nphi
     wphi = 2.0 * math.pi / nphi

@@ -309,6 +309,9 @@ def jensen_counterexample_suite(
     return JensenReport(rows, all(r.ok for r in rows))
 
 
+_CUBIC_MEAN_BLOCK = 1024
+
+
 def cubic_mean_lower_constant(
     rule: SphereQuadrature, grid: int = 96, seed: int = 0, randoms: int = 200
 ) -> float:
@@ -330,8 +333,14 @@ def cubic_mean_lower_constant(
     s = np.stack(
         [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
     ).reshape(-1, 3)
-    means = mean_w @ (z2 @ (s * s).T) ** 1.5
-    best = float(means.min())
+    # column blocks bound the (N, block) temporary; one (N, grid^2) array
+    # would take ~150 MB at the default rule
+    best = math.inf
+    for start in range(0, len(s), _CUBIC_MEAN_BLOCK):
+        blk = s[start:start + _CUBIC_MEAN_BLOCK]
+        vals = z2 @ (blk * blk).T
+        np.power(vals, 1.5, out=vals)
+        best = min(best, float((mean_w @ vals).min()))
 
     rng = np.random.default_rng(seed)
     for _ in range(randoms):

@@ -1,11 +1,15 @@
+import csv
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from peribond.cli import ConfigError, list_zoo, load_config
+from peribond import convexify as cvx
+from peribond.cli import ConfigError, _fmt, density_from_config, list_zoo, load_config
 
 MR_CONFIG = """\
 [run]
@@ -157,3 +161,45 @@ def test_incompressible_density_exit_two(tmp_path):
     assert proc.returncode == 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary["verdict"] == "infinite-violation"
+
+
+def test_converge_default_config_runs_2d_study(tmp_path):
+    out = tmp_path / "conv"
+    proc = run_cli("--task", "converge", "--out", str(out), "--no-timestamp")
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["verdict"] == "pass"
+    assert summary["config"]["potential"]["dim"] == 2
+
+
+def test_converge_conflicting_potential_dim_exit_64(tmp_path):
+    cfg = tmp_path / "conv.ini"
+    cfg.write_text("[run]\ntask = converge\n\n[potential]\ndim = 3\n")
+    proc = run_cli("--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 64
+    assert "dim = 3" in proc.stderr and "2D" in proc.stderr
+
+
+def test_convexify_detail_csv_matches_per_point_loop(tmp_path):
+    cfg = tmp_path / "cvx.ini"
+    cfg.write_text(
+        "[run]\ntask = convexify\n\n[density]\nkind = incompressible-mr\n\n"
+        "[lattice]\nbound = 1.5\nstep = 0.5\n"
+    )
+    out = tmp_path / "cvx"
+    proc = run_cli("--config", str(cfg), "--out", str(out), "--no-timestamp")
+    assert proc.returncode in (0, 2), proc.stderr
+
+    # reference: one row per np.ndindex point, each coordinate formatted anew
+    resolved = load_config(str(cfg))
+    lat = cvx.MatrixLattice(dim=3, bound=1.5, step=0.5, mode="diagonal")
+    result = cvx.rank_one_convexify(density_from_config(resolved["density"]), lat)
+    coords, mask = lat.coordinates, result.interior_mask
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["lattice_coordinates", "value", "interior"])
+    for idx in np.ndindex(result.values.shape):
+        writer.writerow([" ".join(repr(float(coords[i])) for i in idx),
+                         _fmt(float(result.values[idx])), int(mask[idx])])
+    assert "inf" in buf.getvalue()
+    assert (out / "detail.csv").read_bytes() == buf.getvalue().encode()

@@ -7,11 +7,14 @@ from peribond.horizon import (
     BoxDomain,
     DeformationField,
     convergence_study,
+    local_reference,
     nonlocal_energy,
     two_grid_estimate,
 )
 from peribond.linalg import random_rotation
+from peribond.pipeline import compute_blowup
 from peribond.potentials import PairwisePotential, make_power_bond
+from peribond.quadrature import build_rule
 
 A2 = np.diag([1.0, 2.0])
 
@@ -47,11 +50,25 @@ def test_analytic_field_probe_and_gradient():
     u = DeformationField.analytic(lambda p: np.stack(
         [p[..., 0] ** 2, p[..., 0] * p[..., 1]], axis=-1
     ))
-    assert u.out_dim == 2
     pts = np.array([[0.5, 0.25]])
     grad = u.gradient(pts)[0]
+    assert u.out_dim == 2  # read off the first evaluation
     expect = np.array([[1.0, 0.0], [0.25, 0.5]])
     assert np.max(np.abs(grad - expect)) < 1e-6
+
+
+def test_analytic_3d_field_without_out_dim():
+    u = DeformationField.analytic(lambda p: p @ np.eye(3).T)
+    pts = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+    assert np.allclose(u.evaluate(pts), pts)
+    assert u.out_dim == 3
+    assert np.allclose(u.gradient(pts), np.eye(3), atol=1e-8)
+    # per-cell local reference on a fresh field; the central-difference
+    # gradients carry a rounding error of about 1e-10
+    fresh = DeformationField.analytic(lambda p: p @ np.eye(3).T)
+    limit = compute_blowup(quadratic_bond(3), 0.0)
+    dom = BoxDomain((1.0, 1.0, 1.0), (2, 2, 2))
+    assert local_reference(limit, fresh, dom, build_rule(3, 16)) == pytest.approx(3.0, rel=1e-8)
 
 
 def test_sampled_field_interpolates_grid_values():

@@ -35,6 +35,25 @@ def test_rule_invariants(rule):
             assert abs(moment - ref) < 1e-10
 
 
+def test_sphere_rule_matches_scipy_gauss_legendre():
+    from scipy.special import roots_legendre
+
+    for order in range(2, 129):
+        t, wt = roots_legendre(order)
+        nphi = 2 * order
+        phi = 2.0 * math.pi * (np.arange(nphi) + 0.5) / nphi
+        st = np.sqrt(1.0 - t * t)
+        nodes = np.stack([
+            np.outer(st, np.cos(phi)).ravel(),
+            np.outer(st, np.sin(phi)).ravel(),
+            np.repeat(t, nphi),
+        ], axis=1)
+        weights = np.repeat(wt * (2.0 * math.pi / nphi), nphi)
+        rule = build_sphere_rule(order)
+        assert np.max(np.abs(rule.nodes - nodes)) <= 1e-13, order
+        assert np.max(np.abs(rule.weights - weights)) <= 1e-13, order
+
+
 def test_circle_examples():
     rule = build_circle_rule(8)
     assert rule.integrate(np.ones(8)) == pytest.approx(2 * math.pi, abs=1e-12)

@@ -192,6 +192,32 @@ def test_cubic_mean_constant_close_to_isotropic_floor():
     assert floor - 1e-9 <= c <= floor + 1e-2
 
 
+def unblocked_cubic_mean(rule, grid=96, seed=0, randoms=200):
+    """Reference: the whole diagonal family as one (N, grid^2) array."""
+    mean_w = rule.weights / rule.measure
+    z2 = rule.nodes**2
+    theta = np.linspace(0.0, math.pi / 2.0, grid)
+    tt, pp = np.meshgrid(theta, theta, indexing="ij")
+    s = np.stack(
+        [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
+    ).reshape(-1, 3)
+    best = float((mean_w @ (z2 @ (s * s).T) ** 1.5).min())
+    rng = np.random.default_rng(seed)
+    for _ in range(randoms):
+        a = rng.standard_normal((3, 3))
+        a /= np.linalg.norm(a)
+        m = float(np.dot(mean_w, np.linalg.norm(rule.nodes @ a.T, axis=-1) ** 3))
+        best = min(best, m)
+    return best
+
+
+@pytest.mark.parametrize("order, grid", [(32, 96), (8, 40), (16, 33)])
+def test_cubic_mean_blocks_match_unblocked_formula(order, grid):
+    rule = build_sphere_rule(order)
+    ref = unblocked_cubic_mean(rule, grid=grid)
+    assert cubic_mean_lower_constant(rule, grid=grid) == pytest.approx(ref, rel=1e-14)
+
+
 def test_stretch_scan_cof_branch_finds_failure():
     lams = np.linspace(1.0, 100.0, 200)
     scan = mooney_rivlin_inequality_check(
