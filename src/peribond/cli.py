@@ -22,6 +22,7 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,6 +54,96 @@ TASKS = (
     "counterexamples",
 )
 
+
+class Model(NamedTuple):
+    """Registry entry: how to build one model kind from its config section."""
+
+    build: Callable  # config section -> model
+    keys: tuple  # (name, parser, default) of the section keys it reads
+    doc: str  # one-line formula for --list-zoo
+
+
+def _profile(section: dict) -> ScalarProfile:
+    return build_model("profile", section, key="g")
+
+
+def _power_bond(section: dict):
+    dim, c = section["dim"], section["c"]
+    if c is None:  # default n / sigma_{n-1}
+        c = dim / sphere_measure(dim)
+    return make_power_bond(c, section["p"], section["q"], dim=dim)
+
+
+_ALPHA, _BETA = ("alpha", float, 1.0), ("beta", float, 1.0)
+_G = ("g", str, "well")  # names a profile; --list-zoo marks it g*
+
+# group -> kind -> Model: the one enumeration of the built-in models. Config
+# keys and defaults, load-time validation, construction and --list-zoo are
+# all read off it.
+MODELS = {
+    "density": {
+        "frobenius-squared": Model(lambda s: frobenius_squared(), (), "|A|^2"),
+        "frobenius-power": Model(
+            lambda s: frobenius_power(s["p"]), (("p", float, 4.0),), "|A|^p"
+        ),
+        "affine-frobenius-squared": Model(
+            lambda s: affine_frobenius_squared(s["a"], s["b"]),
+            (("a", float, 1.0), ("b", float, 2.0)), "a + b |A|^2",
+        ),
+        "mooney-rivlin": Model(
+            lambda s: make_mooney_rivlin(s["alpha"], s["beta"], _profile(s)),
+            (_ALPHA, _BETA, _G), "alpha |A|^2 + beta |cof A|^2 + g(det A)",
+        ),
+        "neo-hookean": Model(
+            lambda s: make_mooney_rivlin(s["alpha"], 0.0, _profile(s)),
+            (_ALPHA, _G), "mooney-rivlin with beta = 0",
+        ),
+        "incompressible-mr": Model(
+            lambda s: make_incompressible_mr(s["alpha"], s["beta"]),
+            (_ALPHA, _BETA), "alpha |A|^2 + beta |cof A|^2 on det A = 1, +inf off it",
+        ),
+        "profile-frobenius": Model(
+            lambda s: make_profile_energy("frobenius", _profile(s)), (_G,), "g(|A|^2)"
+        ),
+        "profile-cof": Model(
+            lambda s: make_profile_energy("cof", _profile(s)), (_G,), "g(|cof A|), 3x3 only"
+        ),
+        "profile-det": Model(
+            lambda s: make_profile_energy("det", _profile(s)), (_G,), "g(det A), 3x3 only"
+        ),
+    },
+    "potential": {
+        "power-bond": Model(
+            _power_bond,
+            (("c", float, None), ("p", float, 2.0), ("q", float, 2.0), ("dim", int, 3)),
+            "c |y|^p / |x|^q, degree p - q",
+        ),
+    },
+    "profile": {  # selected by the g key of [density]
+        "power": Model(
+            lambda s: ScalarProfile.power(s["g-coeff"], s["g-exponent"]),
+            (("g-coeff", float, 1.0), ("g-exponent", float, 2.0)), "g-coeff * t^g-exponent",
+        ),
+        "affine-square": Model(
+            lambda s: ScalarProfile.affine_square(s["g-a"], s["g-b"]),
+            (("g-a", float, 0.0), ("g-b", float, 1.0)), "g-a + g-b * t^2",
+        ),
+        "well": Model(lambda s: ScalarProfile.well(), (), "(t - 1)^2"),
+        "indicator": Model(lambda s: ScalarProfile.indicator(), (), "0 at t = 1, +inf elsewhere"),
+        "zero": Model(lambda s: ScalarProfile.power(0.0, 0.0), (), "constant 0"),
+    },
+}
+
+
+def _model_keys(common: dict, *groups: str) -> dict:
+    """Schema of a model section: the keys all kinds share, then each kind's own."""
+    keys = dict(common)
+    for group in groups:
+        for model in MODELS[group].values():
+            keys.update((name, (parser, default)) for name, parser, default in model.keys)
+    return keys
+
+
 # section -> key -> (parser, default); None default means required-if-used
 SCHEMA = {
     "run": {
@@ -63,27 +154,10 @@ SCHEMA = {
         "out": (str, "out"),
         "no-timestamp": ("bool", False),
     },
-    "density": {
-        "kind": (str, "frobenius-squared"),
-        "dim": (int, 3),
-        "alpha": (float, 1.0),
-        "beta": (float, 1.0),
-        "p": (float, 4.0),
-        "a": (float, 1.0),
-        "b": (float, 2.0),
-        "g": (str, "well"),
-        "g-coeff": (float, 1.0),
-        "g-exponent": (float, 2.0),
-        "g-a": (float, 0.0),
-        "g-b": (float, 1.0),
-    },
-    "potential": {
-        "kind": (str, "power-bond"),
-        "dim": (int, 3),
-        "c": (float, None),  # default n / sigma_{n-1}
-        "p": (float, 2.0),
-        "q": (float, 2.0),
-    },
+    "density": _model_keys(
+        {"kind": (str, "frobenius-squared"), "dim": (int, 3)}, "density", "profile"
+    ),
+    "potential": _model_keys({"kind": (str, "power-bond")}, "potential"),
     "lattice": {
         "bound": (float, 3.0),
         "step": (float, 0.1),
@@ -206,96 +280,67 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         sections["potential"]["dim"] = len(sections["converge"]["box"])
     if sections["run"]["threads"] < 1:
         raise ConfigError("threads must be at least 1")
+    # model values fail here, before a task runs or a report names them
+    build_model("profile", sections["density"], key="g")
+    density = build_model("density", sections["density"])
+    dim = sections["density"]["dim"]
+    if density.dim not in (None, dim):
+        raise ConfigError(
+            f"[density] kind = {density.kind} takes {density.dim}x{density.dim} "
+            f"matrices only, not dim = {dim}"
+        )
+    build_model("potential", sections["potential"])
     return RunConfig(sections)
 
 
-def _profile_from(density_cfg: dict) -> ScalarProfile:
-    name = density_cfg["g"]
-    if name == "power":
-        return ScalarProfile.power(density_cfg["g-coeff"], density_cfg["g-exponent"])
-    if name == "affine-square":
-        return ScalarProfile.affine_square(density_cfg["g-a"], density_cfg["g-b"])
-    if name == "well":
-        return ScalarProfile.well()
-    if name == "indicator":
-        return ScalarProfile.indicator()
-    if name == "zero":
-        return ScalarProfile.power(0.0, 0.0)
-    raise ConfigError(f"unknown profile {name!r} (power, affine-square, well, indicator, zero)")
-
-
-def density_from_config(density_cfg: dict):
-    kind = density_cfg["kind"]
-    if kind == "frobenius-squared":
-        return frobenius_squared()
-    if kind == "frobenius-power":
-        return frobenius_power(density_cfg["p"])
-    if kind == "affine-frobenius-squared":
-        return affine_frobenius_squared(density_cfg["a"], density_cfg["b"])
-    if kind == "mooney-rivlin":
-        return make_mooney_rivlin(density_cfg["alpha"], density_cfg["beta"], _profile_from(density_cfg))
-    if kind == "neo-hookean":
-        return make_mooney_rivlin(density_cfg["alpha"], 0.0, _profile_from(density_cfg))
-    if kind == "incompressible-mr":
-        return make_incompressible_mr(density_cfg["alpha"], density_cfg["beta"])
-    if kind == "profile-frobenius":
-        return make_profile_energy("frobenius", _profile_from(density_cfg))
-    if kind == "profile-cof":
-        return make_profile_energy("cof", _profile_from(density_cfg))
-    if kind == "profile-det":
-        return make_profile_energy("det", _profile_from(density_cfg))
-    raise ConfigError(f"unknown density kind {kind!r}; see --list-zoo")
-
-
-def potential_from_config(pot_cfg: dict):
-    kind = pot_cfg["kind"]
-    if kind != "power-bond":
-        raise ConfigError(f"unknown potential kind {kind!r}; see --list-zoo")
-    dim = pot_cfg["dim"]
-    c = pot_cfg["c"]
-    if c is None:
-        c = dim / sphere_measure(dim)
-    return make_power_bond(c, pot_cfg["p"], pot_cfg["q"], dim=dim)
+def build_model(group: str, section: dict, key: str = "kind"):
+    """Build the ``group`` model that ``section[key]`` names, from ``section``."""
+    kind = section[key]
+    if kind not in MODELS[group]:
+        raise ConfigError(
+            f"{key} = {kind!r} names no {group}; choose one of {', '.join(MODELS[group])}"
+        )
+    try:
+        return MODELS[group][kind].build(section)
+    except ValueError as exc:  # e.g. a negative coefficient
+        raise ConfigError(f"{group} {kind!r}: {exc}") from exc
 
 
 def list_zoo() -> str:
-    """Stable text enumeration of the built-in models and their parameters."""
-    lines = [
-        "densities ([density] section):",
-        "  frobenius-squared        |A|^2; no parameters",
-        "  frobenius-power          |A|^p; keys: p",
-        "  affine-frobenius-squared a + b |A|^2; keys: a, b",
-        "  mooney-rivlin            alpha |A|^2 + beta |cof A|^2 + g(det A); keys: alpha, beta, g*",
-        "  neo-hookean              mooney-rivlin with beta = 0; keys: alpha, g*",
-        "  incompressible-mr        alpha |A|^2 + beta |cof A|^2 on det A = 1, +inf off it; keys: alpha, beta",
-        "  profile-frobenius        g(|A|^2); keys: g*",
-        "  profile-cof              g(|cof A|), 3x3 only; keys: g*",
-        "  profile-det              g(det A), 3x3 only; keys: g*",
-        "potentials ([potential] section):",
-        "  power-bond               c |y|^p / |x|^q, degree p - q; keys: c, p, q, dim",
-        "profiles (g key; parameters g-coeff, g-exponent, g-a, g-b):",
-        "  power                    g-coeff * t^g-exponent",
-        "  affine-square            g-a + g-b * t^2",
-        "  well                     (t - 1)^2",
-        "  indicator                0 at t = 1, +inf elsewhere",
-        "  zero                     constant 0",
-    ]
+    """Stable text enumeration of the registry's models and their keys."""
+    lines = []
+    for group, header in (
+        ("density", "densities ([density] section):"),
+        ("potential", "potentials ([potential] section):"),
+    ):
+        lines.append(header)
+        for kind, model in MODELS[group].items():
+            names = [name + "*" if name == "g" else name for name, _, _ in model.keys]
+            keys = "keys: " + ", ".join(names) if names else "no parameters"
+            lines.append(f"  {kind:<24} {model.doc}; {keys}")
+    # the profiles' keys all live in [density]; the header lists them once
+    g_keys = ", ".join(name for model in MODELS["profile"].values() for name, _, _ in model.keys)
+    lines.append(f"profiles (g key; parameters {g_keys}):")
+    lines += [f"  {kind:<24} {model.doc}" for kind, model in MODELS["profile"].items()]
     return "\n".join(lines)
 
 
 def _json_safe(value):
-    if isinstance(value, np.floating):
-        value = float(value)
-    elif isinstance(value, np.integer):
-        value = int(value)
-    elif isinstance(value, np.bool_):
-        value = bool(value)
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
+    """The one serializer of report values, for summary.json and detail.csv
+    cells alike: inf, -inf and nan become "inf", "-inf" and "nan", numpy
+    scalars and arrays become Python values."""
+    if isinstance(value, float):  # first: a convexify report has 227k float cells
+        if math.isfinite(value):
+            return float(value)
         if math.isnan(value):
             return "nan"
-        return float(value)
+        return "inf" if value > 0 else "-inf"
+    if isinstance(value, np.floating):
+        return _json_safe(float(value))
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.bool_):
+        return bool(value)
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -323,16 +368,6 @@ def _write_reports(cfg: RunConfig, summary: dict, rows: list, header: list) -> N
             writer.writerow(row)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return repr(float(value))  # shortest round-trip decimal
-    return str(value)
-
-
 def _task_quadrature_check(cfg: RunConfig) -> tuple[dict, list, list, int]:
     order = cfg["run"]["quad-order"]
     rows = []
@@ -343,14 +378,20 @@ def _task_quadrature_check(cfg: RunConfig) -> tuple[dict, list, list, int]:
         n = rule.dim
         err_w = abs(float(np.sum(rule.weights)) - sigma)
         worst_weight = max(worst_weight, err_w)
-        rows.append([f"S{n - 1}", "weight-sum", _fmt(float(np.sum(rule.weights))), _fmt(sigma), _fmt(err_w)])
+        rows.append([
+            f"S{n - 1}", "weight-sum",
+            _json_safe(float(np.sum(rule.weights))), _json_safe(sigma), _json_safe(err_w),
+        ])
         for j in range(n):
             for k in range(n):
                 moment = float(np.dot(rule.weights, rule.nodes[:, j] * rule.nodes[:, k]))
                 ref = sigma / n if j == k else 0.0
                 err = abs(moment - ref)
                 worst_moment = max(worst_moment, err)
-                rows.append([f"S{n - 1}", f"moment-z{j + 1}z{k + 1}", _fmt(moment), _fmt(ref), _fmt(err)])
+                rows.append([
+                    f"S{n - 1}", f"moment-z{j + 1}z{k + 1}",
+                    _json_safe(moment), _json_safe(ref), _json_safe(err),
+                ])
     passed = worst_weight <= 1e-12 and worst_moment <= 1e-10
     summary = {
         "task": "quadrature-check",
@@ -363,7 +404,7 @@ def _task_quadrature_check(cfg: RunConfig) -> tuple[dict, list, list, int]:
 
 
 def _task_gamma_limit(cfg: RunConfig) -> tuple[dict, list, list, int]:
-    pot = potential_from_config(cfg["potential"])
+    pot = build_model("potential", cfg["potential"])
     dim = cfg["potential"]["dim"]
     rule = build_rule(dim, cfg["run"]["quad-order"])
     beta_est = pipeline.estimate_beta(pot, seed=cfg["run"]["seed"])
@@ -372,7 +413,7 @@ def _task_gamma_limit(cfg: RunConfig) -> tuple[dict, list, list, int]:
     rows = []
     for a in mats:
         value = pipeline.local_density(limit, a, rule)
-        rows.append([" ".join(repr(float(x)) for x in a.ravel()), _fmt(value)])
+        rows.append([" ".join(repr(float(x)) for x in a.ravel()), _json_safe(value)])
     check = pipeline.verify_limit_invariances(
         limit, np.diag(np.arange(1.0, dim + 1.0)), trials=cfg["recoverability"]["trials"],
         seed=cfg["run"]["seed"], rule=rule,
@@ -396,7 +437,7 @@ def _task_gamma_limit(cfg: RunConfig) -> tuple[dict, list, list, int]:
 
 
 def _task_recoverability(cfg: RunConfig) -> tuple[dict, list, list, int]:
-    density = density_from_config(cfg["density"])
+    density = build_model("density", cfg["density"])
     dim = cfg["density"]["dim"]
     rule = build_rule(dim, cfg["run"]["quad-order"])
     test_set = recoverability.default_test_matrices(
@@ -405,14 +446,13 @@ def _task_recoverability(cfg: RunConfig) -> tuple[dict, list, list, int]:
     report = recoverability.roundtrip_check(
         density, rule, test_set,
         rel_tol=cfg["recoverability"]["rel-tol"],
-        workers=cfg["run"]["threads"],
     )
     rows = []
     for i, row in enumerate(report.rows):
         rows.append([
             i,
             " ".join(repr(float(x)) for x in row.matrix.ravel()),
-            _fmt(row.lhs), _fmt(row.rhs), _fmt(row.residual),
+            _json_safe(row.lhs), _json_safe(row.rhs), _json_safe(row.residual),
             row.classification, int(row.within_tol),
         ])
     summary = {"task": "recoverability", **report.to_dict()}
@@ -422,7 +462,7 @@ def _task_recoverability(cfg: RunConfig) -> tuple[dict, list, list, int]:
 
 
 def _task_convexify(cfg: RunConfig) -> tuple[dict, list, list, int]:
-    density = density_from_config(cfg["density"])
+    density = build_model("density", cfg["density"])
     lat = cvx.MatrixLattice(
         dim=cfg["lattice"]["dim"],
         bound=cfg["lattice"]["bound"],
@@ -446,7 +486,7 @@ def _task_convexify(cfg: RunConfig) -> tuple[dict, list, list, int]:
     # C-order lattice points, each coordinate formatted once
     labels = [repr(float(c)) for c in lat.coordinates]
     rows = [
-        [" ".join(point), _fmt(value), int(inside)]
+        [" ".join(point), _json_safe(value), int(inside)]
         for point, value, inside in zip(
             itertools.product(labels, repeat=result.values.ndim),
             result.values.ravel().tolist(),
@@ -468,11 +508,11 @@ def _task_convexify(cfg: RunConfig) -> tuple[dict, list, list, int]:
 
 
 def _task_converge(cfg: RunConfig) -> tuple[dict, list, list, int]:
-    pot = potential_from_config(cfg["potential"])
+    pot = build_model("potential", cfg["potential"])
     sides = cfg["converge"]["box"]
     dim = len(sides)
     if cfg["potential"]["dim"] != dim:
-        box = " ".join(_fmt(s) for s in sides)
+        box = " ".join(map(repr, sides))
         raise ConfigError(
             f"[potential] dim = {cfg['potential']['dim']} does not match the "
             f"{dim}D [converge] box = {box}"
@@ -490,7 +530,7 @@ def _task_converge(cfg: RunConfig) -> tuple[dict, list, list, int]:
     slope = study.fitted_slope
     passed = not math.isnan(slope) and slope >= cfg["converge"]["slope-min"]
     rows = [
-        [_fmt(d), _fmt(e), _fmt(ref), _fmt(gap), _fmt(sl)]
+        [_json_safe(d), _json_safe(e), _json_safe(ref), _json_safe(gap), _json_safe(sl)]
         for (d, e, ref, gap, sl) in study.rows
     ]
     summary = {
@@ -521,11 +561,13 @@ def _task_counterexamples(cfg: RunConfig) -> tuple[dict, list, list, int]:
     confirmed = jensen.all_ok and scan_cof.found and scan_growth.found
     rows = []
     for r in jensen.rows:
-        rows.append(["jensen", f"{r.case}:{r.profile}", _fmt(r.margin), r.expected, int(r.ok)])
+        rows.append(
+            ["jensen", f"{r.case}:{r.profile}", _json_safe(r.margin), r.expected, int(r.ok)]
+        )
     for scan in (scan_cof, scan_growth):
         rows.append([
             "stretch-scan", scan.branch,
-            _fmt(scan.lambda_star if scan.lambda_star is not None else math.nan),
+            _json_safe(scan.lambda_star if scan.lambda_star is not None else math.nan),
             "failure-found", int(scan.found),
         ])
     summary = {
@@ -582,7 +624,8 @@ def main(argv=None) -> int:
     parser.add_argument("--task", choices=TASKS, help="task to run")
     parser.add_argument("--out", help="output directory for summary.json / detail.csv")
     parser.add_argument("--seed", type=int, help="seed for every randomized choice")
-    parser.add_argument("--threads", type=int, help="worker cap for per-matrix loops")
+    parser.add_argument("--threads", type=int,
+                        help="at least 1; echoed in the reports, every task runs serially")
     parser.add_argument("--quad-order", type=int, help="sphere rule order (circle gets 2x)")
     parser.add_argument("--no-timestamp", action="store_true", default=None,
                         help="omit the timestamp so reports are byte-reproducible")

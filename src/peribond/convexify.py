@@ -159,23 +159,6 @@ class EnvelopeResult:
         diff = diff[np.isfinite(diff)]
         return float(diff.max()) if diff.size else 0.0
 
-    def write_csv(self, path) -> None:
-        import csv
-
-        coords = self.lattice.coordinates
-        mask = self.interior_mask
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [f"x{k}" for k in range(self.lattice.axes)] + ["value", "interior"]
-            )
-            for idx in np.ndindex(self.values.shape):
-                row = [repr(float(coords[i])) for i in idx]
-                v = self.values[idx]
-                row.append("inf" if math.isinf(v) else repr(float(v)))
-                row.append(int(mask[idx]))
-                writer.writerow(row)
-
 
 def _hull_envelope_1d(values: np.ndarray) -> np.ndarray:
     """Lower convex hull of equispaced samples, +inf entries allowed.

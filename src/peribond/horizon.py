@@ -428,30 +428,6 @@ class ConvergenceStudy:
             return math.nan
         return float(np.polyfit(np.log(deltas), np.log(gaps), 1)[0])
 
-    def write_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["delta", "I_delta", "I_local", "gap", "slope_running"])
-            for row in self.rows:
-                writer.writerow([repr(float(v)) if not math.isnan(v) else "nan" for v in row])
-
-    def to_dict(self) -> dict:
-        return {
-            "fitted_slope": self.fitted_slope,
-            "rows": [
-                {
-                    "delta": r[0],
-                    "I_delta": r[1],
-                    "I_local": r[2],
-                    "gap": r[3],
-                    "slope_running": None if math.isnan(r[4]) else r[4],
-                }
-                for r in self.rows
-            ],
-        }
-
 
 def local_reference(
     limit: BlowupResult, field: DeformationField, dom: BoxDomain, rule

@@ -72,19 +72,6 @@ class ScalarProfile:
         return ScalarProfile("custom", {"label": label}, fn)
 
 
-def profile_from_config(kind: str, params: dict) -> ScalarProfile:
-    """Rebuild a profile from its serialized kind + params."""
-    if kind == "power":
-        return ScalarProfile.power(params.get("coeff", 1.0), params.get("exponent", 1.0))
-    if kind == "affine-square":
-        return ScalarProfile.affine_square(params["a"], params["b"])
-    if kind == "well":
-        return ScalarProfile.well()
-    if kind == "indicator":
-        return ScalarProfile.indicator(params.get("tol", DET_TOL))
-    raise ValueError(f"unknown scalar profile kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class PairwisePotential:
     """Bond density w(x_ref, y_def) on pairs of offsets.
@@ -193,10 +180,10 @@ class StoredEnergy:
         return float(out) if out.ndim == 0 else out
 
     def describe(self) -> dict:
-        return {"kind": self.kind, "params": _plain_params(self.params)}
+        return {"kind": self.kind, "params": _describe_params(self.params)}
 
 
-def _plain_params(params: dict) -> dict:
+def _describe_params(params: dict) -> dict:
     out = {}
     for k, v in params.items():
         if isinstance(v, ScalarProfile):

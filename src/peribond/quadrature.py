@@ -118,16 +118,19 @@ def build_rule(dim: int, order: int) -> SphereQuadrature:
 def mean_over_sphere(rule: SphereQuadrature, f) -> float:
     """Mean integral of f over the sphere: sum(w_i f(z_i)) / sigma_{n-1}.
 
-    ``f`` may either map a single node to a value or map the full (N, dim)
-    node array to an (N,) value array. Any +inf node value makes the mean
-    +inf; NaN raises.
+    ``f`` is called once, on the (N, dim) node array, and its result must
+    broadcast to shape (N,): one value per node, or one constant. Any other
+    shape raises ValueError; whatever ``f`` raises propagates. Any +inf node
+    value makes the mean +inf; NaN raises.
     """
+    values = np.asarray(f(rule.nodes), dtype=float)
     try:
-        values = np.asarray(f(rule.nodes), dtype=float)
-        if values.shape != (len(rule),):
-            raise TypeError
-    except (TypeError, ValueError):
-        values = np.array([float(f(z)) for z in rule.nodes])
+        values = np.broadcast_to(values, (len(rule),))
+    except ValueError:
+        raise ValueError(
+            f"integrand returned shape {values.shape}; expected ({len(rule)},) "
+            "or a value that broadcasts to it"
+        ) from None
     total = rule.integrate(values)
     if math.isinf(total):
         return total

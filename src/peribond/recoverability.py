@@ -31,38 +31,6 @@ class IndeterminateResidualError(ArithmeticError):
     """Both sides of the mean-value identity are infinite at this matrix."""
 
 
-def scaled_identity_mean(density: StoredEnergy, a, rule: SphereQuadrature) -> float:
-    """Sphere mean of W(|Az| I); +inf as soon as one node is infinite."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[-1]
-    if n != rule.dim:
-        raise ValueError(f"matrix is {n}-column but rule lives on S^{rule.dim - 1}")
-    stretches = np.linalg.norm(rule.nodes @ a.T, axis=-1)
-    mats = stretches[:, None, None] * np.eye(n)
-    total = rule.integrate(np.asarray(density(mats), dtype=float))
-    return total if math.isinf(total) else total / rule.measure
-
-
-def recoverability_residual(density: StoredEnergy, a, rule: SphereQuadrature) -> float:
-    """W(A) minus the sphere mean of W(|Az| I).
-
-    Zero (up to quadrature error) at every matrix characterizes densities
-    that come from a radial bond profile. A single infinite side returns
-    an infinite residual; two infinite sides raise
-    :class:`IndeterminateResidualError`.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.shape[-2] != a.shape[-1]:
-        raise ValueError("the mean-value identity is evaluated on square matrices")
-    lhs = float(density(a))
-    rhs = scaled_identity_mean(density, a, rule)
-    if math.isinf(lhs) and math.isinf(rhs):
-        raise IndeterminateResidualError(
-            "density is infinite at the matrix and on the scaled identities"
-        )
-    return lhs - rhs
-
-
 @dataclass(frozen=True)
 class CandidateProfile:
     """Radial bond profile t -> W(tI)/sigma extracted from a density."""
@@ -106,21 +74,13 @@ class ResidualRow:
 
     def to_dict(self) -> dict:
         return {
-            "matrix": [[_plain(x) for x in row] for row in self.matrix.tolist()],
-            "lhs": _plain(self.lhs),
-            "rhs": _plain(self.rhs),
-            "residual": _plain(self.residual),
+            "matrix": self.matrix.tolist(),
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "residual": self.residual,
             "classification": self.classification,
             "within_tol": self.within_tol,
         }
-
-
-def _plain(x):
-    if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return x
 
 
 @dataclass(frozen=True)
@@ -139,34 +99,26 @@ class RecoverabilityReport:
         return {
             "density": self.density,
             "verdict": self.verdict,
-            "max_abs_residual": _plain(self.max_abs_residual),
+            "max_abs_residual": self.max_abs_residual,
             "rel_tol": self.rel_tol,
             "quadrature": self.quadrature,
             "notes": list(self.notes),
             "rows": [row.to_dict() for row in self.rows],
         }
 
-    def write_csv(self, path) -> None:
-        import csv
 
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["index", "matrix_row_major", "lhs", "rhs", "residual",
-                 "classification", "within_tol"]
-            )
-            for i, row in enumerate(self.rows):
-                entries = " ".join(repr(float(x)) for x in row.matrix.ravel())
-                writer.writerow(
-                    [i, entries, _plain(row.lhs), _plain(row.rhs),
-                     _plain(row.residual), row.classification, int(row.within_tol)]
-                )
-
-
-def _residual_row(density, candidate, a, rule, rel_tol) -> ResidualRow:
+def _residual_row(density: StoredEnergy, a, rule: SphereQuadrature, rel_tol: float) -> ResidualRow:
+    """One matrix of the mean-value identity: lhs W(A), rhs the sphere
+    integral of the extracted candidate profile at the stretches |Az|."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("the mean-value identity is evaluated on square matrices")
+    n = a.shape[0]
+    if n != rule.dim:
+        raise ValueError(f"matrix is {n}x{n} but rule lives on S^{rule.dim - 1}")
     lhs = float(density(a))
     stretches = np.linalg.norm(rule.nodes @ a.T, axis=-1)
-    rhs = rule.integrate(np.asarray(candidate(stretches), dtype=float))
+    rhs = rule.integrate(np.asarray(extract_candidate(density, n)(stretches), dtype=float))
     if math.isinf(lhs) and math.isinf(rhs):
         return ResidualRow(a, lhs, rhs, math.nan, "indeterminate", False)
     residual = lhs - rhs
@@ -176,13 +128,28 @@ def _residual_row(density, candidate, a, rule, rel_tol) -> ResidualRow:
     return ResidualRow(a, lhs, rhs, residual, "finite", ok)
 
 
+def recoverability_residual(density: StoredEnergy, a, rule: SphereQuadrature) -> float:
+    """W(A) minus the sphere integral of the candidate profile at |Az|.
+
+    That integral is the sphere mean of W(|Az| I). Zero (up to quadrature
+    error) at every matrix characterizes densities that come from a radial
+    bond profile. A single infinite side returns an infinite residual; two
+    infinite sides raise :class:`IndeterminateResidualError`.
+    """
+    row = _residual_row(density, a, rule, RESIDUAL_REL_TOL)
+    if row.classification == "indeterminate":
+        raise IndeterminateResidualError(
+            "density is infinite at the matrix and on the scaled identities"
+        )
+    return row.residual
+
+
 def roundtrip_check(
     density: StoredEnergy,
     rule: SphereQuadrature,
     test_set=None,
     rel_tol: float = RESIDUAL_REL_TOL,
     seed: int = 0,
-    workers: int = 1,
 ) -> RecoverabilityReport:
     """Extract the candidate profile and test whether it reproduces the density.
 
@@ -190,24 +157,9 @@ def roundtrip_check(
     density value; residuals beyond rel_tol * (1 + |W(A)|) flip the verdict
     to 'violated', any one-sided infinity to 'infinite-violation'.
     """
-    dim = rule.dim
     if test_set is None:
-        test_set = default_test_matrices(dim, seed=seed)
-    test_set = [np.asarray(a, dtype=float) for a in test_set]
-    candidate = extract_candidate(density, dim)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(
-                    lambda a: _residual_row(density, candidate, a, rule, rel_tol),
-                    test_set,
-                )
-            )
-    else:
-        rows = [_residual_row(density, candidate, a, rule, rel_tol) for a in test_set]
+        test_set = default_test_matrices(rule.dim, seed=seed)
+    rows = [_residual_row(density, a, rule, rel_tol) for a in test_set]
 
     finite = [abs(r.residual) for r in rows if r.classification == "finite"]
     max_abs = max(finite) if finite else 0.0
@@ -218,7 +170,10 @@ def roundtrip_check(
     else:
         verdict = "consistent"
     notes = []
-    if density.kind in ("incompressible-mr",) or "indicator" in str(density.params):
+    if density.kind == "incompressible-mr" or any(
+        isinstance(v, ScalarProfile) and v.kind == "indicator"
+        for v in density.params.values()
+    ):
         notes.append(f"incompressibility resolved with |det A - 1| <= {DET_TOL}")
     return RecoverabilityReport(
         density.describe(),
@@ -244,8 +199,8 @@ class JensenRow:
         return {
             "case": self.case,
             "profile": self.profile,
-            "matrix": [[float(x) for x in row] for row in self.matrix.tolist()],
-            "margin": _plain(self.margin),
+            "matrix": self.matrix.tolist(),
+            "margin": self.margin,
             "expected": self.expected,
             "ok": self.ok,
         }
@@ -374,13 +329,10 @@ class StretchScanReport:
             "c_value": self.c_value,
             "a_value": self.a_value,
             "lambda_star": self.lambda_star,
-            "lhs_at_failure": _plain(self.lhs_at_failure),
-            "rhs_at_failure": _plain(self.rhs_at_failure),
+            "lhs_at_failure": self.lhs_at_failure,
+            "rhs_at_failure": self.rhs_at_failure,
             "inconclusive": self.inconclusive,
-            "rows": [
-                {"lam": lam, "lhs": _plain(l), "rhs": _plain(r)}
-                for (lam, l, r) in self.rows
-            ],
+            "rows": [{"lam": lam, "lhs": l, "rhs": r} for (lam, l, r) in self.rows],
         }
 
 

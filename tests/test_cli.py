@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -9,7 +10,15 @@ import numpy as np
 import pytest
 
 from peribond import convexify as cvx
-from peribond.cli import ConfigError, _fmt, density_from_config, list_zoo, load_config
+from peribond.cli import (
+    MODELS,
+    ConfigError,
+    _json_safe,
+    build_model,
+    list_zoo,
+    load_config,
+    main,
+)
 
 MR_CONFIG = """\
 [run]
@@ -193,13 +202,57 @@ def test_convexify_detail_csv_matches_per_point_loop(tmp_path):
     # reference: one row per np.ndindex point, each coordinate formatted anew
     resolved = load_config(str(cfg))
     lat = cvx.MatrixLattice(dim=3, bound=1.5, step=0.5, mode="diagonal")
-    result = cvx.rank_one_convexify(density_from_config(resolved["density"]), lat)
+    result = cvx.rank_one_convexify(build_model("density", resolved["density"]), lat)
     coords, mask = lat.coordinates, result.interior_mask
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(["lattice_coordinates", "value", "interior"])
     for idx in np.ndindex(result.values.shape):
         writer.writerow([" ".join(repr(float(coords[i])) for i in idx),
-                         _fmt(float(result.values[idx])), int(mask[idx])])
+                         _json_safe(float(result.values[idx])), int(mask[idx])])
     assert "inf" in buf.getvalue()
     assert (out / "detail.csv").read_bytes() == buf.getvalue().encode()
+
+
+def test_list_zoo_is_the_registry():
+    listed = {line.split()[0] for line in list_zoo().splitlines() if line.startswith("  ")}
+    assert listed == {kind for models in MODELS.values() for kind in models}
+    # byte-stable: generated from the registry, never edited by hand
+    proc = run_cli("--list-zoo")
+    assert hashlib.md5(proc.stdout.encode()).hexdigest() == "0b3b0360a14319399fa566e89654a9a4"
+
+
+def test_registry_roundtrip(tmp_path):
+    # every density kind runs with its default keys, and the resolved config
+    # embedded in summary.json rebuilds the density it describes
+    for kind in MODELS["density"]:
+        cfg = tmp_path / f"{kind}.ini"
+        cfg.write_text(
+            f"[run]\ntask = recoverability\nquad-order = 16\n\n[density]\nkind = {kind}\n"
+        )
+        out = tmp_path / kind
+        code = main(["--config", str(cfg), "--out", str(out), "--no-timestamp"])
+        assert code in (0, 2), kind
+        summary = json.loads((out / "summary.json").read_text())
+        rebuilt = build_model("density", summary["config"]["density"])
+        assert rebuilt.describe() == summary["density"]
+
+
+@pytest.mark.parametrize("section, lines, named", [
+    ("density", ["kind = bogus"], ["bogus"]),
+    ("density", ["g = bogus"], ["bogus"]),
+    ("potential", ["kind = bogus"], ["bogus"]),
+    ("density", ["kind = incompressible-mr", "dim = 2"], ["incompressible-mr", "dim = 2"]),
+    ("density", ["kind = profile-cof", "dim = 2"], ["profile-cof", "dim = 2"]),
+    ("density", ["kind = profile-det", "dim = 2"], ["profile-det", "dim = 2"]),
+], ids=["density-kind", "profile", "potential-kind", "incompressible-mr-2d",
+        "profile-cof-2d", "profile-det-2d"])
+def test_invalid_model_value_exit_64(tmp_path, capsys, section, lines, named):
+    cfg = tmp_path / "bad.ini"
+    body = "\n".join(lines)
+    cfg.write_text(f"[run]\ntask = quadrature-check\n\n[{section}]\n{body}\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert all(name in err for name in named), err
+    assert not out.exists()

@@ -164,16 +164,6 @@ def test_envelope_monotone_and_interior_mask():
     assert not mask[0] and not mask[-1] and mask[1:-1].all()
 
 
-def test_envelope_csv_dump(tmp_path):
-    lat = MatrixLattice(dim=1, bound=1.0, step=0.5)
-    result = rank_one_convexify(frobenius_squared(), lat, tol=1e-9, max_sweeps=5)
-    out = tmp_path / "envelope.csv"
-    result.write_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "x0,value,interior"
-    assert len(lines) == 1 + lat.points_per_axis
-
-
 def test_probe_strictly_convex_clean():
     report = strict_polyconvexity_probe(frobenius_squared(), 2000, 1)
     assert report.clean

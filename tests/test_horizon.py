@@ -220,14 +220,3 @@ def test_convergence_study_smooth_field_gaps_shrink():
     gaps = [row[3] for row in study.rows]
     assert gaps[1] < gaps[0]
 
-
-def test_study_csv(tmp_path):
-    study = convergence_study(
-        quadratic_bond(2), 0.0, DeformationField.affine(A2), (1.0, 1.0),
-        [0.25, 0.125], cells_per_horizon=4,
-    )
-    path = tmp_path / "study.csv"
-    study.write_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "delta,I_delta,I_local,gap,slope_running"
-    assert len(lines) == 3

@@ -14,7 +14,6 @@ from peribond.potentials import (
     make_mooney_rivlin,
     make_power_bond,
     make_profile_energy,
-    profile_from_config,
 )
 
 
@@ -156,20 +155,6 @@ def test_scalar_profiles():
     assert ind(1.5) == INF
     vals = ind(np.array([1.0, 2.0]))
     assert vals[0] == 0.0 and vals[1] == INF
-
-
-def test_profile_config_roundtrip():
-    for profile in (
-        ScalarProfile.power(1.5, 2.0),
-        ScalarProfile.affine_square(0.5, 3.0),
-        ScalarProfile.well(),
-        ScalarProfile.indicator(),
-    ):
-        clone = profile_from_config(profile.kind, profile.params)
-        for t in (0.0, 0.5, 1.0, 2.5):
-            assert clone(t) == profile(t)
-    with pytest.raises(ValueError):
-        profile_from_config("nope", {})
 
 
 def test_density_descriptor_serializes_profiles():

@@ -122,11 +122,23 @@ def test_mean_nan_is_error():
         mean_over_sphere(rule, lambda z: np.full(len(rule), math.nan))
 
 
-def test_mean_scalar_callable_fallback():
+def test_mean_error_propagates_from_single_call():
     rule = build_sphere_rule(8)
-    assert mean_over_sphere(rule, lambda z: float(z[2] ** 2)) == pytest.approx(
-        1.0 / 3.0, abs=1e-12
-    )
+    calls = []
+
+    def f(z):
+        calls.append(z.shape)
+        raise ValueError("integrand failed")
+
+    with pytest.raises(ValueError, match="integrand failed"):
+        mean_over_sphere(rule, f)
+    assert calls == [(len(rule), 3)]
+
+
+def test_mean_rejects_result_of_wrong_shape():
+    rule = build_sphere_rule(8)
+    with pytest.raises(ValueError, match=r"\(128, 1\)"):
+        mean_over_sphere(rule, lambda z: z[:, 2:] ** 2)
 
 
 @pytest.mark.parametrize("dim,order", [(2, 20), (3, 20)])
