@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -192,43 +192,39 @@ class ConfigError(ValueError):
     """Invalid configuration: unknown key, bad type, missing requirement."""
 
 
-def _parse_value(spec, raw):
-    if spec == "bool":
-        if isinstance(raw, bool):
-            return raw
-        text = str(raw).strip().lower()
-        if text in ("1", "true", "yes", "on"):
-            return True
-        if text in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
-    if spec == "floats":
-        if isinstance(raw, (list, tuple)):
-            return tuple(float(v) for v in raw)
-        parts = [p for p in str(raw).replace(",", " ").split() if p]
-        return tuple(float(p) for p in parts)
+def _parse_number(kind, raw):
+    """``kind(raw)``, refusing a JSON boolean, a fractional value for an int
+    key, and an infinite or NaN float: no key has a use for one."""
+    if isinstance(raw, bool) or (kind is int and isinstance(raw, float) and not raw.is_integer()):
+        raise ValueError(f"expected {kind.__name__}")
+    value = kind(raw)
+    if kind is float and not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
+
+
+def _parse_value(section: str, key: str, raw):
+    """Parse the value of ``[section] key``: text from INI or a flag, or a
+    typed JSON value."""
+    spec = SCHEMA[section][key][0]
     try:
+        if spec == "bool":
+            if isinstance(raw, bool):
+                return raw
+            text = str(raw).strip().lower()
+            if text in ("1", "true", "yes", "on"):
+                return True
+            if text in ("0", "false", "no", "off"):
+                return False
+            raise ValueError("expected a boolean")
+        if spec == "floats":
+            items = raw if isinstance(raw, (list, tuple)) else str(raw).replace(",", " ").split()
+            return tuple(_parse_number(float, item) for item in items)
+        if spec in (int, float):
+            return _parse_number(spec, raw)
         return spec(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot parse {raw!r} as {spec.__name__}") from exc
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved configuration with every default filled in."""
-
-    sections: dict = field(default_factory=dict)
-
-    def __getitem__(self, section: str) -> dict:
-        return self.sections[section]
-
-    def resolved(self) -> dict:
-        out = {}
-        for name, keys in self.sections.items():
-            out[name] = {
-                k: (list(v) if isinstance(v, tuple) else v) for k, v in keys.items()
-            }
-        return out
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
 
 def _defaults() -> dict:
@@ -245,14 +241,29 @@ def _load_raw_config(path: Path) -> dict:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ConfigError("JSON config must be an object of sections")
-        return {str(k): dict(v) for k, v in data.items()}
+        for name, keys in data.items():
+            if not isinstance(keys, dict):
+                raise ConfigError(f"[{name}] must be a JSON object of keys, not {keys!r}")
+        return data
     parser = configparser.ConfigParser()
     parser.read_string(text)
     return {s: dict(parser.items(s)) for s in parser.sections()}
 
 
-def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
-    """Merge defaults, an optional config file, and CLI overrides.
+def _lattice(section: dict) -> cvx.MatrixLattice:
+    return cvx.MatrixLattice(
+        dim=section["dim"], bound=section["bound"], step=section["step"], mode=section["mode"]
+    )
+
+
+def _require(sections: dict, section: str, key: str, ok: bool, need: str) -> None:
+    if not ok:
+        raise ConfigError(f"[{section}] {key} = {sections[section][key]!r}: {need}")
+
+
+def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
+    """Merge defaults, an optional config file, and CLI overrides into the
+    resolved ``{section: {key: value}}`` configuration.
 
     Unknown sections or keys raise :class:`ConfigError`; silent typos would
     poison reports that claim to embed the exact configuration.
@@ -265,11 +276,11 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         for key, value in keys.items():
             if key not in SCHEMA[name]:
                 raise ConfigError(f"unknown key {key!r} in section [{name}]")
-            sections[name][key] = _parse_value(SCHEMA[name][key][0], value)
+            sections[name][key] = _parse_value(name, key, value)
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        sections["run"][key] = _parse_value(SCHEMA["run"][key][0], value)
+        sections["run"][key] = _parse_value("run", key, value)
     task = sections["run"]["task"]
     if task is None:
         raise ConfigError("no task given (flag --task or key task in [run])")
@@ -278,9 +289,39 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
     if task == "converge" and "dim" not in raw.get("potential", {}):
         # the box fixes the study's dimension; an unset potential dim follows it
         sections["potential"]["dim"] = len(sections["converge"]["box"])
-    if sections["run"]["threads"] < 1:
-        raise ConfigError("threads must be at least 1")
-    # model values fail here, before a task runs or a report names them
+    # values fail here, whatever the task, before a task runs or a report names them
+    run, lattice, converge = sections["run"], sections["lattice"], sections["converge"]
+    counter, recover = sections["counterexamples"], sections["recoverability"]
+    _require(sections, "run", "threads", run["threads"] >= 1, "need at least 1")
+    _require(sections, "run", "quad-order", run["quad-order"] >= 2,
+             "need at least 2, the order of the smallest sphere rule")
+    _require(sections, "density", "dim", sections["density"]["dim"] in (2, 3),
+             "supported dimensions are 2 and 3")
+    try:
+        _lattice(lattice)
+    except (ValueError, ArithmeticError) as exc:  # e.g. bound / step overflows
+        given = ", ".join(f"{key} = {lattice[key]!r}" for key in ("dim", "bound", "step", "mode"))
+        raise ConfigError(f"[lattice] {given}: {exc}") from exc
+    _require(sections, "lattice", "directions", lattice["directions"] >= 0, "need at least 0")
+    _require(sections, "lattice", "tol", lattice["tol"] >= 0, "need at least 0")
+    _require(sections, "lattice", "max-sweeps", lattice["max-sweeps"] >= 1, "need at least 1")
+    _require(sections, "lattice", "fixed-point-tol", lattice["fixed-point-tol"] >= 0,
+             "need at least 0")
+    deltas, box = converge["deltas"], converge["box"]
+    _require(sections, "converge", "deltas", len(deltas) >= 2 and min(deltas) > 0,
+             "need at least two positive horizons to fit the slope the verdict reads")
+    _require(sections, "converge", "cells-per-horizon", converge["cells-per-horizon"] >= 3,
+             "a horizon must span at least 3 cells")
+    _require(sections, "converge", "box", len(box) in (2, 3) and min(box) > 0,
+             "need 2 or 3 positive sides")
+    _require(sections, "counterexamples", "lambda-count", counter["lambda-count"] >= 1,
+             "need at least one stretch to scan")
+    _require(sections, "counterexamples", "a-value", counter["a-value"] > 0,
+             "need a positive value")
+    _require(sections, "recoverability", "rel-tol", recover["rel-tol"] >= 0, "need at least 0")
+    _require(sections, "recoverability", "randoms", recover["randoms"] >= 0, "need at least 0")
+    _require(sections, "recoverability", "trials", recover["trials"] >= 1,
+             "need at least one symmetry trial")
     build_model("profile", sections["density"], key="g")
     density = build_model("density", sections["density"])
     dim = sections["density"]["dim"]
@@ -290,7 +331,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
             f"matrices only, not dim = {dim}"
         )
     build_model("potential", sections["potential"])
-    return RunConfig(sections)
+    return sections
 
 
 def build_model(group: str, section: dict, key: str = "kind"):
@@ -326,10 +367,11 @@ def list_zoo() -> str:
 
 
 def _json_safe(value):
-    """The one serializer of report values, for summary.json and detail.csv
-    cells alike: inf, -inf and nan become "inf", "-inf" and "nan", numpy
-    scalars and arrays become Python values."""
-    if isinstance(value, float):  # first: a convexify report has 227k float cells
+    """The one serializer of summary.json values: inf, -inf and nan become
+    "inf", "-inf" and "nan", numpy scalars and arrays become Python values.
+    detail.csv needs none: ``csv`` writes a number as ``str``, which spells
+    the same three strings."""
+    if isinstance(value, float):
         if math.isfinite(value):
             return float(value)
         if math.isnan(value):
@@ -350,11 +392,11 @@ def _json_safe(value):
     return value
 
 
-def _write_reports(cfg: RunConfig, summary: dict, rows: list, header: list) -> None:
+def _write_reports(cfg: dict, summary: dict, rows: list, header: list) -> None:
     out_dir = Path(cfg["run"]["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = dict(summary)
-    summary["config"] = cfg.resolved()
+    summary["config"] = cfg
     if not cfg["run"]["no-timestamp"]:
         summary["timestamp"] = datetime.now(timezone.utc).isoformat()
     (out_dir / "summary.json").write_text(
@@ -368,7 +410,7 @@ def _write_reports(cfg: RunConfig, summary: dict, rows: list, header: list) -> N
             writer.writerow(row)
 
 
-def _task_quadrature_check(cfg: RunConfig) -> tuple[dict, list, list, int]:
+def _task_quadrature_check(cfg: dict) -> tuple[dict, list, list, int]:
     order = cfg["run"]["quad-order"]
     rows = []
     worst_weight = 0.0
@@ -380,7 +422,7 @@ def _task_quadrature_check(cfg: RunConfig) -> tuple[dict, list, list, int]:
         worst_weight = max(worst_weight, err_w)
         rows.append([
             f"S{n - 1}", "weight-sum",
-            _json_safe(float(np.sum(rule.weights))), _json_safe(sigma), _json_safe(err_w),
+            float(np.sum(rule.weights)), sigma, err_w,
         ])
         for j in range(n):
             for k in range(n):
@@ -390,7 +432,7 @@ def _task_quadrature_check(cfg: RunConfig) -> tuple[dict, list, list, int]:
                 worst_moment = max(worst_moment, err)
                 rows.append([
                     f"S{n - 1}", f"moment-z{j + 1}z{k + 1}",
-                    _json_safe(moment), _json_safe(ref), _json_safe(err),
+                    moment, ref, err,
                 ])
     passed = worst_weight <= 1e-12 and worst_moment <= 1e-10
     summary = {
@@ -403,7 +445,7 @@ def _task_quadrature_check(cfg: RunConfig) -> tuple[dict, list, list, int]:
     return summary, rows, header, EXIT_PASS if passed else EXIT_VIOLATED
 
 
-def _task_gamma_limit(cfg: RunConfig) -> tuple[dict, list, list, int]:
+def _task_gamma_limit(cfg: dict) -> tuple[dict, list, list, int]:
     pot = build_model("potential", cfg["potential"])
     dim = cfg["potential"]["dim"]
     rule = build_rule(dim, cfg["run"]["quad-order"])
@@ -413,7 +455,7 @@ def _task_gamma_limit(cfg: RunConfig) -> tuple[dict, list, list, int]:
     rows = []
     for a in mats:
         value = pipeline.local_density(limit, a, rule)
-        rows.append([" ".join(repr(float(x)) for x in a.ravel()), _json_safe(value)])
+        rows.append([" ".join(repr(float(x)) for x in a.ravel()), value])
     check = pipeline.verify_limit_invariances(
         limit, np.diag(np.arange(1.0, dim + 1.0)), trials=cfg["recoverability"]["trials"],
         seed=cfg["run"]["seed"], rule=rule,
@@ -436,7 +478,7 @@ def _task_gamma_limit(cfg: RunConfig) -> tuple[dict, list, list, int]:
     return summary, rows, ["matrix_row_major", "local_density"], EXIT_PASS if passed else EXIT_VIOLATED
 
 
-def _task_recoverability(cfg: RunConfig) -> tuple[dict, list, list, int]:
+def _task_recoverability(cfg: dict) -> tuple[dict, list, list, int]:
     density = build_model("density", cfg["density"])
     dim = cfg["density"]["dim"]
     rule = build_rule(dim, cfg["run"]["quad-order"])
@@ -452,23 +494,18 @@ def _task_recoverability(cfg: RunConfig) -> tuple[dict, list, list, int]:
         rows.append([
             i,
             " ".join(repr(float(x)) for x in row.matrix.ravel()),
-            _json_safe(row.lhs), _json_safe(row.rhs), _json_safe(row.residual),
+            row.lhs, row.rhs, row.residual,
             row.classification, int(row.within_tol),
         ])
-    summary = {"task": "recoverability", **report.to_dict()}
+    summary = {"task": "recoverability", **asdict(report)}
     header = ["index", "matrix_row_major", "lhs", "rhs", "residual", "classification", "within_tol"]
     code = EXIT_PASS if report.verdict == "consistent" else EXIT_VIOLATED
     return summary, rows, header, code
 
 
-def _task_convexify(cfg: RunConfig) -> tuple[dict, list, list, int]:
+def _task_convexify(cfg: dict) -> tuple[dict, list, list, int]:
     density = build_model("density", cfg["density"])
-    lat = cvx.MatrixLattice(
-        dim=cfg["lattice"]["dim"],
-        bound=cfg["lattice"]["bound"],
-        step=cfg["lattice"]["step"],
-        mode=cfg["lattice"]["mode"],
-    )
+    lat = _lattice(cfg["lattice"])
     result = cvx.rank_one_convexify(
         density, lat,
         directions=cfg["lattice"]["directions"],
@@ -486,7 +523,7 @@ def _task_convexify(cfg: RunConfig) -> tuple[dict, list, list, int]:
     # C-order lattice points, each coordinate formatted once
     labels = [repr(float(c)) for c in lat.coordinates]
     rows = [
-        [" ".join(point), _json_safe(value), int(inside)]
+        [" ".join(point), value, int(inside)]
         for point, value, inside in zip(
             itertools.product(labels, repeat=result.values.ndim),
             result.values.ravel().tolist(),
@@ -507,7 +544,7 @@ def _task_convexify(cfg: RunConfig) -> tuple[dict, list, list, int]:
     return summary, rows, header, EXIT_PASS if fixed else EXIT_VIOLATED
 
 
-def _task_converge(cfg: RunConfig) -> tuple[dict, list, list, int]:
+def _task_converge(cfg: dict) -> tuple[dict, list, list, int]:
     pot = build_model("potential", cfg["potential"])
     sides = cfg["converge"]["box"]
     dim = len(sides)
@@ -529,10 +566,7 @@ def _task_converge(cfg: RunConfig) -> tuple[dict, list, list, int]:
     )
     slope = study.fitted_slope
     passed = not math.isnan(slope) and slope >= cfg["converge"]["slope-min"]
-    rows = [
-        [_json_safe(d), _json_safe(e), _json_safe(ref), _json_safe(gap), _json_safe(sl)]
-        for (d, e, ref, gap, sl) in study.rows
-    ]
+    rows = [list(row) for row in study.rows]
     summary = {
         "task": "converge",
         "potential": {"kind": pot.kind, "params": pot.params},
@@ -545,7 +579,7 @@ def _task_converge(cfg: RunConfig) -> tuple[dict, list, list, int]:
     return summary, rows, header, EXIT_PASS if passed else EXIT_VIOLATED
 
 
-def _task_counterexamples(cfg: RunConfig) -> tuple[dict, list, list, int]:
+def _task_counterexamples(cfg: dict) -> tuple[dict, list, list, int]:
     rule = build_rule(3, cfg["run"]["quad-order"])
     jensen = recoverability.jensen_counterexample_suite(3, rule)
     lam_max = cfg["counterexamples"]["lambda-max"]
@@ -562,22 +596,22 @@ def _task_counterexamples(cfg: RunConfig) -> tuple[dict, list, list, int]:
     rows = []
     for r in jensen.rows:
         rows.append(
-            ["jensen", f"{r.case}:{r.profile}", _json_safe(r.margin), r.expected, int(r.ok)]
+            ["jensen", f"{r.case}:{r.profile}", r.margin, r.expected, int(r.ok)]
         )
     for scan in (scan_cof, scan_growth):
         rows.append([
             "stretch-scan", scan.branch,
-            _json_safe(scan.lambda_star if scan.lambda_star is not None else math.nan),
+            scan.lambda_star if scan.lambda_star is not None else math.nan,
             "failure-found", int(scan.found),
         ])
     summary = {
         "task": "counterexamples",
-        "jensen": jensen.to_dict(),
+        "jensen": asdict(jensen),
         "stretch_scan_cof_term": {
-            k: v for k, v in scan_cof.to_dict().items() if k != "rows"
+            k: v for k, v in asdict(scan_cof).items() if k != "rows"
         },
         "stretch_scan_growth": {
-            k: v for k, v in scan_growth.to_dict().items() if k != "rows"
+            k: v for k, v in asdict(scan_growth).items() if k != "rows"
         },
         "verdict": "confirmed" if confirmed else "not-confirmed",
     }
@@ -595,7 +629,7 @@ _TASK_RUNNERS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg: dict) -> int:
     """Execute the configured task; returns the process exit code."""
     try:
         summary, rows, header, code = _TASK_RUNNERS[cfg["run"]["task"]](cfg)

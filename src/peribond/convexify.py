@@ -51,6 +51,8 @@ class MatrixLattice:
     def __post_init__(self):
         if self.mode not in ("full", "diagonal"):
             raise ValueError(f"unknown lattice mode {self.mode!r}")
+        if not (self.dim >= 1 and self.bound > 0 and self.step > 0):
+            raise ValueError("dim, bound and step must be positive")
         for value, name in ((self.bound / self.step, "bound"), (1.0 / self.step, "1")):
             if abs(value - round(value)) > 1e-9:
                 raise ValueError(
@@ -192,41 +194,29 @@ def _hull_envelope_1d(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _iter_lines(shape: tuple[int, ...], step: np.ndarray):
-    """Maximal lattice chains along an integer step vector.
+def _chains(shape: tuple[int, ...], step: np.ndarray) -> list[np.ndarray]:
+    """Flat C-order indices of every maximal lattice chain along an integer step.
 
-    Yields index tuples (one per point of the chain, in order). Chains start
-    at points whose backward neighbour falls outside the grid.
+    Chain heads are the points whose backward neighbour falls outside the
+    grid; all heads walk forward together until each has left it. Returns
+    one index array per chain of at least 2 points, in step order, with the
+    heads in C order.
     """
+    shape = np.array(shape)
     step = np.asarray(step, dtype=int)
-    dims = len(shape)
-    for start in np.ndindex(shape):
-        prev = tuple(start[d] - step[d] for d in range(dims))
-        if all(0 <= prev[d] < shape[d] for d in range(dims)):
-            continue  # not a chain head
-        chain = []
-        cur = start
-        while all(0 <= cur[d] < shape[d] for d in range(dims)):
-            chain.append(cur)
-            cur = tuple(cur[d] + step[d] for d in range(dims))
-        if len(chain) >= 2:
-            yield chain
-
-
-def _sweep_step(values: np.ndarray, step: np.ndarray) -> None:
-    """In-place hull pass along every lattice chain in one direction."""
-    nonzero = np.flatnonzero(step)
-    if len(nonzero) == 1 and abs(step[nonzero[0]]) == 1:
-        # axis-aligned direction: every 1D slice along that axis is a chain
-        view = np.moveaxis(values, nonzero[0], -1)
-        flat = np.ascontiguousarray(view).reshape(-1, view.shape[-1])
-        for row in range(flat.shape[0]):
-            flat[row] = _hull_envelope_1d(flat[row])
-        view[...] = flat.reshape(view.shape)
-        return
-    for chain in _iter_lines(values.shape, step):
-        idx = tuple(np.array(chain).T)
-        values[idx] = _hull_envelope_1d(values[idx])
+    points = np.indices(shape).reshape(len(shape), -1).T
+    back = points - step
+    heads = points[np.any((back < 0) | (back >= shape), axis=1)]
+    lengths = np.zeros(len(heads), dtype=int)
+    inside = np.ones(len(heads), dtype=bool)
+    cur = heads
+    while inside.any():
+        lengths += inside
+        cur = cur + step
+        inside &= np.all((cur >= 0) & (cur < shape), axis=1)
+    strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)  # C-order, in elements
+    table = (heads @ strides)[:, None] + (step @ strides) * np.arange(lengths.max())
+    return [row[:n] for row, n in zip(table, lengths) if n >= 2]
 
 
 def _random_direction_pass(
@@ -292,15 +282,16 @@ def rank_one_convexify(
     """
     initial = lattice.fill(density)
     values = initial.copy()
-    steps = lattice.directions()
+    chains = [c for step in lattice.directions() for c in _chains(values.shape, step)]
     rng = np.random.default_rng(seed)
     decrement = INF
     sweeps = 0
     while sweeps < max_sweeps:
         sweeps += 1
         before = values.copy()
-        for step in steps:
-            _sweep_step(values, step)
+        flat = values.reshape(-1)  # a view: values is C-contiguous
+        for chain in chains:
+            flat[chain] = _hull_envelope_1d(flat[chain])
         values = _random_direction_pass(values, lattice, directions, rng)
         both_finite = np.isfinite(before) & np.isfinite(values)
         decrement = (

@@ -72,16 +72,6 @@ class ResidualRow:
     classification: str  # finite | infinite-violation | indeterminate
     within_tol: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "matrix": self.matrix.tolist(),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-            "classification": self.classification,
-            "within_tol": self.within_tol,
-        }
-
 
 @dataclass(frozen=True)
 class RecoverabilityReport:
@@ -94,17 +84,6 @@ class RecoverabilityReport:
     quadrature: dict
     rel_tol: float
     notes: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "density": self.density,
-            "verdict": self.verdict,
-            "max_abs_residual": self.max_abs_residual,
-            "rel_tol": self.rel_tol,
-            "quadrature": self.quadrature,
-            "notes": list(self.notes),
-            "rows": [row.to_dict() for row in self.rows],
-        }
 
 
 def _residual_row(density: StoredEnergy, a, rule: SphereQuadrature, rel_tol: float) -> ResidualRow:
@@ -195,24 +174,11 @@ class JensenRow:
     expected: str  # positive | negative | zero | nonnegative
     ok: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "profile": self.profile,
-            "matrix": self.matrix.tolist(),
-            "margin": self.margin,
-            "expected": self.expected,
-            "ok": self.ok,
-        }
-
 
 @dataclass(frozen=True)
 class JensenReport:
     rows: list
     all_ok: bool
-
-    def to_dict(self) -> dict:
-        return {"all_ok": self.all_ok, "rows": [r.to_dict() for r in self.rows]}
 
 
 def jensen_counterexample_suite(
@@ -322,18 +288,6 @@ class StretchScanReport:
     @property
     def found(self) -> bool:
         return self.lambda_star is not None
-
-    def to_dict(self) -> dict:
-        return {
-            "branch": self.branch,
-            "c_value": self.c_value,
-            "a_value": self.a_value,
-            "lambda_star": self.lambda_star,
-            "lhs_at_failure": self.lhs_at_failure,
-            "rhs_at_failure": self.rhs_at_failure,
-            "inconclusive": self.inconclusive,
-            "rows": [{"lam": lam, "lhs": l, "rhs": r} for (lam, l, r) in self.rows],
-        }
 
 
 def mooney_rivlin_inequality_check(

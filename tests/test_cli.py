@@ -33,6 +33,17 @@ g = well
 """
 
 
+def config_error(tmp_path, capsys, name, text):
+    """Run the CLI on a config that must fail to load: exit 64 and no
+    report. Returns the standard error."""
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 64
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "peribond.cli", *args],
@@ -248,11 +259,52 @@ def test_registry_roundtrip(tmp_path):
 ], ids=["density-kind", "profile", "potential-kind", "incompressible-mr-2d",
         "profile-cof-2d", "profile-det-2d"])
 def test_invalid_model_value_exit_64(tmp_path, capsys, section, lines, named):
-    cfg = tmp_path / "bad.ini"
     body = "\n".join(lines)
-    cfg.write_text(f"[run]\ntask = quadrature-check\n\n[{section}]\n{body}\n")
-    out = tmp_path / "o"
-    assert main(["--config", str(cfg), "--out", str(out)]) == 64
-    err = capsys.readouterr().err
+    err = config_error(tmp_path, capsys, "bad.ini",
+                       f"[run]\ntask = quadrature-check\n\n[{section}]\n{body}\n")
     assert all(name in err for name in named), err
-    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, text, named", [
+    ("bad.ini", "[run]\ntask = converge\n\n[converge]\nbox = 1 x\n", ["[converge] box", "'1 x'"]),
+    ("bad.json", '{"run": 5}', ["[run]", "5"]),
+    ("bad.json", '{"run": {"task": "recoverability", "seed": 1.7}}', ["[run] seed", "1.7"]),
+    ("bad.ini", "[run]\ntask = quadrature-check\n\n[lattice]\nbound = inf\n",
+     ["[lattice] bound", "finite"]),
+], ids=["floats-not-numbers", "json-section-not-object", "json-fractional-int",
+        "infinite-float"])
+def test_unparsable_value_exit_64(tmp_path, capsys, name, text, named):
+    err = config_error(tmp_path, capsys, name, text)
+    assert all(word in err for word in named), err
+
+
+@pytest.mark.parametrize("task, section, line, named", [
+    ("quadrature-check", "run", "quad-order = 1", ["[run] quad-order", "1"]),
+    ("recoverability", "density", "dim = 4", ["[density] dim", "4"]),
+    ("convexify", "lattice", "mode = bogus", ["[lattice]", "bogus"]),
+    ("quadrature-check", "lattice", "step = 0.3", ["[lattice]", "step"]),
+    ("quadrature-check", "lattice", "step = 0", ["[lattice]", "step", "positive"]),
+    ("quadrature-check", "lattice", "dim = 0", ["[lattice]", "dim", "positive"]),
+    ("convexify", "lattice", "directions = -5", ["[lattice] directions", "-5"]),
+    ("convexify", "lattice", "tol = -1", ["[lattice] tol", "-1"]),
+    ("convexify", "lattice", "max-sweeps = 0", ["[lattice] max-sweeps", "0"]),
+    ("convexify", "lattice", "fixed-point-tol = -1", ["[lattice] fixed-point-tol", "-1"]),
+    ("converge", "converge", "deltas =", ["[converge] deltas"]),
+    ("converge", "converge", "deltas = 0.2", ["[converge] deltas"]),
+    ("converge", "converge", "cells-per-horizon = 0", ["[converge] cells-per-horizon", "0"]),
+    ("converge", "converge", "cells-per-horizon = 2", ["[converge] cells-per-horizon", "2"]),
+    ("converge", "converge", "box = 1 0", ["[converge] box"]),
+    ("counterexamples", "counterexamples", "lambda-count = 0", ["[counterexamples] lambda-count"]),
+    ("counterexamples", "counterexamples", "a-value = 0", ["[counterexamples] a-value"]),
+    ("recoverability", "recoverability", "rel-tol = -1", ["[recoverability] rel-tol", "-1"]),
+    ("recoverability", "recoverability", "randoms = -3", ["[recoverability] randoms", "-3"]),
+    ("gamma-limit", "recoverability", "trials = 0", ["[recoverability] trials", "0"]),
+], ids=["quad-order-1", "density-dim-4", "lattice-mode", "lattice-step-other-task",
+        "lattice-step-0", "lattice-dim-0", "negative-directions", "negative-tol", "no-sweeps",
+        "negative-fixed-point-tol", "no-deltas", "one-delta", "no-cells-per-horizon",
+        "two-cells-per-horizon", "flat-box", "no-stretches", "zero-a-value",
+        "negative-rel-tol", "negative-randoms", "no-symmetry-trials"])
+def test_out_of_range_value_exit_64(tmp_path, capsys, task, section, line, named):
+    text = f"[run]\ntask = {task}\n" + ("" if section == "run" else f"\n[{section}]\n")
+    err = config_error(tmp_path, capsys, "bad.ini", f"{text}{line}\n")
+    assert all(word in err for word in named), err

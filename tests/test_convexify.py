@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peribond.convexify import (
     MatrixLattice,
+    _chains,
     _hull_envelope_1d,
+    _random_direction_pass,
     jensen_gap,
     rank_one_convexify,
     strict_polyconvexity_probe,
@@ -18,6 +22,7 @@ from peribond.potentials import (
     frobenius_squared,
     make_incompressible_mr,
     make_mooney_rivlin,
+    make_profile_energy,
 )
 
 
@@ -39,6 +44,96 @@ def brute_force_envelope_1d(values):
                         out[idx] = combo
                         changed = True
     return out
+
+
+def reference_iter_lines(shape, step):
+    """Reference chain walk: every point tested as a chain head, every chain
+    followed point by point; yields index tuples in step order."""
+    dims = len(shape)
+    for start in np.ndindex(shape):
+        prev = tuple(start[d] - step[d] for d in range(dims))
+        if all(0 <= prev[d] < shape[d] for d in range(dims)):
+            continue  # not a chain head
+        chain = []
+        cur = start
+        while all(0 <= cur[d] < shape[d] for d in range(dims)):
+            chain.append(cur)
+            cur = tuple(cur[d] + step[d] for d in range(dims))
+        if len(chain) >= 2:
+            yield chain
+
+
+def reference_sweep_step(values, step):
+    """Reference hull pass in one direction: 1D slices for unit axis steps,
+    the point-by-point chain walk otherwise."""
+    nonzero = np.flatnonzero(step)
+    if len(nonzero) == 1 and abs(step[nonzero[0]]) == 1:
+        view = np.moveaxis(values, nonzero[0], -1)
+        flat = np.ascontiguousarray(view).reshape(-1, view.shape[-1])
+        for row in range(flat.shape[0]):
+            flat[row] = _hull_envelope_1d(flat[row])
+        view[...] = flat.reshape(view.shape)
+        return
+    for chain in reference_iter_lines(values.shape, step):
+        idx = tuple(np.array(chain).T)
+        values[idx] = _hull_envelope_1d(values[idx])
+
+
+def reference_convexify(density, lattice, directions, tol, max_sweeps, seed):
+    """The sweep loop of rank_one_convexify over the reference hull pass."""
+    values = lattice.fill(density)
+    rng = np.random.default_rng(seed)
+    decrement = INF
+    sweeps = 0
+    while sweeps < max_sweeps:
+        sweeps += 1
+        before = values.copy()
+        for step in lattice.directions():
+            reference_sweep_step(values, step)
+        values = _random_direction_pass(values, lattice, directions, rng)
+        both_finite = np.isfinite(before) & np.isfinite(values)
+        decrement = (
+            float((before[both_finite] - values[both_finite]).max())
+            if both_finite.any()
+            else 0.0
+        )
+        if np.any(np.isinf(before) & np.isfinite(values)):
+            decrement = INF
+        if decrement <= tol:
+            break
+    return values, sweeps, decrement
+
+
+CHAIN_LATTICES = [
+    MatrixLattice(dim=1, bound=1.0, step=0.5),
+    MatrixLattice(dim=3, bound=1.0, step=0.5, mode="diagonal"),
+    MatrixLattice(dim=2, bound=1.0, step=0.5, mode="full"),
+]
+
+
+@pytest.mark.parametrize("lattice", CHAIN_LATTICES, ids=["1x1", "diagonal-3x3", "full-2x2"])
+def test_chain_tables_match_point_walk(lattice):
+    shape = (lattice.points_per_axis,) * lattice.axes
+    for step in lattice.directions():
+        got = [chain.tolist() for chain in _chains(shape, step)]
+        want = [
+            np.ravel_multi_index(tuple(np.array(chain).T), shape).tolist()
+            for chain in reference_iter_lines(shape, step)
+        ]
+        assert got == want, step
+
+
+@pytest.mark.parametrize("lattice, directions", [
+    (MatrixLattice(dim=2, bound=2.0, step=0.5, mode="full"), 8),
+    (MatrixLattice(dim=3, bound=2.0, step=0.25, mode="diagonal"), 0),
+], ids=["full-2x2", "diagonal-3x3"])
+def test_envelope_matches_reference_sweep(lattice, directions):
+    density = make_profile_energy("frobenius", ScalarProfile.well())
+    result = rank_one_convexify(density, lattice, directions=directions, tol=1e-6, seed=5)
+    values, sweeps, decrement = reference_convexify(density, lattice, directions, 1e-6, 40, 5)
+    assert np.array_equal(result.values, values)
+    assert (result.sweeps, result.last_decrement) == (sweeps, decrement)
+    assert np.any(values < result.initial)  # the sweep has work to do
 
 
 def test_lattice_contains_zero_and_identity():
@@ -80,6 +175,48 @@ def test_hull_envelope_with_infinities():
     assert got[2] == pytest.approx(2.0 * 2.0 / 3.0)
     assert got[3] == pytest.approx(2.0 / 3.0)
     assert np.all(_hull_envelope_1d(np.array([INF, 1.0, INF])) == np.array([INF, 1.0, INF]))
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(st.lists(st.one_of(st.floats(-1e3, 1e3), st.just(INF)), min_size=1, max_size=40))
+def test_hull_below_idempotent_and_convex(entries):
+    values = np.array(entries)
+    hull = _hull_envelope_1d(values)
+    assert np.all(hull <= values)
+    tol = 1e-12 * (1.0 + np.abs(np.where(np.isfinite(values), values, 0.0)))
+    again = _hull_envelope_1d(hull)
+    assert np.array_equal(np.isinf(again), np.isinf(hull))
+    finite = np.isfinite(hull)
+    assert np.all(np.abs(again[finite] - hull[finite]) <= tol[finite])
+    # convex from the first to the last finite entry, with no +inf between
+    idx = np.flatnonzero(np.isfinite(values))
+    if len(idx) >= 2:
+        span = hull[idx[0] : idx[-1] + 1]
+        assert np.all(np.isfinite(span))
+        bend = span[:-2] - 2.0 * span[1:-1] + span[2:]
+        assert np.all(bend >= -4.0 * tol.max())
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(
+    coeffs=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_envelope_below_density(coeffs, seed):
+    # a nonconvex quartic in the entries with a +inf patch where det A < -1/2
+    c2, c4, cdet = coeffs
+
+    def energy(m):
+        frob2 = np.sum(m * m, axis=(-2, -1))
+        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+        value = c2 * frob2 + (1.0 + c4) * frob2**2 + cdet * det
+        return np.where(det < -0.5, INF, value)
+
+    lattice = MatrixLattice(dim=2, bound=1.0, step=0.5, mode="full")
+    result = rank_one_convexify(
+        custom_energy(energy, "quartic"), lattice, directions=2, max_sweeps=5, seed=seed
+    )
+    assert np.all(result.values <= result.initial)
 
 
 def test_double_well_envelope():

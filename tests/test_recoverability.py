@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -148,7 +149,7 @@ def test_roundtrip_infinite_violation_verdict():
 
 def test_report_serialization():
     report = roundtrip_check(make_incompressible_mr(1.0, 0.0), RULE3)
-    blob = _json_safe(report.to_dict())
+    blob = _json_safe(asdict(report))
     json.dumps(blob, allow_nan=False)  # no bare inf or nan is left
     assert blob["verdict"] == report.verdict
     assert any(row["residual"] in ("inf", "-inf", "nan") for row in blob["rows"])
@@ -255,7 +256,8 @@ def test_scan_report_serializes():
     scan = mooney_rivlin_inequality_check(
         1.0, 1.0, ScalarProfile.power(0.0, 0.0), [1.0, 2.0], rule=RULE3
     )
-    blob = scan.to_dict()
+    blob = _json_safe(asdict(scan))
+    json.dumps(blob, allow_nan=False)
     assert blob["branch"] == "cof-term"
     assert len(blob["rows"]) == 2
 
