@@ -286,9 +286,16 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
         raise ConfigError("no task given (flag --task or key task in [run])")
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}; choose one of {', '.join(TASKS)}")
-    if task == "converge" and "dim" not in raw.get("potential", {}):
-        # the box fixes the study's dimension; an unset potential dim follows it
-        sections["potential"]["dim"] = len(sections["converge"]["box"])
+    if task == "converge":
+        potential, box = sections["potential"], sections["converge"]["box"]
+        if "dim" not in raw.get("potential", {}):
+            # the box fixes the study's dimension; an unset potential dim follows it
+            potential["dim"] = len(box)
+        elif potential["dim"] != len(box):
+            raise ConfigError(
+                f"[potential] dim = {potential['dim']} does not match the "
+                f"{len(box)}D [converge] box = {' '.join(map(repr, box))}"
+            )
     # values fail here, whatever the task, before a task runs or a report names them
     run, lattice, converge = sections["run"], sections["lattice"], sections["converge"]
     counter, recover = sections["counterexamples"], sections["recoverability"]
@@ -314,6 +321,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
              "a horizon must span at least 3 cells")
     _require(sections, "converge", "box", len(box) in (2, 3) and min(box) > 0,
              "need 2 or 3 positive sides")
+    _require(sections, "converge", "matrix", len(converge["matrix"]) == len(box) ** 2,
+             f"need {len(box) ** 2} row-major entries for the {len(box)}D [converge] box")
     _require(sections, "counterexamples", "lambda-count", counter["lambda-count"] >= 1,
              "need at least one stretch to scan")
     _require(sections, "counterexamples", "a-value", counter["a-value"] > 0,
@@ -324,12 +333,13 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
              "need at least one symmetry trial")
     build_model("profile", sections["density"], key="g")
     density = build_model("density", sections["density"])
-    dim = sections["density"]["dim"]
-    if density.dim not in (None, dim):
-        raise ConfigError(
-            f"[density] kind = {density.kind} takes {density.dim}x{density.dim} "
-            f"matrices only, not dim = {dim}"
-        )
+    for section in ("density", "lattice"):  # convexify evaluates it on lattice matrices
+        dim = sections[section]["dim"]
+        if density.dim not in (None, dim):
+            raise ConfigError(
+                f"[density] kind = {density.kind} takes {density.dim}x{density.dim} "
+                f"matrices only, not [{section}] dim = {dim}"
+            )
     build_model("potential", sections["potential"])
     return sections
 
@@ -548,16 +558,7 @@ def _task_converge(cfg: dict) -> tuple[dict, list, list, int]:
     pot = build_model("potential", cfg["potential"])
     sides = cfg["converge"]["box"]
     dim = len(sides)
-    if cfg["potential"]["dim"] != dim:
-        box = " ".join(map(repr, sides))
-        raise ConfigError(
-            f"[potential] dim = {cfg['potential']['dim']} does not match the "
-            f"{dim}D [converge] box = {box}"
-        )
-    entries = cfg["converge"]["matrix"]
-    if len(entries) != dim * dim:
-        raise ConfigError(f"affine matrix needs {dim * dim} row-major entries")
-    matrix = np.array(entries).reshape(dim, dim)
+    matrix = np.array(cfg["converge"]["matrix"]).reshape(dim, dim)
     study = horizon.convergence_study(
         pot, pot.beta, horizon.DeformationField.affine(matrix), sides,
         cfg["converge"]["deltas"],
@@ -633,8 +634,6 @@ def run(cfg: dict) -> int:
     """Execute the configured task; returns the process exit code."""
     try:
         summary, rows, header, code = _TASK_RUNNERS[cfg["run"]["task"]](cfg)
-    except ConfigError:
-        raise
     except Exception as exc:  # numerical divergence, bad geometry, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

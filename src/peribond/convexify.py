@@ -224,39 +224,56 @@ def _random_direction_pass(
 ) -> np.ndarray:
     """Extra coverage from random rank-one dyads via multilinear interpolation.
 
-    Off-lattice endpoints are read from the linear interpolant of the current
-    values; interpolation along single-entry axes happens along rank-one
-    lines, so it never undershoots the true envelope. Only meaningful in
-    full mode; diagonal sublattices admit no off-axis rank-one moves.
+    Off-lattice endpoints are read from the linear interpolant of the values
+    at the start of the pass; interpolation along single-entry axes happens
+    along rank-one lines, so it never undershoots the true envelope. Only
+    meaningful in full mode; diagonal sublattices admit no off-axis rank-one
+    moves.
+
+    Every endpoint of one dyad and weight pair is its lattice point shifted
+    by the same vector, so the interpolant is a blend of 2^axes shifted views
+    of the lattice with one scalar weight per corner, over the box of points
+    whose two endpoints both stay on the lattice. +inf reads as NaN, which
+    propagates through the blend (also at weight 0) and never lowers a point.
     """
     if lattice.mode == "diagonal" or lattice.dim == 1 or count <= 0:
         return values
-    # imported here: scipy.ndimage takes longer to import than most tasks run
-    from scipy.ndimage import map_coordinates
-
-    shape = values.shape
-    grid_idx = np.indices(shape, dtype=float).reshape(len(shape), -1)
     work = values.copy()
-    filled = np.where(np.isfinite(work), work, np.nan)
+    # one edge layer past the last point: a corner there reads the last point
+    filled = np.pad(np.where(np.isfinite(work), work, np.nan), [(0, 1)] * work.ndim, mode="edge")
+    index = np.arange(lattice.points_per_axis)
+    top = lattice.points_per_axis - 1
     for _ in range(count):
         a = rng.standard_normal(lattice.dim)
         b = rng.standard_normal(lattice.dim)
         d = np.outer(a / np.linalg.norm(a), b / np.linalg.norm(b)).ravel()
         for i, j in ((1, 1), (1, 2), (2, 1)):
-            lo = grid_idx - j * d[:, None]
-            hi = grid_idx + i * d[:, None]
-            ok = np.all((lo >= 0) & (lo <= np.array(shape)[:, None] - 1), axis=0)
-            ok &= np.all((hi >= 0) & (hi <= np.array(shape)[:, None] - 1), axis=0)
-            if not np.any(ok):
+            lo, hi = -j * d, i * d
+            box = []  # per axis, the interval of points with both endpoints inside
+            for k in range(lattice.axes):
+                ok = np.flatnonzero((index + lo[k] >= 0) & (index + lo[k] <= top)
+                                    & (index + hi[k] >= 0) & (index + hi[k] <= top))
+                box.append(slice(ok[0], ok[-1] + 1) if ok.size else None)
+            if None in box:
                 continue
-            f_lo = map_coordinates(filled, lo[:, ok], order=1, mode="nearest")
-            f_hi = map_coordinates(filled, hi[:, ok], order=1, mode="nearest")
+            f_lo, f_hi = (_shifted_blend(filled, box, shift) for shift in (lo, hi))
             combo = (i * f_lo + j * f_hi) / (i + j)
-            good = ~np.isnan(combo)
-            flat = work.reshape(-1)
-            target = np.flatnonzero(ok)[good]
-            flat[target] = np.minimum(flat[target], combo[good])
+            target = work[tuple(box)]
+            np.fmin(target, combo, out=target)  # a NaN combination changes nothing
     return work
+
+
+def _shifted_blend(padded: np.ndarray, box: list[slice], shift: np.ndarray) -> np.ndarray:
+    """Multilinear interpolant of ``padded`` at every point of ``box`` shifted
+    by the fractional index vector ``shift``."""
+    base = np.floor(shift).astype(int)
+    frac = shift - base
+    out = 0.0
+    for corner in itertools.product((0, 1), repeat=len(box)):
+        weight = np.prod(np.where(corner, frac, 1.0 - frac))
+        view = tuple(slice(s.start + o + c, s.stop + o + c) for s, o, c in zip(box, base, corner))
+        out = out + weight * padded[view]
+    return out
 
 
 def rank_one_convexify(

@@ -117,22 +117,16 @@ class DeformationField:
             if self.out_dim is None:
                 self.out_dim = out.shape[-1]
             return out
-        from scipy.ndimage import map_coordinates
-
-        h = self.domain.spacing
-        idx = (points / h - 0.5).reshape(-1, self.domain.dim).T
-        comps = [
-            map_coordinates(self.values[..., j], idx, order=1, mode="nearest")
-            for j in range(self.out_dim)
-        ]
-        out = np.stack(comps, axis=-1)
+        idx = (points / self.domain.spacing - 0.5).reshape(-1, self.domain.dim)
+        out = _multilinear(self.values, idx)
         return out.reshape(points.shape[:-1] + (self.out_dim,))
 
     def difference(self, x_pts, y_pts) -> np.ndarray:
         """u(x) - u(y); exact in the offset for affine fields."""
         if self.kind == "affine":
             return (np.asarray(x_pts, dtype=float) - np.asarray(y_pts, dtype=float)) @ self.matrix.T
-        return self.evaluate(x_pts) - self.evaluate(y_pts)
+        u = self.evaluate(np.stack(np.broadcast_arrays(x_pts, y_pts)))  # one call for both
+        return u[0] - u[1]
 
     def gradient(self, points) -> np.ndarray:
         """Deformation gradient, shape (..., out_dim, dim)."""
@@ -149,6 +143,24 @@ class DeformationField:
             step[j] = eps
             cols.append((self.evaluate(points + step) - self.evaluate(points - step)) / (2 * eps))
         return np.stack(cols, axis=-1)
+
+
+def _multilinear(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Multilinear interpolant of ``values`` (*grid, m) at fractional grid
+    indices ``idx`` (P, dim), all m components and 2^dim corners at once.
+
+    Each corner index is clamped to the grid on its own, so a point past the
+    grid reads the edge value; a NaN corner gives NaN even at weight 0.
+    """
+    grid = values.shape[:-1]
+    corners = np.indices((2,) * len(grid)).reshape(len(grid), -1, 1)  # (dim, 2^dim, 1)
+    base = np.floor(idx).astype(int)
+    frac = idx - base
+    pos = np.ravel_multi_index(tuple(base.T[:, None] + corners), grid, mode="clip")
+    terms = values.reshape(-1, values.shape[-1])[pos]  # (2^dim, P, m)
+    for k, upper in enumerate(corners):
+        terms = terms * np.where(upper, frac[:, k], 1.0 - frac[:, k])[..., None]
+    return sum(terms)  # corners in C order, one after the other
 
 
 def _circle_box_area(a1, b1, a2, b2, radius) -> float:

@@ -299,11 +299,15 @@ def test_unparsable_value_exit_64(tmp_path, capsys, name, text, named):
     ("recoverability", "recoverability", "rel-tol = -1", ["[recoverability] rel-tol", "-1"]),
     ("recoverability", "recoverability", "randoms = -3", ["[recoverability] randoms", "-3"]),
     ("gamma-limit", "recoverability", "trials = 0", ["[recoverability] trials", "0"]),
+    ("convexify", "density", "kind = profile-cof\n\n[lattice]\ndim = 2\nmode = full",
+     ["profile-cof", "[lattice] dim = 2"]),
+    ("quadrature-check", "converge", "matrix = 1 2 3", ["[converge] matrix", "4"]),
 ], ids=["quad-order-1", "density-dim-4", "lattice-mode", "lattice-step-other-task",
         "lattice-step-0", "lattice-dim-0", "negative-directions", "negative-tol", "no-sweeps",
         "negative-fixed-point-tol", "no-deltas", "one-delta", "no-cells-per-horizon",
         "two-cells-per-horizon", "flat-box", "no-stretches", "zero-a-value",
-        "negative-rel-tol", "negative-randoms", "no-symmetry-trials"])
+        "negative-rel-tol", "negative-randoms", "no-symmetry-trials", "3x3-density-2x2-lattice",
+        "matrix-entries-off-box"])
 def test_out_of_range_value_exit_64(tmp_path, capsys, task, section, line, named):
     text = f"[run]\ntask = {task}\n" + ("" if section == "run" else f"\n[{section}]\n")
     err = config_error(tmp_path, capsys, "bad.ini", f"{text}{line}\n")

@@ -104,6 +104,38 @@ def reference_convexify(density, lattice, directions, tol, max_sweeps, seed):
     return values, sweeps, decrement
 
 
+def reference_random_pass(values, lattice, count, rng):
+    """Reference random-dyad pass: both endpoints of every lattice point read
+    point by point from scipy.ndimage.map_coordinates (order 1, index
+    clamping), NaN standing for +inf."""
+    map_coordinates = pytest.importorskip("scipy.ndimage").map_coordinates
+    if lattice.mode == "diagonal" or lattice.dim == 1 or count <= 0:
+        return values
+    shape = values.shape
+    grid_idx = np.indices(shape, dtype=float).reshape(len(shape), -1)
+    work = values.copy()
+    filled = np.where(np.isfinite(work), work, np.nan)
+    for _ in range(count):
+        a = rng.standard_normal(lattice.dim)
+        b = rng.standard_normal(lattice.dim)
+        d = np.outer(a / np.linalg.norm(a), b / np.linalg.norm(b)).ravel()
+        for i, j in ((1, 1), (1, 2), (2, 1)):
+            lo = grid_idx - j * d[:, None]
+            hi = grid_idx + i * d[:, None]
+            ok = np.all((lo >= 0) & (lo <= np.array(shape)[:, None] - 1), axis=0)
+            ok &= np.all((hi >= 0) & (hi <= np.array(shape)[:, None] - 1), axis=0)
+            if not np.any(ok):
+                continue
+            f_lo = map_coordinates(filled, lo[:, ok], order=1, mode="nearest")
+            f_hi = map_coordinates(filled, hi[:, ok], order=1, mode="nearest")
+            combo = (i * f_lo + j * f_hi) / (i + j)
+            good = ~np.isnan(combo)
+            flat = work.reshape(-1)
+            target = np.flatnonzero(ok)[good]
+            flat[target] = np.minimum(flat[target], combo[good])
+    return work
+
+
 CHAIN_LATTICES = [
     MatrixLattice(dim=1, bound=1.0, step=0.5),
     MatrixLattice(dim=3, bound=1.0, step=0.5, mode="diagonal"),
@@ -134,6 +166,46 @@ def test_envelope_matches_reference_sweep(lattice, directions):
     assert np.array_equal(result.values, values)
     assert (result.sweeps, result.last_decrement) == (sweeps, decrement)
     assert np.any(values < result.initial)  # the sweep has work to do
+
+
+@pytest.mark.parametrize("bound, step", [(2.0, 0.5), (1.5, 0.25)], ids=["9^4", "13^4"])
+@pytest.mark.parametrize("data", ["double-well", "uniform"])
+def test_random_pass_matches_map_coordinates_reference(bound, step, data):
+    lattice = MatrixLattice(dim=2, bound=bound, step=step, mode="full")
+    mats = lattice.matrices()
+    if data == "double-well":
+        values = (np.sum(mats * mats, axis=(-2, -1)) - 1.0) ** 2 + 0.5 * (mats[..., 0, 1] - 0.3) ** 2
+    else:
+        values = np.random.default_rng(5).uniform(0.0, 1.0, mats.shape[:-2])
+    values[np.linalg.det(mats) < -0.5] = INF
+    lowered = 0
+    for seed in range(3):
+        got = _random_direction_pass(values, lattice, 8, np.random.default_rng(seed))
+        want = reference_random_pass(values, lattice, 8, np.random.default_rng(seed))
+        lowered += np.count_nonzero(want < values)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        # one weight per corner in place of per-point coordinates: ulp-level only
+        assert np.all(np.abs(got[finite] - want[finite]) <= 1e-14 * np.abs(want[finite]))
+    assert lowered  # the pass has work to do
+
+
+class AxisDyads:
+    """Stands in for the generator: every dyad is e_1 (x) e_1, so every
+    endpoint is a lattice point and the upper corners carry weight 0."""
+
+    def standard_normal(self, size):
+        return np.eye(size)[0]
+
+
+def test_random_pass_with_lattice_dyads_matches_reference():
+    lattice = MatrixLattice(dim=2, bound=2.0, step=0.5, mode="full")
+    values = np.random.default_rng(3).uniform(0.0, 1.0, (9,) * 4)
+    values[np.linalg.det(lattice.matrices()) < -0.5] = INF
+    got = _random_direction_pass(values, lattice, 1, AxisDyads())
+    want = reference_random_pass(values, lattice, 1, AxisDyads())
+    assert np.any(want < values)
+    assert np.array_equal(got, want)
 
 
 def test_lattice_contains_zero_and_identity():

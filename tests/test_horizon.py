@@ -6,6 +6,7 @@ import pytest
 from peribond.horizon import (
     BoxDomain,
     DeformationField,
+    _multilinear,
     convergence_study,
     local_reference,
     nonlocal_energy,
@@ -78,6 +79,53 @@ def test_sampled_field_interpolates_grid_values():
     centers = dom.centers().reshape(-1, 2)
     got = u.evaluate(centers).reshape(8, 8, 2)
     assert np.max(np.abs(got - values)) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_multilinear_matches_map_coordinates(dim):
+    map_coordinates = pytest.importorskip("scipy.ndimage").map_coordinates
+    rng = np.random.default_rng(dim)
+    grid = (5, 7, 4)[:dim]
+    values = rng.standard_normal(grid + (3,))
+    values[rng.uniform(size=values.shape) < 0.05] = np.nan
+    top = np.array(grid) - 1
+    coords = {
+        "integer": rng.integers(-2, top + 3, (4000, dim)).astype(float),
+        "half-integer": rng.integers(-2, top + 2, (4000, dim)) + 0.5,
+        "random": rng.uniform(0.0, top, (4000, dim)),
+        "past-the-grid": rng.uniform(-3.0, top + 3.0, (4000, dim)),
+    }
+    scale = np.nanmax(np.abs(values))
+    for name, idx in coords.items():
+        got = _multilinear(values, idx)
+        for j in range(values.shape[-1]):
+            want = map_coordinates(values[..., j], idx.T, order=1, mode="nearest")
+            assert np.array_equal(np.isnan(got[:, j]), np.isnan(want)), name
+            ok = ~np.isnan(want)
+            assert np.all(np.abs(got[ok, j] - want[ok]) <= 1e-14 * scale), name
+
+
+def test_multilinear_nan_corner_and_edge():
+    values = np.arange(12.0).reshape(3, 4, 1)
+    values[1, 2, 0] = np.nan
+
+    def at(*point):
+        return _multilinear(values, np.array([point], dtype=float))[0, 0]
+
+    # on the grid point (1, 1) the NaN at (1, 2) is a corner of weight 0
+    assert np.isnan(at(1.0, 1.0))
+    assert at(0.0, 3.0) == values[0, 3, 0]  # no NaN corner: the grid value
+    # past the grid each corner index clamps to the edge
+    assert at(5.5, -2.0) == values[2, 0, 0]
+    assert at(-0.5, 3.5) == values[0, 3, 0]
+
+
+def test_sampled_difference_broadcasts_like_two_evaluations():
+    dom = BoxDomain((1.0, 1.0), (8, 8))
+    u = DeformationField.sampled(np.sin(3.0 * dom.centers()), dom)
+    pts = np.random.default_rng(0).uniform(0.0, 1.0, (50, 2))
+    x0 = np.array([0.3, 0.6])
+    assert np.array_equal(u.difference(x0, pts), u.evaluate(x0) - u.evaluate(pts))
 
 
 def test_zero_field_energy_is_zero():
