@@ -310,6 +310,10 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
         given = ", ".join(f"{key} = {lattice[key]!r}" for key in ("dim", "bound", "step", "mode"))
         raise ConfigError(f"[lattice] {given}: {exc}") from exc
     _require(sections, "lattice", "directions", lattice["directions"] >= 0, "need at least 0")
+    _require(sections, "lattice", "directions",
+             lattice["directions"] == 0 or (lattice["mode"] == "full" and lattice["dim"] > 1),
+             f"random dyads need a full lattice of dim > 1, not mode = {lattice['mode']}, "
+             f"dim = {lattice['dim']}")
     _require(sections, "lattice", "tol", lattice["tol"] >= 0, "need at least 0")
     _require(sections, "lattice", "max-sweeps", lattice["max-sweeps"] >= 1, "need at least 1")
     _require(sections, "lattice", "fixed-point-tol", lattice["fixed-point-tol"] >= 0,

@@ -8,7 +8,8 @@ straddling the interaction sphere |x - x'| = delta enter with their exact
 center test, and the block of cells around the diagonal is integrated in
 polar coordinates, where the radial Jacobian absorbs the kernel
 singularity. Affine deformations factor through cell offsets, which
-collapses the double sum to a single stencil pass.
+collapses the double sum to a single stencil pass and the diagonal blocks
+to one polar integral per way the box walls clip them.
 """
 
 import itertools
@@ -26,6 +27,11 @@ from .quadrature import build_rule
 # 24-node Gauss-Legendre rule for the chord integrals of rim cells; built
 # once because the eigenvalue solve behind it costs more than one integral
 _CHORD_NODES, _CHORD_WEIGHTS = leggauss(24)
+
+# chunk bounds of the batched horizon integrals: (center, direction, axis)
+# entries per near-block chunk, (cell, node) pairs per local-density call
+_NEAR_CHUNK = 2**16
+_LOCAL_CHUNK = 2**15
 
 
 @dataclass(frozen=True)
@@ -258,7 +264,8 @@ def _near_block_integral(
     """Polar integral of the bond density over the diagonal 3h-block.
 
     ``centers`` has shape (C, dim); rays are clipped exactly to the block
-    and to the domain box. Returns shape (C,).
+    and to the domain box. Returns shape (C,). Centers go through in chunks
+    of at most ``_NEAR_CHUNK`` (center, direction, axis) entries.
     """
     gl_x, gl_w = leggauss(radial_nodes)
     half = 1.5 * dom.spacing  # block half-widths
@@ -268,24 +275,49 @@ def _near_block_integral(
         r_block = np.min(
             np.where(np.abs(d) > 0, half / np.abs(d), np.inf), axis=1
         )  # (M,)
-    out = np.zeros(len(centers))
-    for i, x0 in enumerate(centers):
+    step = max(1, _NEAR_CHUNK // d.size)
+    out = np.empty(len(centers))
+    for start in range(0, len(centers), step):
+        x0 = centers[start:start + step, None, :]  # (C, 1, dim)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_hi = np.where(d > 0, (sides - x0) / d, np.inf)
+            t_hi = np.where(d > 0, (sides - x0) / d, np.inf)  # (C, M, dim)
             t_lo = np.where(d < 0, -x0 / d, np.inf)
-        r_dom = np.minimum(np.min(t_hi, axis=1), np.min(t_lo, axis=1))
-        r = np.minimum(r_block, r_dom)  # (M,)
-        acc = np.zeros(len(d))
+        r_dom = np.minimum(np.min(t_hi, axis=2), np.min(t_lo, axis=2))
+        r = np.minimum(r_block, r_dom)  # (C, M)
+        acc = np.zeros(r.shape)
         for gx, gw in zip(gl_x, gl_w):
-            rho = 0.5 * r * (1.0 + gx)  # (M,)
-            offs = rho[:, None] * d  # x - x' = rho * direction
-            diffs = field.difference(
-                np.broadcast_to(x0, offs.shape), x0 - offs
-            )
+            rho = 0.5 * r * (1.0 + gx)  # (C, M)
+            offs = rho[..., None] * d  # x - x' = rho * direction
+            diffs = field.difference(np.broadcast_to(x0, offs.shape), x0 - offs)
             vals = np.asarray(w(offs, diffs), dtype=float)
             acc += gw * 0.5 * r * rho ** (dom.dim - 1) * vals
-        out[i] = float(np.dot(dir_weights, acc))
+        out[start:start + step] = acc @ dir_weights
     return out
+
+
+def _clipping_classes(dom: BoxDomain, margins):
+    """Representative centers and cell counts of the near-block clipping
+    classes of the outer cells.
+
+    The 3h-block around a center is clipped by a wall only when the center
+    lies in the first or last cell of that axis (a center 1.5h from a wall
+    touches it at the block edge). So on each axis an outer cell is first,
+    inner or last; inner cells are represented by the box midpoint. Returns
+    (centers (K, dim), counts (K,)) over the classes with cells, K <= 3^dim.
+    """
+    per_axis = []
+    for j in range(dom.dim):
+        n, h = dom.resolution[j], dom.spacing[j]
+        edge = int(margins[j] == 0)  # first and last cells are outer cells
+        per_axis.append((
+            (0.5 * h, edge),
+            (dom.sides[j] / 2.0, n - 2 * margins[j] - 2 * edge),
+            ((n - 0.5) * h, edge),
+        ))
+    classes = [c for c in itertools.product(*per_axis) if all(k for _, k in c)]
+    centers = np.array([[x for x, _ in c] for c in classes])
+    counts = np.array([math.prod(k for _, k in c) for c in classes], dtype=float)
+    return centers, counts
 
 
 def nonlocal_energy(
@@ -360,46 +392,17 @@ def nonlocal_energy(
     far *= cellvol * cellvol
 
     # diagonal block in polar coordinates, per outer cell
-    axis_idx = [np.arange(margins[j], res[j] - margins[j]) for j in range(dim)]
-    ring_mask_axes = [
-        (axis_idx[j] == 0) | (axis_idx[j] == res[j] - 1) for j in range(dim)
-    ]
-    grids = np.meshgrid(*axis_idx, indexing="ij")
-    ring = np.zeros(grids[0].shape, dtype=bool)
-    for mask_grid in np.meshgrid(*ring_mask_axes, indexing="ij"):
-        ring |= mask_grid
-    n_outer = int(np.prod([len(a) for a in axis_idx]))
-    n_ring = int(np.count_nonzero(ring))
-
-    near = 0.0
     if field.kind == "affine":
-        center_pt = np.asarray(dom.sides) / 2.0
-        j_int = _near_block_integral(
-            w, field, dom, center_pt[None, :], directions, dir_weights, radial_nodes
-        )[0]
-        near += (n_outer - n_ring) * j_int
-        if n_ring:
-            ring_centers = np.stack(
-                [(grids[j][ring] + 0.5) * dom.spacing[j] for j in range(dim)], axis=-1
-            )
-            near += float(
-                np.sum(
-                    _near_block_integral(
-                        w, field, dom, ring_centers, directions, dir_weights, radial_nodes
-                    )
-                )
-            )
+        # the integrand does not depend on the center, only the clipping does
+        centers, counts = _clipping_classes(dom, margins)
     else:
-        all_centers = np.stack(
-            [(grids[j] + 0.5) * dom.spacing[j] for j in range(dim)], axis=-1
-        ).reshape(-1, dim)
-        near += float(
-            np.sum(
-                _near_block_integral(
-                    w, field, dom, all_centers, directions, dir_weights, radial_nodes
-                )
-            )
-        )
+        inner = tuple(slice(m, n - m) for m, n in zip(margins, res))
+        centers = dom.centers()[inner].reshape(-1, dim)
+        counts = np.ones(len(centers))
+    values = _near_block_integral(
+        w, field, dom, centers, directions, dir_weights, radial_nodes
+    )
+    near = float(np.sum(counts * values))
     near *= cellvol
 
     prefactor = (dim + beta) / delta ** (dim + beta)
@@ -449,9 +452,12 @@ def local_reference(
         return float(np.prod(dom.sides)) * local_density(limit, field.matrix, rule)
     grads = field.gradient(dom.centers())
     grads = grads.reshape(-1, *grads.shape[-2:])
+    # stacked local densities, at most _LOCAL_CHUNK (cell, node) pairs per
+    # call; every chunk runs, so a NaN raises even after a +inf cell
+    step = max(1, _LOCAL_CHUNK // len(rule))
     total = 0.0
-    for g in grads:
-        total += local_density(limit, g, rule)
+    for start in range(0, len(grads), step):
+        total += float(np.sum(local_density(limit, grads[start:start + step], rule)))
     return total * dom.cell_volume
 
 

@@ -181,20 +181,22 @@ def compute_blowup(
     return BlowupResult(w, beta_hat, evaluate, diag)
 
 
-def local_density(limit: BlowupResult, a, rule: SphereQuadrature) -> float:
+def local_density(limit: BlowupResult, a, rule: SphereQuadrature):
     """Local density: integral of the small-scale limit over unit directions.
 
     Parameters
     ----------
     limit : BlowupResult
         Small-scale limit of the bond potential.
-    a : array_like, shape (m, n)
-        Deformation gradient; ``rule`` must live on S^(n-1).
+    a : array_like, shape (..., m, n)
+        Deformation gradient, or a stack of them; ``rule`` must live on
+        S^(n-1).
 
     Returns
     -------
-    float
-        The surface integral of limit(z, A z) over the unit sphere.
+    float or ndarray, shape (...)
+        The surface integral of limit(z, A z) over the unit sphere, one per
+        gradient; a float for a single matrix.
     """
     a = np.asarray(a, dtype=float)
     if a.shape[-1] != rule.dim:
@@ -202,8 +204,9 @@ def local_density(limit: BlowupResult, a, rule: SphereQuadrature) -> float:
             f"matrix has {a.shape[-1]} columns but the rule lives on "
             f"S^{rule.dim - 1}"
         )
-    values = limit.evaluate(rule.nodes, rule.nodes @ a.T)
-    return rule.integrate(values)
+    y_def = rule.nodes @ np.swapaxes(a, -1, -2)  # (..., N, m)
+    x_ref = np.broadcast_to(rule.nodes, y_def.shape[:-1] + (rule.dim,))
+    return rule.integrate(limit.evaluate(x_ref, y_def))
 
 
 @dataclass(frozen=True)

@@ -54,14 +54,21 @@ class SphereQuadrature:
     def __len__(self) -> int:
         return len(self.weights)
 
-    def integrate(self, values) -> float:
-        """Weighted sum of per-node values (the surface integral)."""
+    def integrate(self, values):
+        """Weighted sum of per-node values (the surface integral).
+
+        ``values`` has shape (..., N); returns one integral per leading
+        index, a float for shape (N,). A NaN anywhere raises; a row holding
+        +inf integrates to +inf.
+        """
         values = np.asarray(values, dtype=float)
         if np.any(np.isnan(values)):
             raise ValueError("integrand returned NaN at a quadrature node")
-        if np.any(np.isposinf(values)):
-            return INF
-        return float(np.dot(self.weights, values))
+        inf_rows = np.any(np.isposinf(values), axis=-1)
+        if np.any(inf_rows):
+            values = np.where(inf_rows[..., None], 0.0, values)
+        total = np.where(inf_rows, INF, np.dot(values, self.weights))
+        return float(total) if total.ndim == 0 else total
 
 
 def build_circle_rule(points: int) -> SphereQuadrature:

@@ -1,19 +1,25 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from peribond.horizon import (
     BoxDomain,
     DeformationField,
+    _clipping_classes,
+    _margin_cells,
     _multilinear,
+    _near_block_integral,
+    _polar_directions,
     convergence_study,
     local_reference,
     nonlocal_energy,
     two_grid_estimate,
 )
 from peribond.linalg import random_rotation
-from peribond.pipeline import compute_blowup
+from peribond.pipeline import BlowupError, BlowupResult, compute_blowup, local_density
 from peribond.potentials import PairwisePotential, make_power_bond
 from peribond.quadrature import build_rule
 
@@ -23,6 +29,54 @@ A2 = np.diag([1.0, 2.0])
 def quadratic_bond(dim):
     sigma = 2 * math.pi if dim == 2 else 4 * math.pi
     return make_power_bond(dim / sigma, 2.0, 2.0, dim=dim)
+
+
+def reference_near_block_integral(
+    w, field, dom, centers, directions, dir_weights, radial_nodes
+):
+    """The polar near-block integral one center at a time, as a loop."""
+    gl_x, gl_w = leggauss(radial_nodes)
+    half = 1.5 * dom.spacing
+    sides = np.asarray(dom.sides)
+    d = directions
+    with np.errstate(divide="ignore"):
+        r_block = np.min(np.where(np.abs(d) > 0, half / np.abs(d), np.inf), axis=1)
+    out = np.zeros(len(centers))
+    for i, x0 in enumerate(centers):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_hi = np.where(d > 0, (sides - x0) / d, np.inf)
+            t_lo = np.where(d < 0, -x0 / d, np.inf)
+        r_dom = np.minimum(np.min(t_hi, axis=1), np.min(t_lo, axis=1))
+        r = np.minimum(r_block, r_dom)
+        acc = np.zeros(len(d))
+        for gx, gw in zip(gl_x, gl_w):
+            rho = 0.5 * r * (1.0 + gx)
+            offs = rho[:, None] * d
+            diffs = field.difference(np.broadcast_to(x0, offs.shape), x0 - offs)
+            vals = np.asarray(w(offs, diffs), dtype=float)
+            acc += gw * 0.5 * r * rho ** (dom.dim - 1) * vals
+        out[i] = float(np.dot(dir_weights, acc))
+    return out
+
+
+def reference_local_reference(limit, field, dom, rule):
+    """The local reference of a non-affine field, one cell at a time."""
+    grads = field.gradient(dom.centers())
+    total = 0.0
+    for g in grads.reshape(-1, *grads.shape[-2:]):
+        total += local_density(limit, g, rule)
+    return total * dom.cell_volume
+
+
+def outer_centers(dom, margins):
+    inner = tuple(slice(m, n - m) for m, n in zip(margins, dom.resolution))
+    return dom.centers()[inner].reshape(-1, dom.dim)
+
+
+def analytic_2d():
+    return DeformationField.analytic(lambda p: np.stack(
+        [p[..., 0] + 0.1 * np.sin(2 * p[..., 1]), p[..., 1] + 0.2 * p[..., 0] ** 2], axis=-1
+    ))
 
 
 def test_box_domain_geometry():
@@ -191,12 +245,16 @@ def test_interior_restricted_matches_local_density():
     assert got == pytest.approx(expect, rel=2e-4)
 
 
-def test_general_path_matches_affine_path():
-    dom = BoxDomain((1.0, 1.0), (40, 40))
-    w = quadratic_bond(2)
-    fast = nonlocal_energy(w, 0.0, 0.1, DeformationField.affine(A2), dom)
+@pytest.mark.parametrize("sides, res, delta, a", [
+    ((1.0, 1.0), (40, 40), 0.1, A2),
+    ((1.0, 1.0, 1.0), (12, 12, 12), 0.25, np.diag([1.0, 2.0, 0.5])),
+], ids=["2d", "3d"])
+def test_general_path_matches_affine_path(sides, res, delta, a):
+    dom = BoxDomain(sides, res)
+    w = quadratic_bond(dom.dim)
+    fast = nonlocal_energy(w, 0.0, delta, DeformationField.affine(a), dom)
     slow = nonlocal_energy(
-        w, 0.0, 0.1, DeformationField.analytic(lambda p: p @ A2.T, out_dim=2), dom
+        w, 0.0, delta, DeformationField.analytic(lambda p: p @ a.T, out_dim=dom.dim), dom
     )
     assert slow == pytest.approx(fast, rel=1e-12)
 
@@ -268,3 +326,117 @@ def test_convergence_study_smooth_field_gaps_shrink():
     gaps = [row[3] for row in study.rows]
     assert gaps[1] < gaps[0]
 
+
+
+@pytest.mark.parametrize("sides, res, delta, margin", [
+    ((1.0, 1.0), (40, 40), 0.1, 0.0),
+    ((1.0, 1.0), (40, 40), 0.1, 0.1),
+    ((1.0, 1.3), (37, 52), 0.1, 0.0),
+    ((1.0, 1.3), (37, 52), 0.1, 0.1),
+    ((1.0, 1.0, 1.0), (24, 24, 24), 0.15, 0.0),
+    ((1.0, 1.0, 1.0), (24, 24, 24), 0.15, 0.15),
+    ((1.0, 1.2, 1.1), (20, 30, 25), 0.18, 0.0),
+    ((1.0, 1.2, 1.1), (20, 30, 25), 0.18, 0.18),
+])
+def test_affine_clipping_classes_match_per_center_loop(sides, res, delta, margin):
+    dom = BoxDomain(sides, res)
+    dim = dom.dim
+    a = np.eye(dim) + 0.3 * np.random.default_rng(dim).standard_normal((dim, dim))
+    w, u = quadratic_bond(dim), DeformationField.affine(a)
+    dirs, weights = _polar_directions(dom, 32 if dim == 2 else 4)
+    margins = _margin_cells(dom, margin)
+    centers, counts = _clipping_classes(dom, margins)
+    values = _near_block_integral(w, u, dom, centers, dirs, weights, 8)
+    # the loop at the midpoint for the cells off the walls, and at every
+    # outermost ("ring") cell itself
+    cells = outer_centers(dom, margins)
+    idx = np.rint(cells / dom.spacing - 0.5).astype(int)
+    ring = np.any((idx == 0) | (idx == np.array(res) - 1), axis=1)
+    mid = np.asarray(sides)[None, :] / 2.0
+    want = (len(cells) - np.count_nonzero(ring)) * reference_near_block_integral(
+        w, u, dom, mid, dirs, weights, 8)[0]
+    want += float(np.sum(reference_near_block_integral(w, u, dom, cells[ring], dirs, weights, 8)))
+    got = float(np.sum(counts * values))
+    assert abs(got - want) <= 1e-12 * abs(want)
+    # the classes cover every outer cell once, and each cell's own integral
+    # is its class's (per axis: 0 first cell, 1 inner, 2 last cell)
+    assert len(counts) == (3 ** dim if margin == 0 else 1)
+    assert counts.sum() == len(cells)
+    per_cell = _near_block_integral(w, u, dom, cells, dirs, weights, 8)
+    cell_class = np.where(idx == 0, 0, np.where(idx == np.array(res) - 1, 2, 1))
+    h = dom.spacing
+    rep_class = np.where(centers < h, 0, np.where(centers > np.array(sides) - h, 2, 1))
+    for key, count, value in zip(rep_class, counts, values):
+        mine = np.all(cell_class == key, axis=1)
+        assert np.count_nonzero(mine) == count
+        assert np.all(np.abs(per_cell[mine] - value) <= 1e-12 * value)
+
+
+def test_general_near_block_chunks_match_per_center_loop():
+    # 40^2 centers with 64 directions: chunks of 512 centers, the last one
+    # partial
+    dom = BoxDomain((1.0, 1.0), (40, 40))
+    w, u = quadratic_bond(2), analytic_2d()
+    dirs, weights = _polar_directions(dom, 32)
+    centers = outer_centers(dom, [0, 0])
+    assert len(centers) > 512 and len(centers) % 512
+    got = _near_block_integral(w, u, dom, centers, dirs, weights, 8)
+    want = reference_near_block_integral(w, u, dom, centers, dirs, weights, 8)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_local_reference_matches_per_cell_loop(dim):
+    # more cells than one chunk (512 cells in 2D, 16 in 3D), the last partial
+    if dim == 2:
+        dom, u = BoxDomain((1.0, 1.0), (40, 40)), analytic_2d()
+    else:
+        dom = BoxDomain((1.0, 1.0, 1.0), (6, 5, 7))
+        u = DeformationField.analytic(lambda p: p + 0.1 * np.sin(p[..., ::-1]) ** 2)
+    limit, rule = compute_blowup(quadratic_bond(dim), 0.0), build_rule(dim, 32)
+    got = local_reference(limit, u, dom, rule)
+    want = reference_local_reference(limit, u, dom, rule)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_local_reference_raises_on_nan_after_inf_cell():
+    # cell 0 has an infinite gradient and cell 1000 (a later chunk) a NaN
+    # one: the loop sums +inf, then raises on the NaN, and so must the chunks
+    dom = BoxDomain((1.0, 1.0), (32, 32))
+
+    def grad(p):
+        g = np.broadcast_to(np.eye(2), p.shape[:-1] + (2, 2)).copy()
+        flat = g.reshape(-1, 2, 2)
+        flat[0, 0, 0], flat[1000, 0, 0] = math.inf, math.nan
+        return g
+
+    u = DeformationField.analytic(lambda p: p, grad_fn=grad, out_dim=2)
+    rule = build_rule(2, 32)
+    def bare_limit(x, y):  # the limit without the blow-up's finiteness check
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.sum(y * y, -1) / np.sum(x * x, -1)
+
+    unchecked = BlowupResult(quadratic_bond(2), 0.0, bare_limit)
+    for limit, error in ((unchecked, ValueError),
+                         (compute_blowup(quadratic_bond(2), 0.0), BlowupError)):
+        with pytest.raises(error):
+            reference_local_reference(limit, u, dom, rule)
+        with pytest.raises(error):
+            local_reference(limit, u, dom, rule)
+    # without the NaN both sum the +inf cell to +inf
+    nan_free = DeformationField.analytic(
+        lambda p: p, grad_fn=lambda p: np.nan_to_num(grad(p), nan=1.0), out_dim=2)
+    assert local_reference(unchecked, nan_free, dom, rule) == math.inf
+    assert reference_local_reference(unchecked, nan_free, dom, rule) == math.inf
+
+
+def test_three_dimensional_study_reaches_small_horizons():
+    # delta down to 0.025 at 8 cells per horizon, a 320^3 grid
+    start = time.monotonic()
+    study = convergence_study(
+        quadratic_bond(3), 0.0, DeformationField.affine(np.diag([1.0, 2.0, 1.5])),
+        (1.0, 1.0, 1.0), [0.2, 0.1, 0.05, 0.025], cells_per_horizon=8,
+    )
+    elapsed = time.monotonic() - start
+    assert study.fitted_slope >= 0.9
+    assert elapsed < 30.0

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peribond.linalg import (
     INF,
@@ -77,6 +79,20 @@ def test_cofactor_identity_random(n):
         assert np.max(np.abs(lhs - leibniz_det(a) * np.eye(n))) < 1e-12 * (
             1.0 + np.max(np.abs(lhs))
         )
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.floats(-10.0, 10.0), min_size=n * n, max_size=n * n)
+))
+def test_cofactor_identity_property(entries):
+    # cof(A) A^T = det(A) I; each entry is a sum of n products of n entries,
+    # so the rounding error scales with max|a|^n
+    n = math.isqrt(len(entries))
+    a = np.array(entries).reshape(n, n)
+    lhs = cofactor(a) @ a.T
+    scale = (1.0 + np.max(np.abs(a))) ** n
+    assert np.max(np.abs(lhs - leibniz_det(a) * np.eye(n))) <= 1e-12 * scale
 
 
 def test_cofactor_multiplicative_under_rotation():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peribond.pipeline import (
     BlowupError,
@@ -18,6 +20,9 @@ from peribond.quadrature import build_circle_rule, build_rule, build_sphere_rule
 def quadratic_bond(dim):
     sigma = 2 * math.pi if dim == 2 else 4 * math.pi
     return make_power_bond(dim / sigma, 2.0, 2.0, dim=dim)
+
+
+LIMITS = {dim: compute_blowup(quadratic_bond(dim)) for dim in (2, 3)}
 
 
 def test_blowup_homogeneous_is_identity():
@@ -97,6 +102,30 @@ def test_local_density_recovers_frobenius_squared(dim):
         assert local_density(limit, a, rule) == pytest.approx(
             float(np.sum(a * a)), abs=1e-8
         )
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(data=st.data())
+def test_mean_value_identity_for_affine_frobenius(dim, data):
+    # the quadratic bond n/|S^(n-1)| |y|^2/|x|^2 integrates to |A|^2: the
+    # sphere mean of |Az|^2 is |A|^2/n, and the rule is exact for quadratics
+    entries = data.draw(st.lists(st.floats(-5.0, 5.0), min_size=dim * dim, max_size=dim * dim))
+    a = np.array(entries).reshape(dim, dim)
+    got = local_density(LIMITS[dim], a, build_rule(dim, 32))
+    assert abs(got - float(np.sum(a * a))) <= 1e-12 * float(np.sum(a * a))
+
+
+def test_local_density_stacks_gradients():
+    # one value per stacked gradient, equal to the single-matrix call; a
+    # single matrix still gives a float
+    rule = build_rule(3, 16)
+    stack = np.random.default_rng(3).standard_normal((2, 5, 3, 3))
+    got = local_density(LIMITS[3], stack, rule)
+    assert got.shape == (2, 5)
+    want = [[local_density(LIMITS[3], a, rule) for a in row] for row in stack]
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+    assert isinstance(local_density(LIMITS[3], stack[0, 0], rule), float)
 
 
 def test_local_density_rectangular_gradient():

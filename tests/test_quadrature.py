@@ -65,6 +65,21 @@ def test_circle_examples():
     )
 
 
+def test_integrate_stacked_rows():
+    # one integral per row of (..., N) values: a row holding +inf gives
+    # +inf (also next to -inf), a NaN anywhere raises
+    rule = build_circle_rule(8)
+    rows = np.stack([np.ones(8), rule.nodes[:, 0] ** 2, np.full(8, -1.0)])
+    rows[2, 3], rows[2, 5] = math.inf, -math.inf
+    got = rule.integrate(rows)
+    assert got[0] == rule.integrate(rows[0]) and got[1] == rule.integrate(rows[1])
+    assert got[2] == math.inf
+    assert rule.integrate(rows[None]).shape == (1, 3)
+    rows[0, 0] = math.nan
+    with pytest.raises(ValueError, match="NaN"):
+        rule.integrate(rows)
+
+
 def test_circle_rejects_too_few_points():
     with pytest.raises(ValueError):
         build_circle_rule(3)
