@@ -4,12 +4,12 @@ The scaled double integral over interacting pairs is evaluated with a
 midpoint-rule double sum over grid cells. Two refinements keep the error
 well below the boundary-layer gap the convergence studies measure: cells
 straddling the interaction sphere |x - x'| = delta enter with their exact
-(2D) or finely subsampled (3D) covered volume instead of an all-or-nothing
-center test, and the block of cells around the diagonal is integrated in
-polar coordinates, where the radial Jacobian absorbs the kernel
-singularity. Affine deformations factor through cell offsets, which
-collapses the double sum to a single stencil pass and the diagonal blocks
-to one polar integral per way the box walls clip them.
+covered area or volume instead of an all-or-nothing center test (a closed
+form in 2D, that form integrated over slices in 3D), and the block of cells
+around the diagonal is integrated in polar coordinates, where the radial
+Jacobian absorbs the kernel singularity. Affine deformations factor through
+cell offsets, which collapses the double sum to a single stencil pass and
+the diagonal blocks to one polar integral per way the box walls clip them.
 """
 
 import itertools
@@ -24,9 +24,18 @@ from .pipeline import BlowupResult, compute_blowup, local_density
 from .potentials import PairwisePotential
 from .quadrature import build_rule
 
-# 24-node Gauss-Legendre rule for the chord integrals of rim cells; built
-# once because the eigenvalue solve behind it costs more than one integral
-_CHORD_NODES, _CHORD_WEIGHTS = leggauss(24)
+
+def _slice_rule(n: int):
+    """n-node Gauss-Legendre rule on [0, 1] under t = (1 - cos(pi s)) / 2,
+    which flattens the (t - t_k)^(3/2) kinks of a rim cell's slice area at
+    the ends of its pieces: 24 nodes agree with 400 to about 1e-13."""
+    x, w = leggauss(n)
+    s = 0.5 * math.pi * (x + 1.0)
+    return 0.5 * (1.0 - np.cos(s)), 0.25 * math.pi * w * np.sin(s)
+
+
+# built once: the eigenvalue solve costs more than a whole stencil's coverage
+_SLICE_Z, _SLICE_W = _slice_rule(24)
 
 # chunk bounds of the batched horizon integrals: (center, direction, axis)
 # entries per near-block chunk, (cell, node) pairs per local-density call
@@ -169,69 +178,66 @@ def _multilinear(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return sum(terms)  # corners in C order, one after the other
 
 
-def _circle_box_area(a1, b1, a2, b2, radius) -> float:
-    """Area of the centered disk of given radius inside [a1,b1] x [a2,b2].
+def _disk_quadrant(a, b, r):
+    """Area of the disk |x| <= r inside [0, a] x [0, b], a, b >= 0: height b
+    up to x, where the circle leaves the top edge, then the circle. Its
+    angles come from atan2, whose rounding cancels to first order near r."""
+    a, b = np.minimum(a, r), np.minimum(b, r)
+    height = np.sqrt(np.maximum(r * r - a * a, 0.0))  # the circle's, over a
+    x, x_height = np.minimum(np.sqrt(r * r - b * b), a), np.maximum(b, height)
+    return b * x + 0.5 * (a * height - x * x_height
+                          + r * r * (np.arctan2(a, height) - np.arctan2(x, x_height)))
 
-    Piecewise Gauss integration of the chord length, split where the circle
-    crosses the horizontal cell edges, so each piece is smooth.
+
+def _ball_octant(a, b, c, r):
+    """Volume of the ball |x| <= r inside [0, a] x [0, b] x [0, c].
+
+    Integrates the disk quadrant of each slice z = r sin(phi), of radius
+    rho = r cos(phi), over phi with dz = rho dphi, which keeps the pole
+    z = r a smooth point. The pieces are split where rho passes a, b and
+    sqrt(a^2 + b^2).
     """
-    breaks = {a1, b1}
-    for edge in (abs(a2), abs(b2)):
-        if edge < radius:
-            x_star = math.sqrt(radius * radius - edge * edge)
-            for s in (x_star, -x_star):
-                if a1 < s < b1:
-                    breaks.add(s)
-    for s in (radius, -radius):
-        if a1 < s < b1:
-            breaks.add(s)
-    pts = sorted(breaks)
-    total = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        if hi <= -radius or lo >= radius:
-            continue
-        xm = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHORD_NODES
-        g = np.sqrt(np.maximum(radius * radius - xm * xm, 0.0))
-        chord = np.maximum(np.minimum(b2, g) - np.maximum(a2, -g), 0.0)
-        total += 0.5 * (hi - lo) * float(np.dot(_CHORD_WEIGHTS, chord))
-    return total
+    top = np.arcsin(np.minimum(c, r) / r)
+    kinks = np.arccos(np.minimum(np.stack([a, b, np.hypot(a, b)]) / r, 1.0))
+    cuts = np.sort(np.concatenate(
+        [np.zeros((1,) + top.shape), np.minimum(kinks, top), top[None]]), axis=0)
+    width = np.diff(cuts, axis=0)[..., None]  # (4, ..., 1)
+    phi = cuts[:-1, ..., None] + width * _SLICE_Z
+    rho = r * np.cos(phi)
+    slices = _disk_quadrant(a[..., None], b[..., None], rho)
+    return np.sum(width * slices * rho * _SLICE_W, axis=(0, -1))
 
 
-def _ball_box_fraction(k, h, delta, subdiv=24) -> float:
-    """Covered volume fraction of the offset cell box against the ball."""
-    lo = (np.asarray(k) - 0.5) * h
-    hi = (np.asarray(k) + 0.5) * h
-    if len(k) == 2:
-        area = _circle_box_area(lo[0], hi[0], lo[1], hi[1], delta)
-        return area / float(np.prod(h))
-    axes = [lo[j] + (hi[j] - lo[j]) * (np.arange(subdiv) + 0.5) / subdiv for j in range(3)]
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    inside = gx * gx + gy * gy + gz * gz <= delta * delta
-    return float(np.count_nonzero(inside)) / inside.size
+def _offset_coverage(h, delta, reach) -> np.ndarray:
+    """Share of the ball |x| <= delta in each offset cell [(k - 1/2) h,
+    (k + 1/2) h], |k_j| <= reach_j, shape (2 reach_j + 1, ...).
+
+    A cell's measure is the signed sum of Q(|corner|), the ball inside
+    [0, |corner|], over its corners: one difference along each axis, with Q
+    mirrored to minus itself at negative corners.
+    """
+    axes = [(np.arange(n + 1) + 0.5) * hj for n, hj in zip(reach, h)]
+    q = (_disk_quadrant if len(h) == 2 else _ball_octant)(
+        *np.meshgrid(*axes, indexing="ij"), delta)
+    for axis in range(len(h)):
+        q = np.diff(np.concatenate([-np.flip(q, axis), q], axis=axis), axis=axis)
+    return q / float(np.prod(h))
 
 
-def _offset_stencil(dom: BoxDomain, delta: float, rim_subdiv: int):
+def _offset_stencil(dom: BoxDomain, delta: float):
     """Integer offsets outside the diagonal block with their ball coverage."""
     h = dom.spacing
-    ranges = [range(-int(math.ceil(delta / h[j] + 0.5)), int(math.ceil(delta / h[j] + 0.5)) + 1)
-              for j in range(dom.dim)]
-    out = []
-    for k in itertools.product(*ranges):
-        if max(abs(c) for c in k) <= 1:
-            continue  # diagonal block, handled in polar coordinates
-        ka = np.abs(np.array(k))
-        dmin = float(np.linalg.norm(np.maximum(ka - 0.5, 0.0) * h))
-        if dmin > delta:
-            continue
-        dmax = float(np.linalg.norm((ka + 0.5) * h))
-        if dmax <= delta:
-            cov = 1.0
-        else:
-            cov = _ball_box_fraction(k, h, delta, rim_subdiv)
-            if cov <= 0.0:
-                continue
-        out.append((k, np.array(k) * h, cov))
-    return out
+    reach = [int(math.ceil(delta / hj + 0.5)) for hj in h]
+    cov = _offset_coverage(h, delta, reach)
+    k = np.indices(cov.shape).reshape(dom.dim, -1).T - np.array(reach)  # C order
+    ka = np.abs(k)
+    dmin = np.linalg.norm(np.maximum(ka - 0.5, 0.0) * h, axis=1)
+    dmax = np.linalg.norm((ka + 0.5) * h, axis=1)
+    cov = np.where(dmax <= delta, 1.0, cov.ravel())
+    # the diagonal block is integrated in polar coordinates
+    keep = (np.max(ka, axis=1) > 1) & (dmin <= delta) & (cov > 0.0)
+    return [(tuple(kk), np.array(kk) * h, c)
+            for kk, c in zip(k[keep].tolist(), cov[keep].tolist())]
 
 
 def _margin_cells(dom: BoxDomain, margin: float) -> list[int]:
@@ -250,12 +256,6 @@ def _axis_pair_count(n: int, k: int, m: int) -> int:
     lo = max(m, -k)
     hi = min(n - 1 - m, n - 1 - k)
     return max(0, hi - lo + 1)
-
-
-def _polar_directions(dom: BoxDomain, angular_order: int):
-    """Unit directions and weights covering the full solid angle."""
-    rule = build_rule(dom.dim, angular_order)
-    return rule.nodes, rule.weights
 
 
 def _near_block_integral(
@@ -329,7 +329,6 @@ def nonlocal_energy(
     outer_margin: float = 0.0,
     angular_order: int = 32,
     radial_nodes: int = 8,
-    rim_subdiv: int = 24,
 ) -> float:
     """Scaled pair energy (n+beta)/delta^(n+beta) * double integral of the
     bond density over interacting cell pairs.
@@ -359,8 +358,8 @@ def nonlocal_energy(
     margins = _margin_cells(dom, outer_margin)
     res = dom.resolution
     cellvol = dom.cell_volume
-    stencil = _offset_stencil(dom, delta, rim_subdiv)
-    directions, dir_weights = _polar_directions(dom, angular_order)
+    stencil = _offset_stencil(dom, delta)
+    rule = build_rule(dim, angular_order)
 
     far = 0.0
     if field.kind == "affine":
@@ -400,7 +399,7 @@ def nonlocal_energy(
         centers = dom.centers()[inner].reshape(-1, dim)
         counts = np.ones(len(centers))
     values = _near_block_integral(
-        w, field, dom, centers, directions, dir_weights, radial_nodes
+        w, field, dom, centers, rule.nodes, rule.weights, radial_nodes
     )
     near = float(np.sum(counts * values))
     near *= cellvol
@@ -470,7 +469,6 @@ def convergence_study(
     cells_per_horizon: int = 8,
     angular_order: int = 32,
     radial_nodes: int = 8,
-    rim_subdiv: int = 24,
     rule=None,
 ) -> ConvergenceStudy:
     """Shrink the horizon and tabulate the gap to the local energy.
@@ -493,7 +491,6 @@ def convergence_study(
         energy = nonlocal_energy(
             w, beta, d, field, dom,
             angular_order=angular_order, radial_nodes=radial_nodes,
-            rim_subdiv=rim_subdiv,
         )
         reference = local_reference(limit, field, dom, rule)
         gap = abs(energy - reference)

@@ -249,7 +249,7 @@ def test_hull_envelope_with_infinities():
     assert np.all(_hull_envelope_1d(np.array([INF, 1.0, INF])) == np.array([INF, 1.0, INF]))
 
 
-@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(st.lists(st.one_of(st.floats(-1e3, 1e3), st.just(INF)), min_size=1, max_size=40))
 def test_hull_below_idempotent_and_convex(entries):
     values = np.array(entries)
@@ -269,7 +269,7 @@ def test_hull_below_idempotent_and_convex(entries):
         assert np.all(bend >= -4.0 * tol.max())
 
 
-@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(
     coeffs=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
     seed=st.integers(0, 2**16),

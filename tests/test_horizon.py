@@ -1,18 +1,25 @@
+import itertools
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
+from peribond import horizon
 from peribond.horizon import (
     BoxDomain,
     DeformationField,
+    _ball_octant,
     _clipping_classes,
+    _disk_quadrant,
     _margin_cells,
     _multilinear,
     _near_block_integral,
-    _polar_directions,
+    _offset_coverage,
+    _offset_stencil,
     convergence_study,
     local_reference,
     nonlocal_energy,
@@ -66,6 +73,50 @@ def reference_local_reference(limit, field, dom, rule):
     for g in grads.reshape(-1, *grads.shape[-2:]):
         total += local_density(limit, g, rule)
     return total * dom.cell_volume
+
+
+def reference_circle_box_area(a1, b1, a2, b2, radius):
+    """Area of the centered disk inside [a1, b1] x [a2, b2] by piecewise
+    Gauss integration of the chord length, the 2D rim rule before the closed
+    form. The chord has a square-root end point where the circle's extreme
+    point lies inside the cell, which costs up to about 1e-7 of a cell there."""
+    nodes, weights = leggauss(24)
+    breaks = {a1, b1}
+    for edge in (abs(a2), abs(b2)):
+        if edge < radius:
+            x_star = math.sqrt(radius * radius - edge * edge)
+            for s in (x_star, -x_star):
+                if a1 < s < b1:
+                    breaks.add(s)
+    for s in (radius, -radius):
+        if a1 < s < b1:
+            breaks.add(s)
+    pts = sorted(breaks)
+    total = 0.0
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        if hi <= -radius or lo >= radius:
+            continue
+        xm = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+        g = np.sqrt(np.maximum(radius * radius - xm * xm, 0.0))
+        chord = np.maximum(np.minimum(b2, g) - np.maximum(a2, -g), 0.0)
+        total += 0.5 * (hi - lo) * float(np.dot(weights, chord))
+    return total
+
+
+def reference_voxel_fraction(k, h, delta, n):
+    """Share of the n^3 voxel centers of the offset cell k inside the ball,
+    the 3D rim rule before the exact coverage. It counts the centers one
+    z-column at a time, so a 192^3 count stays cheap."""
+    lo = (np.asarray(k) - 0.5) * h
+    gx, gy = np.meshgrid(*[lo[j] + h[j] * (np.arange(n) + 0.5) / n
+                           for j in range(2)], indexing="ij")
+    rest = delta * delta - gx * gx - gy * gy
+    reach = np.sqrt(np.maximum(rest, 0.0))
+    dz = h[2] / n  # centers lo_z + (m + 1/2) dz, m = 0 .. n - 1
+    top = np.clip(np.floor((reach - lo[2]) / dz - 0.5), -1, n - 1)
+    bottom = np.clip(np.ceil((-reach - lo[2]) / dz - 0.5), 0, n)
+    count = np.where(rest >= 0.0, np.maximum(top - bottom + 1, 0), 0)
+    return float(np.sum(count)) / n ** 3
 
 
 def outer_centers(dom, margins):
@@ -189,14 +240,21 @@ def test_zero_field_energy_is_zero():
     assert nonlocal_energy(w, 0.0, 0.1, zero, dom) == 0.0
 
 
-def test_energy_linear_in_potential():
-    dom = BoxDomain((1.0, 1.0), (40, 40))
-    u = DeformationField.affine(A2)
-    one = nonlocal_energy(quadratic_bond(2), 0.0, 0.1, u, dom)
+@pytest.mark.parametrize("sides, res, delta, a", [
+    ((1.0, 1.0), (40, 40), 0.1, A2),
+    ((1.0, 1.0, 1.0), (12, 12, 12), 0.25, np.diag([1.0, 2.0, 0.5])),
+], ids=["2d", "3d"])
+def test_energy_linear_in_potential(sides, res, delta, a):
+    dom = BoxDomain(sides, res)
+    dim = dom.dim
+    u = DeformationField.affine(a)
+    one = nonlocal_energy(quadratic_bond(dim), 0.0, delta, u, dom)
+    sigma = 2 * math.pi if dim == 2 else 4 * math.pi
     double = nonlocal_energy(
-        make_power_bond(2 * 2 / (2 * math.pi), 2.0, 2.0, dim=2), 0.0, 0.1, u, dom
+        make_power_bond(2 * dim / sigma, 2.0, 2.0, dim=dim), 0.0, delta, u, dom
     )
     assert double == pytest.approx(2 * one, rel=1e-14)
+    assert type(one) is float and type(double) is float
 
 
 def test_translation_invariance():
@@ -264,7 +322,7 @@ def test_three_dimensional_energy_identity():
     dom = BoxDomain((1.0, 1.0, 1.0), (16, 16, 16))
     a = np.diag([1.0, 2.0, 0.5])
     got = nonlocal_energy(w, 0.0, 0.25, DeformationField.affine(a), dom,
-                          outer_margin=0.25, rim_subdiv=16)
+                          outer_margin=0.25)
     per_axis = 8  # centers at (i+.5)/16 with distance >= 0.25 from both walls
     covered = (per_axis / 16.0) ** 3
     assert got == pytest.approx(covered * float(np.sum(a * a)), rel=2e-3)
@@ -343,7 +401,8 @@ def test_affine_clipping_classes_match_per_center_loop(sides, res, delta, margin
     dim = dom.dim
     a = np.eye(dim) + 0.3 * np.random.default_rng(dim).standard_normal((dim, dim))
     w, u = quadratic_bond(dim), DeformationField.affine(a)
-    dirs, weights = _polar_directions(dom, 32 if dim == 2 else 4)
+    rule = build_rule(dim, 32 if dim == 2 else 4)
+    dirs, weights = rule.nodes, rule.weights
     margins = _margin_cells(dom, margin)
     centers, counts = _clipping_classes(dom, margins)
     values = _near_block_integral(w, u, dom, centers, dirs, weights, 8)
@@ -377,7 +436,8 @@ def test_general_near_block_chunks_match_per_center_loop():
     # partial
     dom = BoxDomain((1.0, 1.0), (40, 40))
     w, u = quadratic_bond(2), analytic_2d()
-    dirs, weights = _polar_directions(dom, 32)
+    rule = build_rule(2, 32)
+    dirs, weights = rule.nodes, rule.weights
     centers = outer_centers(dom, [0, 0])
     assert len(centers) > 512 and len(centers) % 512
     got = _near_block_integral(w, u, dom, centers, dirs, weights, 8)
@@ -440,3 +500,94 @@ def test_three_dimensional_study_reaches_small_horizons():
     elapsed = time.monotonic() - start
     assert study.fitted_slope >= 0.9
     assert elapsed < 30.0
+
+
+@settings(max_examples=200)
+@given(r=st.floats(0.01, 100.0),
+       sides=st.lists(st.floats(0.0, 1.5), min_size=3, max_size=3))
+def test_quadrant_and_octant_ignore_side_order(r, sides):
+    # the octant volume integrates along the third side only, so its
+    # permutations check the slicing and its split points independently
+    a, b, c = (np.array(x * r) for x in sides)
+    assert abs(_disk_quadrant(a, b, r) - _disk_quadrant(b, a, r)) <= 1e-13 * r ** 2
+    want = _ball_octant(a, b, c, r)
+    for perm in itertools.permutations((a, b, c)):
+        assert abs(_ball_octant(*perm, r) - want) <= 1e-13 * r ** 3
+
+
+@pytest.mark.parametrize("frac", [0.35, 0.7, 0.95])
+def test_coverage_closed_forms(frac):
+    r = 1.3
+    d = frac * r
+    # along x the cell k = 1 of spacing 2d is the slab [d, 3d], which reaches
+    # past the ball; on the other axes the cell k = 0 of spacing 2.5r spans it
+    h2, h3 = np.array([2 * d, 2.5 * r]), np.array([2 * d, 2.5 * r, 2.5 * r])
+    segment = _offset_coverage(h2, r, [1, 0])[2, 0] * np.prod(h2)
+    assert segment == pytest.approx(r * r * math.acos(d / r) - d * math.sqrt(r * r - d * d),
+                                    rel=1e-12)
+    cap = _offset_coverage(h3, r, [1, 0, 0])[2, 0, 0] * np.prod(h3)
+    assert cap == pytest.approx(math.pi * (r - d) ** 2 * (2 * r + d) / 3, rel=1e-12)
+    # the quarter of the ball between x = 0 and x = d
+    a = np.array(d)
+    assert _ball_octant(a, np.array(r), np.array(r), r) == pytest.approx(
+        math.pi / 4 * (r * r * d - d ** 3 / 3), rel=1e-13)
+    # a box inside the ball, and one containing it
+    inside = np.array(frac * r / 2)
+    assert _disk_quadrant(inside, inside, r) == pytest.approx(float(inside) ** 2, rel=1e-14)
+    assert _ball_octant(inside, inside, inside, r) == pytest.approx(float(inside) ** 3, rel=1e-13)
+    around = np.array(r / frac)
+    assert _disk_quadrant(around, around, r) == pytest.approx(math.pi * r * r / 4, rel=1e-14)
+    assert _ball_octant(around, around, around, r) == pytest.approx(math.pi * r ** 3 / 6,
+                                                                    rel=1e-13)
+
+
+@pytest.mark.parametrize("h, delta", [
+    ((0.025, 0.025), 0.2),
+    ((0.03, 0.021), 0.2),
+    ((0.025, 0.025, 0.025), 0.2),
+    ((0.06, 0.045, 0.05), 0.18),
+], ids=["2d", "2d-anisotropic", "3d", "3d-anisotropic"])
+def test_offset_coverage_sums_to_ball_volume(h, delta):
+    # over the whole offset box, diagonal block included
+    h = np.array(h)
+    reach = [int(math.ceil(delta / hj + 0.5)) for hj in h]
+    cov = _offset_coverage(h, delta, reach)
+    ball = math.pi * delta ** 2 if len(h) == 2 else 4.0 / 3.0 * math.pi * delta ** 3
+    assert abs(float(np.sum(cov)) * np.prod(h) / ball - 1.0) <= 1e-12
+    assert np.all(cov >= -1e-12) and np.all(cov <= 1.0 + 1e-12)
+
+
+def test_slice_rule_is_converged(monkeypatch):
+    h = np.full(3, 0.025)
+    coarse = _offset_coverage(h, 0.2, [9, 9, 9])
+    nodes, weights = horizon._slice_rule(400)
+    monkeypatch.setattr(horizon, "_SLICE_Z", nodes)
+    monkeypatch.setattr(horizon, "_SLICE_W", weights)
+    assert np.max(np.abs(coarse - _offset_coverage(h, 0.2, [9, 9, 9]))) <= 1e-12
+
+
+def test_rim_coverage_matches_fine_voxel_count():
+    # delta = 0.2 at 8 cells per horizon; the voxel count's own resolution
+    # on these cells is about 5e-5
+    dom = BoxDomain((1.0, 1.0, 1.0), (40, 40, 40))
+    stencil = _offset_stencil(dom, 0.2)
+    rims = [(k, cov) for k, _, cov in stencil if cov < 1.0]
+    assert (len(stencil), len(rims)) == (2822, 1250)
+    worst = max(abs(cov - reference_voxel_fraction(k, dom.spacing, 0.2, 192))
+                for k, cov in rims)
+    assert worst <= 1e-4
+
+
+def test_two_dimensional_coverage_matches_chord_rule():
+    # every rim cell at delta = 0.2 with 8 cells per horizon; the chord rule
+    # is off by up to about 1e-7 where the circle's extreme point is inside
+    dom = BoxDomain((1.0, 1.0), (40, 40))
+    h = dom.spacing
+    stencil = _offset_stencil(dom, 0.2)
+    rims = [(k, cov) for k, _, cov in stencil if cov < 1.0]
+    assert (len(stencil), len(rims)) == (232, 64)
+    for k, cov in rims:
+        lo, hi = (np.array(k) - 0.5) * h, (np.array(k) + 0.5) * h
+        area = reference_circle_box_area(lo[0], hi[0], lo[1], hi[1], 0.2)
+        assert abs(cov - area / dom.cell_volume) <= 1e-6
+

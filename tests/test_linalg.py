@@ -81,7 +81,7 @@ def test_cofactor_identity_random(n):
         )
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.integers(1, 3).flatmap(
     lambda n: st.lists(st.floats(-10.0, 10.0), min_size=n * n, max_size=n * n)
 ))

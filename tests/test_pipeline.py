@@ -105,7 +105,7 @@ def test_local_density_recovers_frobenius_squared(dim):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(data=st.data())
 def test_mean_value_identity_for_affine_frobenius(dim, data):
     # the quadratic bond n/|S^(n-1)| |y|^2/|x|^2 integrates to |A|^2: the

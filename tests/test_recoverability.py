@@ -273,7 +273,7 @@ def _residual_or_none(density, a):
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS["density"]))
-@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@settings(max_examples=20)
 @given(
     singular=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
     flip=st.booleans(),
