@@ -11,7 +11,8 @@ Each sweep replaces the stored values along every lattice segment in a
 rank-one direction by their lower convex hull, which exhausts all pairwise
 convex-combination updates along that segment at once; +inf values never
 serve as hull endpoints, so convex combinations with an infinite endpoint
-are never used.
+are never used. The chains of one direction partition the lattice, so a
+sweep takes one batched hull per direction over all its chains at once.
 """
 
 import itertools
@@ -53,6 +54,8 @@ class MatrixLattice:
             raise ValueError(f"unknown lattice mode {self.mode!r}")
         if not (self.dim >= 1 and self.bound > 0 and self.step > 0):
             raise ValueError("dim, bound and step must be positive")
+        if self.bound < 1:
+            raise ValueError(f"bound must be at least 1 to hold +-1, not {self.bound!r}")
         for value, name in ((self.bound / self.step, "bound"), (1.0 / self.step, "1")):
             if abs(value - round(value)) > 1e-9:
                 raise ValueError(
@@ -90,10 +93,15 @@ class MatrixLattice:
         return mats.reshape((self.points_per_axis,) * self.axes + (self.dim, self.dim))
 
     def fill(self, density: StoredEnergy) -> np.ndarray:
-        """Density values at every lattice matrix; NaN is rejected."""
+        """Density values at every lattice matrix; NaN and -inf are rejected.
+
+        The hull never takes an infinite value as a vertex, so a -inf would
+        stay in place while its chains reported convergence.
+        """
         values = np.asarray(density(self.matrices()), dtype=float)
-        if np.any(np.isnan(values)):
-            raise ValueError("density produced NaN on the lattice")
+        for bad, name in ((np.isnan, "NaN"), (np.isneginf, "-inf")):
+            if np.any(bad(values)):
+                raise ValueError(f"density produced {name} on the lattice")
         return values
 
     def directions(self) -> list[np.ndarray]:
@@ -163,60 +171,76 @@ class EnvelopeResult:
 
 
 def _hull_envelope_1d(values: np.ndarray) -> np.ndarray:
-    """Lower convex hull of equispaced samples, +inf entries allowed.
+    """Lower convex hull of equispaced samples along the last axis, +inf
+    entries allowed.
 
-    Infinite entries never become hull vertices; positions strictly between
-    two finite vertices receive the chord value, everything outside the
-    finite range keeps its own value.
+    Every row of a ``(..., length)`` array is hulled on its own, all rows at
+    once: Andrew's monotone chain runs column by column, each column popping
+    vertices only in the rows whose finite value there lies on or below the
+    chord from the vertex before last. Infinite entries never become hull
+    vertices; positions strictly between two vertices take the smaller of
+    their own value and the chord of the nearest vertex on each side, and
+    everything outside a row's finite range keeps its own value.
     """
-    n = len(values)
-    finite = np.flatnonzero(np.isfinite(values))
-    if len(finite) < 2:
-        return values.copy()
-    # Andrew monotone chain on (index, value), lower hull only.
-    hull: list[int] = []
-    for i in finite:
-        while len(hull) >= 2:
-            j, k = hull[-2], hull[-1]
+    values = np.asarray(values, dtype=float)
+    rows = values.reshape(-1, values.shape[-1])
+    count, n = rows.shape
+    finite = np.isfinite(rows)
+    stack = np.zeros((count, n), dtype=np.intp)  # hull vertex columns per row
+    top = np.zeros(count, dtype=np.intp)  # hull size per row
+    for i in range(n):
+        live = np.flatnonzero(finite[:, i])
+        cand = live[top[live] >= 2]
+        while cand.size:
+            k = stack[cand, top[cand] - 1]
+            j = stack[cand, top[cand] - 2]
+            vj = rows[cand, j]
             # drop k if it lies on or above chord (j, i)
-            if (values[i] - values[j]) * (k - j) <= (values[k] - values[j]) * (i - j):
-                hull.pop()
-            else:
-                break
-        hull.append(int(i))
-    out = values.copy()
-    for (j, k) in zip(hull[:-1], hull[1:]):
-        if k - j > 1:
-            t = np.arange(1, k - j) / (k - j)
-            chord = values[j] * (1 - t) + values[k] * t
-            seg = out[j + 1 : k]
-            np.minimum(chord, seg, out=seg)
-    return out
+            pop = (rows[cand, i] - vj) * (k - j) <= (rows[cand, k] - vj) * (i - j)
+            cand = cand[pop]
+            top[cand] -= 1
+            cand = cand[top[cand] >= 2]
+        stack[live, top[live]] = i
+        top[live] += 1
+    cols = np.arange(n)
+    vertex = np.zeros((count, n), dtype=bool)
+    held = cols < top[:, None]
+    vertex[np.nonzero(held)[0], stack[held]] = True
+    left = np.maximum.accumulate(np.where(vertex, cols, -1), axis=1)
+    right = np.minimum.accumulate(np.where(vertex, cols, n)[:, ::-1], axis=1)[:, ::-1]
+    row, pos = np.nonzero((left >= 0) & (right < n) & ~vertex)
+    j, k = left[row, pos], right[row, pos]
+    t = (pos - j) / (k - j)
+    chord = rows[row, j] * (1 - t) + rows[row, k] * t
+    out = rows.copy()
+    out[row, pos] = np.minimum(chord, rows[row, pos])
+    return out.reshape(values.shape)
 
 
-def _chains(shape: tuple[int, ...], step: np.ndarray) -> list[np.ndarray]:
+def _chains(shape: tuple[int, ...], step: np.ndarray) -> np.ndarray:
     """Flat C-order indices of every maximal lattice chain along an integer step.
 
     Chain heads are the points whose backward neighbour falls outside the
-    grid; all heads walk forward together until each has left it. Returns
-    one index array per chain of at least 2 points, in step order, with the
-    heads in C order.
+    grid; a chain ends before the first axis along which its next point
+    would leave it. Returns a ``(chains, max_len)`` table, one row per chain
+    of at least 2 points in step order, with the heads in C order; slots
+    past a chain's end hold ``prod(shape)``, one past the last point.
     """
     shape = np.array(shape)
     step = np.asarray(step, dtype=int)
     points = np.indices(shape).reshape(len(shape), -1).T
     back = points - step
     heads = points[np.any((back < 0) | (back >= shape), axis=1)]
-    lengths = np.zeros(len(heads), dtype=int)
-    inside = np.ones(len(heads), dtype=bool)
-    cur = heads
-    while inside.any():
-        lengths += inside
-        cur = cur + step
-        inside &= np.all((cur >= 0) & (cur < shape), axis=1)
+    moving = step != 0
+    room = np.where(step > 0, shape - 1 - heads, heads)[:, moving] // np.abs(step[moving])
+    lengths = room.min(axis=1) + 1
+    keep = lengths >= 2
+    heads, lengths = heads[keep], lengths[keep]
     strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)  # C-order, in elements
-    table = (heads @ strides)[:, None] + (step @ strides) * np.arange(lengths.max())
-    return [row[:n] for row, n in zip(table, lengths) if n >= 2]
+    slots = np.arange(lengths.max())
+    table = (heads @ strides)[:, None] + (step @ strides) * slots
+    table[slots >= lengths[:, None]] = np.prod(shape)
+    return table
 
 
 def _random_direction_pass(
@@ -299,17 +323,17 @@ def rank_one_convexify(
     """
     initial = lattice.fill(density)
     values = initial.copy()
-    chains = [c for step in lattice.directions() for c in _chains(values.shape, step)]
+    tables = [_chains(values.shape, step) for step in lattice.directions()]
     rng = np.random.default_rng(seed)
     decrement = INF
     sweeps = 0
     while sweeps < max_sweeps:
         sweeps += 1
-        before = values.copy()
-        flat = values.reshape(-1)  # a view: values is C-contiguous
-        for chain in chains:
-            flat[chain] = _hull_envelope_1d(flat[chain])
-        values = _random_direction_pass(values, lattice, directions, rng)
+        flat = np.append(values.reshape(-1), INF)  # padded slots read the +inf at the end
+        for table in tables:
+            flat[table] = _hull_envelope_1d(flat[table])
+        before = values
+        values = _random_direction_pass(flat[:-1].reshape(values.shape), lattice, directions, rng)
         both_finite = np.isfinite(before) & np.isfinite(values)
         decrement = (
             float((before[both_finite] - values[both_finite]).max())

@@ -285,6 +285,7 @@ def test_unparsable_value_exit_64(tmp_path, capsys, name, text, named):
     ("quadrature-check", "lattice", "step = 0.3", ["[lattice]", "step"]),
     ("quadrature-check", "lattice", "step = 0", ["[lattice]", "step", "positive"]),
     ("quadrature-check", "lattice", "dim = 0", ["[lattice]", "dim", "positive"]),
+    ("convexify", "lattice", "bound = 0.5\nstep = 0.5", ["[lattice]", "bound = 0.5", "at least 1"]),
     ("convexify", "lattice", "directions = -5", ["[lattice] directions", "-5"]),
     ("quadrature-check", "lattice", "directions = 5", ["[lattice] directions", "5", "diagonal"]),
     ("convexify", "lattice", "tol = -1", ["[lattice] tol", "-1"]),
@@ -304,8 +305,8 @@ def test_unparsable_value_exit_64(tmp_path, capsys, name, text, named):
      ["profile-cof", "[lattice] dim = 2"]),
     ("quadrature-check", "converge", "matrix = 1 2 3", ["[converge] matrix", "4"]),
 ], ids=["quad-order-1", "density-dim-4", "lattice-mode", "lattice-step-other-task",
-        "lattice-step-0", "lattice-dim-0", "negative-directions", "directions-on-diagonal-lattice",
-        "negative-tol", "no-sweeps",
+        "lattice-step-0", "lattice-dim-0", "lattice-bound-below-1", "negative-directions",
+        "directions-on-diagonal-lattice", "negative-tol", "no-sweeps",
         "negative-fixed-point-tol", "no-deltas", "one-delta", "no-cells-per-horizon",
         "two-cells-per-horizon", "flat-box", "no-stretches", "zero-a-value",
         "negative-rel-tol", "negative-randoms", "no-symmetry-trials", "3x3-density-2x2-lattice",

@@ -46,6 +46,32 @@ def brute_force_envelope_1d(values):
     return out
 
 
+def reference_hull_1d(values):
+    """Reference per-chain hull: Andrew's monotone chain over the finite
+    entries of one 1D array, then the chord between consecutive vertices."""
+    finite = np.flatnonzero(np.isfinite(values))
+    if len(finite) < 2:
+        return values.copy()
+    hull: list[int] = []
+    for i in finite:
+        while len(hull) >= 2:
+            j, k = hull[-2], hull[-1]
+            # drop k if it lies on or above chord (j, i)
+            if (values[i] - values[j]) * (k - j) <= (values[k] - values[j]) * (i - j):
+                hull.pop()
+            else:
+                break
+        hull.append(int(i))
+    out = values.copy()
+    for (j, k) in zip(hull[:-1], hull[1:]):
+        if k - j > 1:
+            t = np.arange(1, k - j) / (k - j)
+            chord = values[j] * (1 - t) + values[k] * t
+            seg = out[j + 1 : k]
+            np.minimum(chord, seg, out=seg)
+    return out
+
+
 def reference_iter_lines(shape, step):
     """Reference chain walk: every point tested as a chain head, every chain
     followed point by point; yields index tuples in step order."""
@@ -64,19 +90,19 @@ def reference_iter_lines(shape, step):
 
 
 def reference_sweep_step(values, step):
-    """Reference hull pass in one direction: 1D slices for unit axis steps,
-    the point-by-point chain walk otherwise."""
+    """Reference hull pass in one direction: the per-chain hull on 1D slices
+    for unit axis steps, on the point-by-point chain walk otherwise."""
     nonzero = np.flatnonzero(step)
     if len(nonzero) == 1 and abs(step[nonzero[0]]) == 1:
         view = np.moveaxis(values, nonzero[0], -1)
         flat = np.ascontiguousarray(view).reshape(-1, view.shape[-1])
         for row in range(flat.shape[0]):
-            flat[row] = _hull_envelope_1d(flat[row])
+            flat[row] = reference_hull_1d(flat[row])
         view[...] = flat.reshape(view.shape)
         return
     for chain in reference_iter_lines(values.shape, step):
         idx = tuple(np.array(chain).T)
-        values[idx] = _hull_envelope_1d(values[idx])
+        values[idx] = reference_hull_1d(values[idx])
 
 
 def reference_convexify(density, lattice, directions, tol, max_sweeps, seed):
@@ -146,8 +172,14 @@ CHAIN_LATTICES = [
 @pytest.mark.parametrize("lattice", CHAIN_LATTICES, ids=["1x1", "diagonal-3x3", "full-2x2"])
 def test_chain_tables_match_point_walk(lattice):
     shape = (lattice.points_per_axis,) * lattice.axes
+    size = math.prod(shape)
     for step in lattice.directions():
-        got = [chain.tolist() for chain in _chains(shape, step)]
+        table = _chains(shape, step)
+        # padding only after a chain's end, and only with the one-past-the-end index
+        padded = table == size
+        assert np.array_equal(padded, np.maximum.accumulate(padded, axis=1))
+        assert not padded[:, :2].any() and np.all((table >= 0) & (table <= size))
+        got = [row[row < size].tolist() for row in table]
         want = [
             np.ravel_multi_index(tuple(np.array(chain).T), shape).tolist()
             for chain in reference_iter_lines(shape, step)
@@ -155,12 +187,22 @@ def test_chain_tables_match_point_walk(lattice):
         assert got == want, step
 
 
-@pytest.mark.parametrize("lattice, directions", [
-    (MatrixLattice(dim=2, bound=2.0, step=0.5, mode="full"), 8),
-    (MatrixLattice(dim=3, bound=2.0, step=0.25, mode="diagonal"), 0),
-], ids=["full-2x2", "diagonal-3x3"])
-def test_envelope_matches_reference_sweep(lattice, directions):
-    density = make_profile_energy("frobenius", ScalarProfile.well())
+def well_with_inf_patch(m):
+    """The Frobenius double well, +inf where det A < -1/2."""
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    well = make_profile_energy("frobenius", ScalarProfile.well())
+    return np.where(det < -0.5, INF, well(m))
+
+
+@pytest.mark.parametrize("lattice, directions, density", [
+    (MatrixLattice(dim=2, bound=2.0, step=0.5, mode="full"), 8,
+     make_profile_energy("frobenius", ScalarProfile.well())),
+    (MatrixLattice(dim=2, bound=2.0, step=0.5, mode="full"), 8,
+     custom_energy(well_with_inf_patch, "well-inf-patch")),
+    (MatrixLattice(dim=3, bound=2.0, step=0.25, mode="diagonal"), 0,
+     make_profile_energy("frobenius", ScalarProfile.well())),
+], ids=["full-2x2", "full-2x2-inf-patch", "diagonal-3x3"])
+def test_envelope_matches_reference_sweep(lattice, directions, density):
     result = rank_one_convexify(density, lattice, directions=directions, tol=1e-6, seed=5)
     values, sweeps, decrement = reference_convexify(density, lattice, directions, 1e-6, 40, 5)
     assert np.array_equal(result.values, values)
@@ -216,6 +258,21 @@ def test_lattice_contains_zero_and_identity():
         MatrixLattice(dim=2, bound=1.0, step=0.3)
     with pytest.raises(ValueError):
         MatrixLattice(dim=3, bound=1.0, step=0.5, mode="full")
+    with pytest.raises(ValueError, match="bound must be at least 1"):
+        MatrixLattice(dim=1, bound=0.5, step=0.5)  # a multiple of step, but no +-1
+
+
+def test_fill_rejects_negative_infinity():
+    # the hull never takes an infinite vertex, so a -inf would stay in place
+    # and its chain would report convergence
+    lat = MatrixLattice(dim=1, bound=1.0, step=0.5)
+    square = custom_energy(
+        lambda m: np.where(m[..., 0, 0] == 0.0, -INF, m[..., 0, 0] ** 2), "square-minus-inf"
+    )
+    with pytest.raises(ValueError, match="-inf"):
+        lat.fill(square)
+    with pytest.raises(ValueError, match="-inf"):
+        rank_one_convexify(square, lat)
 
 
 def test_lattice_matrices_shapes():
@@ -247,6 +304,35 @@ def test_hull_envelope_with_infinities():
     assert got[2] == pytest.approx(2.0 * 2.0 / 3.0)
     assert got[3] == pytest.approx(2.0 / 3.0)
     assert np.all(_hull_envelope_1d(np.array([INF, 1.0, INF])) == np.array([INF, 1.0, INF]))
+
+
+@st.composite
+def hull_rows(draw):
+    """A (chains, length) array as the sweep stacks it: rows of rounded
+    values (ties, collinear runs), exact lines, +inf entries, rows with 0 or
+    1 finite entries and +inf-padded tails."""
+    length = draw(st.integers(1, 24))
+    rounded = st.integers(-8, 8).map(lambda k: k / 4)
+    entry = st.one_of(rounded, st.floats(-1e3, 1e3), st.just(INF))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            row = draw(st.lists(entry, min_size=length, max_size=length))
+        else:
+            offset, slope = draw(rounded), draw(rounded)
+            row = [offset + slope * i for i in range(length)]
+        end = draw(st.integers(0, length))  # padded from here on
+        rows.append(row[:end] + [INF] * (length - end))
+    return np.array(rows, dtype=float).reshape(len(rows), length)
+
+
+@settings(max_examples=300)
+@given(hull_rows())
+def test_batched_hull_matches_per_chain_reference(values):
+    got = _hull_envelope_1d(values)
+    assert got.shape == values.shape
+    for row, want in zip(got, values):
+        assert np.array_equal(row, reference_hull_1d(want))
 
 
 @settings(max_examples=50)
