@@ -2,8 +2,9 @@
 
 Each invocation runs one task and writes ``summary.json`` plus
 ``detail.csv`` into the output directory. Exit codes encode verdicts so
-shell pipelines can assert results directly: 0 pass/consistent, 2
-violated/fail, 1 execution error, 64 invalid configuration. Reports embed
+shell pipelines can assert results directly: 0 for a verdict in
+``PASSING_VERDICTS``, 2 for any other, 1 execution error, 64 invalid
+configuration. Reports embed
 the fully resolved configuration (defaults included); with timestamps
 suppressed, identical configurations produce byte-identical files.
 
@@ -44,16 +45,6 @@ EXIT_PASS = 0
 EXIT_ERROR = 1
 EXIT_VIOLATED = 2
 EXIT_CONFIG = 64
-
-TASKS = (
-    "quadrature-check",
-    "gamma-limit",
-    "recoverability",
-    "convexify",
-    "converge",
-    "counterexamples",
-)
-
 
 class Model(NamedTuple):
     """Registry entry: how to build one model kind from its config section."""
@@ -140,50 +131,51 @@ def _model_keys(common: dict, *groups: str) -> dict:
     keys = dict(common)
     for group in groups:
         for model in MODELS[group].values():
-            keys.update((name, (parser, default)) for name, parser, default in model.keys)
+            keys.update((name, (parser, default, None)) for name, parser, default in model.keys)
     return keys
 
 
-# section -> key -> (parser, default); None default means required-if-used
+# section -> key -> (parser, default, least): a None default means
+# required-if-used, a None least no lower bound
 SCHEMA = {
     "run": {
-        "task": (str, None),
-        "seed": (int, 0),
-        "threads": (int, 1),
-        "quad-order": (int, 32),
-        "out": (str, "out"),
-        "no-timestamp": ("bool", False),
+        "task": (str, None, None),
+        "seed": (int, 0, None),
+        "threads": (int, 1, 1),
+        "quad-order": (int, 32, 2),  # the order of the smallest sphere rule
+        "out": (str, "out", None),
+        "no-timestamp": ("bool", False, None),
     },
     "density": _model_keys(
-        {"kind": (str, "frobenius-squared"), "dim": (int, 3)}, "density", "profile"
+        {"kind": (str, "frobenius-squared", None), "dim": (int, 3, None)}, "density", "profile"
     ),
-    "potential": _model_keys({"kind": (str, "power-bond")}, "potential"),
+    "potential": _model_keys({"kind": (str, "power-bond", None)}, "potential"),
     "lattice": {
-        "bound": (float, 3.0),
-        "step": (float, 0.1),
-        "mode": (str, "diagonal"),
-        "dim": (int, 3),
-        "directions": (int, 0),
-        "tol": (float, 1e-6),
-        "max-sweeps": (int, 40),
-        "fixed-point-tol": (float, 1e-5),
+        "bound": (float, 3.0, None),
+        "step": (float, 0.1, None),
+        "mode": (str, "diagonal", None),
+        "dim": (int, 3, None),
+        "directions": (int, 0, 0),
+        "tol": (float, 1e-6, 0),
+        "max-sweeps": (int, 40, 1),
+        "fixed-point-tol": (float, 1e-5, 0),
     },
     "converge": {
-        "deltas": ("floats", (0.2, 0.1, 0.05, 0.025)),
-        "cells-per-horizon": (int, 8),
-        "box": ("floats", (1.0, 1.0)),
-        "matrix": ("floats", (1.0, 0.0, 0.0, 2.0)),  # row-major affine gradient
-        "slope-min": (float, 0.9),
+        "deltas": ("floats", (0.2, 0.1, 0.05, 0.025), None),
+        "cells-per-horizon": (int, 8, 3),  # a horizon spans at least 3 cells
+        "box": ("floats", (1.0, 1.0), None),
+        "matrix": ("floats", (1.0, 0.0, 0.0, 2.0), None),  # row-major affine gradient
+        "slope-min": (float, 0.9, None),
     },
     "counterexamples": {
-        "lambda-max": (float, 100.0),
-        "lambda-count": (int, 200),
-        "a-value": (float, 1.0),
+        "lambda-max": (float, 100.0, None),
+        "lambda-count": (int, 200, 1),
+        "a-value": (float, 1.0, None),
     },
     "recoverability": {
-        "rel-tol": (float, recoverability.RESIDUAL_REL_TOL),
-        "randoms": (int, 20),
-        "trials": (int, 50),
+        "rel-tol": (float, recoverability.RESIDUAL_REL_TOL, 0),
+        "randoms": (int, 20, 0),
+        "trials": (int, 50, 1),
     },
 }
 
@@ -203,33 +195,36 @@ def _parse_number(kind, raw):
     return value
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
 def _parse_value(section: str, key: str, raw):
-    """Parse the value of ``[section] key``: text from INI or a flag, or a
-    typed JSON value."""
-    spec = SCHEMA[section][key][0]
+    """Parse the value of ``[section] key``, text from INI or a flag or a typed
+    JSON value, and hold it to the key's least value."""
+    spec, _, least = SCHEMA[section][key]
     try:
         if spec == "bool":
-            if isinstance(raw, bool):
-                return raw
-            text = str(raw).strip().lower()
-            if text in ("1", "true", "yes", "on"):
-                return True
-            if text in ("0", "false", "no", "off"):
-                return False
-            raise ValueError("expected a boolean")
-        if spec == "floats":
+            value = raw if isinstance(raw, bool) else _BOOLEANS.get(str(raw).strip().lower())
+            if value is None:
+                raise ValueError("expected a boolean")
+        elif spec == "floats":
             items = raw if isinstance(raw, (list, tuple)) else str(raw).replace(",", " ").split()
-            return tuple(_parse_number(float, item) for item in items)
-        if spec in (int, float):
-            return _parse_number(spec, raw)
-        return spec(raw)
+            value = tuple(_parse_number(float, item) for item in items)
+        elif spec in (int, float):
+            value = _parse_number(spec, raw)
+        else:
+            value = spec(raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+    if least is not None and value < least:
+        raise ConfigError(f"[{section}] {key} = {value!r}: need at least {least}")
+    return value
 
 
 def _defaults() -> dict:
     return {
-        section: {key: default for key, (_, default) in keys.items()}
+        section: {key: default for key, (_, default, _) in keys.items()}
         for section, keys in SCHEMA.items()
     }
 
@@ -297,11 +292,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
                 f"{len(box)}D [converge] box = {' '.join(map(repr, box))}"
             )
     # values fail here, whatever the task, before a task runs or a report names them
-    run, lattice, converge = sections["run"], sections["lattice"], sections["converge"]
-    counter, recover = sections["counterexamples"], sections["recoverability"]
-    _require(sections, "run", "threads", run["threads"] >= 1, "need at least 1")
-    _require(sections, "run", "quad-order", run["quad-order"] >= 2,
-             "need at least 2, the order of the smallest sphere rule")
+    lattice, converge = sections["lattice"], sections["converge"]
     _require(sections, "density", "dim", sections["density"]["dim"] in (2, 3),
              "supported dimensions are 2 and 3")
     try:
@@ -309,32 +300,19 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
     except (ValueError, ArithmeticError) as exc:  # e.g. bound / step overflows
         given = ", ".join(f"{key} = {lattice[key]!r}" for key in ("dim", "bound", "step", "mode"))
         raise ConfigError(f"[lattice] {given}: {exc}") from exc
-    _require(sections, "lattice", "directions", lattice["directions"] >= 0, "need at least 0")
     _require(sections, "lattice", "directions",
              lattice["directions"] == 0 or (lattice["mode"] == "full" and lattice["dim"] > 1),
              f"random dyads need a full lattice of dim > 1, not mode = {lattice['mode']}, "
              f"dim = {lattice['dim']}")
-    _require(sections, "lattice", "tol", lattice["tol"] >= 0, "need at least 0")
-    _require(sections, "lattice", "max-sweeps", lattice["max-sweeps"] >= 1, "need at least 1")
-    _require(sections, "lattice", "fixed-point-tol", lattice["fixed-point-tol"] >= 0,
-             "need at least 0")
     deltas, box = converge["deltas"], converge["box"]
     _require(sections, "converge", "deltas", len(deltas) >= 2 and min(deltas) > 0,
              "need at least two positive horizons to fit the slope the verdict reads")
-    _require(sections, "converge", "cells-per-horizon", converge["cells-per-horizon"] >= 3,
-             "a horizon must span at least 3 cells")
     _require(sections, "converge", "box", len(box) in (2, 3) and min(box) > 0,
              "need 2 or 3 positive sides")
     _require(sections, "converge", "matrix", len(converge["matrix"]) == len(box) ** 2,
              f"need {len(box) ** 2} row-major entries for the {len(box)}D [converge] box")
-    _require(sections, "counterexamples", "lambda-count", counter["lambda-count"] >= 1,
-             "need at least one stretch to scan")
-    _require(sections, "counterexamples", "a-value", counter["a-value"] > 0,
+    _require(sections, "counterexamples", "a-value", sections["counterexamples"]["a-value"] > 0,
              "need a positive value")
-    _require(sections, "recoverability", "rel-tol", recover["rel-tol"] >= 0, "need at least 0")
-    _require(sections, "recoverability", "randoms", recover["randoms"] >= 0, "need at least 0")
-    _require(sections, "recoverability", "trials", recover["trials"] >= 1,
-             "need at least one symmetry trial")
     build_model("profile", sections["density"], key="g")
     density = build_model("density", sections["density"])
     for section in ("density", "lattice"):  # convexify evaluates it on lattice matrices
@@ -424,7 +402,7 @@ def _write_reports(cfg: dict, summary: dict, rows: list, header: list) -> None:
             writer.writerow(row)
 
 
-def _task_quadrature_check(cfg: dict) -> tuple[dict, list, list, int]:
+def _task_quadrature_check(cfg: dict) -> tuple[dict, list, list]:
     order = cfg["run"]["quad-order"]
     rows = []
     worst_weight = 0.0
@@ -456,10 +434,10 @@ def _task_quadrature_check(cfg: dict) -> tuple[dict, list, list, int]:
         "verdict": "pass" if passed else "fail",
     }
     header = ["rule", "moment", "value", "reference", "error"]
-    return summary, rows, header, EXIT_PASS if passed else EXIT_VIOLATED
+    return summary, rows, header
 
 
-def _task_gamma_limit(cfg: dict) -> tuple[dict, list, list, int]:
+def _task_gamma_limit(cfg: dict) -> tuple[dict, list, list]:
     pot = build_model("potential", cfg["potential"])
     dim = cfg["potential"]["dim"]
     rule = build_rule(dim, cfg["run"]["quad-order"])
@@ -489,10 +467,10 @@ def _task_gamma_limit(cfg: dict) -> tuple[dict, list, list, int]:
         },
         "verdict": "pass" if passed else "fail",
     }
-    return summary, rows, ["matrix_row_major", "local_density"], EXIT_PASS if passed else EXIT_VIOLATED
+    return summary, rows, ["matrix_row_major", "local_density"]
 
 
-def _task_recoverability(cfg: dict) -> tuple[dict, list, list, int]:
+def _task_recoverability(cfg: dict) -> tuple[dict, list, list]:
     density = build_model("density", cfg["density"])
     dim = cfg["density"]["dim"]
     rule = build_rule(dim, cfg["run"]["quad-order"])
@@ -513,11 +491,10 @@ def _task_recoverability(cfg: dict) -> tuple[dict, list, list, int]:
         ])
     summary = {"task": "recoverability", **asdict(report)}
     header = ["index", "matrix_row_major", "lhs", "rhs", "residual", "classification", "within_tol"]
-    code = EXIT_PASS if report.verdict == "consistent" else EXIT_VIOLATED
-    return summary, rows, header, code
+    return summary, rows, header
 
 
-def _task_convexify(cfg: dict) -> tuple[dict, list, list, int]:
+def _task_convexify(cfg: dict) -> tuple[dict, list, list]:
     density = build_model("density", cfg["density"])
     lat = _lattice(cfg["lattice"])
     result = cvx.rank_one_convexify(
@@ -555,10 +532,10 @@ def _task_convexify(cfg: dict) -> tuple[dict, list, list, int]:
         "verdict": "fixed-point" if fixed else "lowered",
     }
     header = ["lattice_coordinates", "value", "interior"]
-    return summary, rows, header, EXIT_PASS if fixed else EXIT_VIOLATED
+    return summary, rows, header
 
 
-def _task_converge(cfg: dict) -> tuple[dict, list, list, int]:
+def _task_converge(cfg: dict) -> tuple[dict, list, list]:
     pot = build_model("potential", cfg["potential"])
     sides = cfg["converge"]["box"]
     dim = len(sides)
@@ -581,10 +558,10 @@ def _task_converge(cfg: dict) -> tuple[dict, list, list, int]:
         "verdict": "pass" if passed else "fail",
     }
     header = ["delta", "I_delta", "I_local", "gap", "slope_running"]
-    return summary, rows, header, EXIT_PASS if passed else EXIT_VIOLATED
+    return summary, rows, header
 
 
-def _task_counterexamples(cfg: dict) -> tuple[dict, list, list, int]:
+def _task_counterexamples(cfg: dict) -> tuple[dict, list, list]:
     rule = build_rule(3, cfg["run"]["quad-order"])
     jensen = recoverability.jensen_counterexample_suite(3, rule)
     lam_max = cfg["counterexamples"]["lambda-max"]
@@ -621,7 +598,7 @@ def _task_counterexamples(cfg: dict) -> tuple[dict, list, list, int]:
         "verdict": "confirmed" if confirmed else "not-confirmed",
     }
     header = ["suite", "case", "value", "expected", "ok"]
-    return summary, rows, header, EXIT_PASS if confirmed else EXIT_VIOLATED
+    return summary, rows, header
 
 
 _TASK_RUNNERS = {
@@ -632,18 +609,22 @@ _TASK_RUNNERS = {
     "converge": _task_converge,
     "counterexamples": _task_counterexamples,
 }
+TASKS = tuple(_TASK_RUNNERS)
+
+# the verdicts that exit EXIT_PASS; every other verdict exits EXIT_VIOLATED
+PASSING_VERDICTS = frozenset({"pass", "consistent", "fixed-point", "confirmed"})
 
 
 def run(cfg: dict) -> int:
     """Execute the configured task; returns the process exit code."""
     try:
-        summary, rows, header, code = _TASK_RUNNERS[cfg["run"]["task"]](cfg)
+        summary, rows, header = _TASK_RUNNERS[cfg["run"]["task"]](cfg)
     except Exception as exc:  # numerical divergence, bad geometry, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     _write_reports(cfg, summary, rows, header)
     print(f"{cfg['run']['task']}: {summary['verdict']}")
-    return code
+    return EXIT_PASS if summary["verdict"] in PASSING_VERDICTS else EXIT_VIOLATED
 
 
 class _Parser(argparse.ArgumentParser):

@@ -250,9 +250,9 @@ def _random_direction_pass(
 
     Off-lattice endpoints are read from the linear interpolant of the values
     at the start of the pass; interpolation along single-entry axes happens
-    along rank-one lines, so it never undershoots the true envelope. Only
-    meaningful in full mode; diagonal sublattices admit no off-axis rank-one
-    moves.
+    along rank-one lines, so it never undershoots the true envelope. Full
+    lattices of dim > 1 only, as ``rank_one_convexify`` checks; diagonal
+    sublattices admit no off-axis rank-one moves.
 
     Every endpoint of one dyad and weight pair is its lattice point shifted
     by the same vector, so the interpolant is a blend of 2^axes shifted views
@@ -260,7 +260,7 @@ def _random_direction_pass(
     whose two endpoints both stay on the lattice. +inf reads as NaN, which
     propagates through the blend (also at weight 0) and never lowers a point.
     """
-    if lattice.mode == "diagonal" or lattice.dim == 1 or count <= 0:
+    if count == 0:
         return values
     work = values.copy()
     # one edge layer past the last point: a corner there reads the last point
@@ -316,11 +316,16 @@ def rank_one_convexify(
         Must be evaluable (finite or +inf) at every lattice matrix.
     directions : int
         Extra random rank-one dyads per sweep on top of the integer dyad
-        set (full mode only).
+        set; at least 0, and 0 unless the lattice is full with dim > 1.
     tol, max_sweeps
         Stop when the largest pointwise decrement of a sweep drops to tol;
         running out of sweeps first leaves ``converged`` False.
     """
+    if directions < 0 or (directions > 0 and (lattice.mode != "full" or lattice.dim == 1)):
+        raise ValueError(
+            f"directions = {directions!r}: need 0, or more on a full lattice of dim > 1 "
+            f"(this one has mode = {lattice.mode}, dim = {lattice.dim})"
+        )
     initial = lattice.fill(density)
     values = initial.copy()
     tables = [_chains(values.shape, step) for step in lattice.directions()]

@@ -252,10 +252,16 @@ def _margin_cells(dom: BoxDomain, margin: float) -> list[int]:
     return out
 
 
-def _axis_pair_count(n: int, k: int, m: int) -> int:
-    lo = max(m, -k)
-    hi = min(n - 1 - m, n - 1 - k)
-    return max(0, hi - lo + 1)
+def _pair_ranges(res, k, margins):
+    """Per axis, the first and last outer cell whose partner at offset ``k``
+    lies in the box too; None when an axis has no such cell."""
+    ranges = []
+    for n, kj, m in zip(res, k, margins):
+        lo, hi = max(m, -kj), min(n - 1 - m, n - 1 - kj)
+        if hi < lo:
+            return None
+        ranges.append((lo, hi))
+    return ranges
 
 
 def _near_block_integral(
@@ -364,28 +370,21 @@ def nonlocal_energy(
     far = 0.0
     if field.kind == "affine":
         for k, xt, cov in stencil:
-            pairs = 1
-            for j in range(dim):
-                pairs *= _axis_pair_count(res[j], k[j], margins[j])
-            if pairs == 0:
+            ranges = _pair_ranges(res, k, margins)
+            if ranges is None:
                 continue
+            pairs = math.prod(hi - lo + 1 for lo, hi in ranges)
             val = float(w(-xt, field.difference(np.zeros(dim), xt)))
             far += cov * pairs * val
     else:
         u_grid = field.evaluate(dom.centers())  # (*res, m)
         for k, xt, cov in stencil:
-            sl_out, sl_in = [], []
-            for j in range(dim):
-                lo = max(margins[j], -k[j])
-                hi = min(res[j] - 1 - margins[j], res[j] - 1 - k[j])
-                if hi < lo:
-                    sl_out = None
-                    break
-                sl_out.append(slice(lo, hi + 1))
-                sl_in.append(slice(lo + k[j], hi + 1 + k[j]))
-            if sl_out is None:
+            ranges = _pair_ranges(res, k, margins)
+            if ranges is None:
                 continue
-            diff = u_grid[tuple(sl_out)] - u_grid[tuple(sl_in)]
+            sl_out = tuple(slice(lo, hi + 1) for lo, hi in ranges)
+            sl_in = tuple(slice(lo + kj, hi + 1 + kj) for (lo, hi), kj in zip(ranges, k))
+            diff = u_grid[sl_out] - u_grid[sl_in]
             vals = np.asarray(w(np.broadcast_to(-xt, diff.shape[:-1] + (dim,)), diff))
             far += cov * float(np.sum(vals))
     far *= cellvol * cellvol
@@ -436,11 +435,11 @@ class ConvergenceStudy:
 
     @property
     def fitted_slope(self) -> float:
-        deltas = [r[0] for r in self.rows]
-        gaps = [r[3] for r in self.rows]
-        if len(deltas) < 2 or any(g <= 0 for g in gaps):
+        """The last row's running slope, a fit over every row; nan unless
+        there are two rows or more and every gap is positive."""
+        if len(self.rows) < 2 or not all(row[3] > 0 for row in self.rows):
             return math.nan
-        return float(np.polyfit(np.log(deltas), np.log(gaps), 1)[0])
+        return self.rows[-1][4]
 
 
 def local_reference(

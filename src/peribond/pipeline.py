@@ -234,6 +234,8 @@ def verify_limit_invariances(
     against the density at A; passes when the worst deviation stays below
     rel_tol * (1 + |density(A)|).
     """
+    if trials < 1:  # with no trial every density would pass
+        raise ValueError(f"trials must be at least 1, not {trials!r}")
     a = np.asarray(a, dtype=float)
     m, n = a.shape
     base = local_density(limit, a, rule)

@@ -78,14 +78,13 @@ class PairwisePotential:
 
     ``fn`` maps arrays of shape (..., ref_dim) and (..., def_dim) to (...)
     values. ``beta`` is the declared homogeneity degree of the pair
-    (None = unknown), ``horizon`` the interaction radius (None = unscaled).
+    (None = unknown).
     """
 
     kind: str
     params: dict
     fn: Callable
     beta: float | None = None
-    horizon: float | None = None
     ref_dim: int = 3
     def_dim: int = 3
 
@@ -101,7 +100,6 @@ class PairwisePotential:
         kind: str = "custom-radial",
         params: dict | None = None,
         beta: float | None = None,
-        horizon: float | None = None,
         ref_dim: int = 3,
         def_dim: int = 3,
     ) -> "PairwisePotential":
@@ -113,9 +111,7 @@ class PairwisePotential:
             s = np.linalg.norm(y, axis=-1)
             return profile(r, s)
 
-        return PairwisePotential(
-            kind, dict(params or {}), fn, beta, horizon, ref_dim, def_dim
-        )
+        return PairwisePotential(kind, dict(params or {}), fn, beta, ref_dim, def_dim)
 
     @staticmethod
     def from_evaluator(
@@ -126,12 +122,10 @@ class PairwisePotential:
         def_dim: int = 3,
     ) -> "PairwisePotential":
         """Arbitrary evaluator, used by tests (e.g. anisotropic controls)."""
-        return PairwisePotential(kind, {}, fn, beta, None, ref_dim, def_dim)
+        return PairwisePotential(kind, {}, fn, beta, ref_dim, def_dim)
 
 
-def make_power_bond(
-    c: float, p: float, q: float, dim: int = 3, horizon: float | None = None
-) -> PairwisePotential:
+def make_power_bond(c: float, p: float, q: float, dim: int = 3) -> PairwisePotential:
     """Bond density c |y_def|^p / |x_ref|^q, homogeneity degree p - q.
 
     Evaluation at a zero reference offset is an error: the bond density
@@ -150,7 +144,6 @@ def make_power_bond(
         {"c": float(c), "p": float(p), "q": float(q)},
         fn,
         beta=float(p) - float(q),
-        horizon=horizon,
         ref_dim=dim,
         def_dim=dim,
     )

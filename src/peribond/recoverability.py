@@ -52,6 +52,8 @@ def extract_candidate(density: StoredEnergy, dim: int) -> CandidateProfile:
 def default_test_matrices(dim: int, seed: int = 0, randoms: int = 20) -> list[np.ndarray]:
     """Battery: identity multiples, volume-preserving stretches diag(l, 1/l, 1),
     a distinct-diagonal matrix, and seeded random matrices."""
+    if randoms < 0:
+        raise ValueError(f"randoms must be at least 0, not {randoms!r}")
     mats = [t * np.eye(dim) for t in (0.5, 1.0, 2.0)]
     for lam in (1.5, 2.0, 4.0):
         stretch = np.diag([lam, 1.0 / lam, 1.0][:dim])
@@ -136,6 +138,8 @@ def roundtrip_check(
     density value; residuals beyond rel_tol * (1 + |W(A)|) flip the verdict
     to 'violated', any one-sided infinity to 'infinite-violation'.
     """
+    if not rel_tol >= 0:  # a negative tolerance fails every finite row
+        raise ValueError(f"rel_tol must be at least 0, not {rel_tol!r}")
     if test_set is None:
         test_set = default_test_matrices(rule.dim, seed=seed)
     rows = [_residual_row(density, a, rule, rel_tol) for a in test_set]

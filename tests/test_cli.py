@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,13 +12,16 @@ import pytest
 
 from peribond import convexify as cvx
 from peribond.cli import (
+    _TASK_RUNNERS,
     MODELS,
+    SCHEMA,
     ConfigError,
     _json_safe,
     build_model,
     list_zoo,
     load_config,
     main,
+    run,
 )
 
 MR_CONFIG = """\
@@ -315,3 +319,40 @@ def test_out_of_range_value_exit_64(tmp_path, capsys, task, section, line, named
     text = f"[run]\ntask = {task}\n" + ("" if section == "run" else f"\n[{section}]\n")
     err = config_error(tmp_path, capsys, "bad.ini", f"{text}{line}\n")
     assert all(word in err for word in named), err
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--threads", "0", ["[run] threads", "0", "at least 1"]),
+    ("--quad-order", "1", ["[run] quad-order", "1", "at least 2"]),
+], ids=["threads-0", "quad-order-1"])
+def test_out_of_range_flag_exit_64(tmp_path, capsys, flag, value, named):
+    out = tmp_path / "o"
+    assert main(["--task", "quadrature-check", "--out", str(out), flag, value]) == 64
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert all(word in err for word in named), err
+
+
+@pytest.mark.parametrize("verdict, code", [
+    ("pass", 0), ("consistent", 0), ("fixed-point", 0), ("confirmed", 0),
+    ("fail", 2), ("violated", 2), ("infinite-violation", 2), ("lowered", 2),
+    ("not-confirmed", 2),
+])
+def test_exit_code_follows_verdict(tmp_path, monkeypatch, verdict, code):
+    def stub(cfg):
+        return {"task": "stub", "verdict": verdict}, [[1]], ["value"]
+
+    monkeypatch.setitem(_TASK_RUNNERS, "stub", stub)
+    cfg = load_config(None, overrides={"task": "quadrature-check", "out": str(tmp_path),
+                                       "no-timestamp": True})
+    cfg["run"]["task"] = "stub"
+    assert run(cfg) == code
+    assert json.loads((tmp_path / "summary.json").read_text())["verdict"] == verdict
+
+
+def test_readme_config_keys_match_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = " ".join(readme.split("Sections and keys:", 1)[1].split(".", 1)[0].split())
+    listed = {section: set(keys.split(", "))
+              for section, keys in re.findall(r"`\[([\w-]+)\]` ([^;]+)", paragraph)}
+    assert listed == {section: set(keys) for section, keys in SCHEMA.items()}

@@ -409,6 +409,17 @@ def test_random_directions_keep_convex_fixed_point():
     assert result.max_change_on_interior() < 1e-8
 
 
+@pytest.mark.parametrize("lattice, directions", [
+    (MatrixLattice(dim=3, bound=1.0, step=0.5, mode="diagonal"), 5),
+    (MatrixLattice(dim=1, bound=1.0, step=0.5, mode="full"), 2),
+    (MatrixLattice(dim=2, bound=1.0, step=0.5, mode="full"), -1),
+], ids=["diagonal", "full-1x1", "negative"])
+def test_directions_without_random_dyads_rejected(lattice, directions):
+    # a diagonal or 1x1 lattice has no random dyads: the count would be ignored
+    with pytest.raises(ValueError, match="directions"):
+        rank_one_convexify(frobenius_squared(), lattice, directions=directions)
+
+
 def test_mooney_rivlin_fixed_point():
     lat = MatrixLattice(dim=3, bound=3.0, step=0.1, mode="diagonal")
     density = make_mooney_rivlin(1.0, 1.0, ScalarProfile.well())

@@ -365,6 +365,18 @@ def test_convergence_study_affine():
     assert 0.8 <= study.fitted_slope <= 1.2
 
 
+@pytest.mark.parametrize("gaps, slope", [
+    ((0.4, 0.2, 0.1), 0.97),
+    ((0.4,), math.nan),  # one row fits no slope
+    ((0.4, 0.0, 0.1), math.nan),  # a zero gap has no logarithm
+    ((0.4, math.nan, 0.1), math.nan),
+], ids=["slope", "one-row", "zero-gap", "nan-gap"])
+def test_fitted_slope_reads_last_running_slope(gaps, slope):
+    # 0.97 stands for the running slope convergence_study writes in each row
+    rows = [(0.2 / 2**i, 1.0 + gap, 1.0, gap, 0.97) for i, gap in enumerate(gaps)]
+    assert horizon.ConvergenceStudy(rows).fitted_slope == pytest.approx(slope, nan_ok=True)
+
+
 def test_convergence_study_smooth_field_gaps_shrink():
     # quadratic map: gaps must decrease monotonically as the horizon shrinks
     u = DeformationField.analytic(

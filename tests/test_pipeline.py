@@ -225,3 +225,10 @@ def test_invariance_check_fails_for_anisotropic_control():
         limit, np.diag([1.0, 2.0, 3.0]), 20, 0, build_sphere_rule(32)
     )
     assert not report.passed
+
+
+def test_invariance_check_refuses_zero_trials():
+    # with no trial every density would pass, the anisotropic control above too
+    limit = compute_blowup(quadratic_bond(3))
+    with pytest.raises(ValueError, match="trials"):
+        verify_limit_invariances(limit, np.diag([1.0, 2.0, 3.0]), 0, 0, build_sphere_rule(32))

@@ -113,6 +113,15 @@ def test_default_battery_composition():
     assert all(np.array_equal(a, b) for a, b in zip(mats, again))
 
 
+def test_library_rejects_negative_counts_and_tolerances():
+    with pytest.raises(ValueError, match="randoms"):
+        default_test_matrices(3, randoms=-3)
+    with pytest.raises(ValueError, match="rel_tol"):
+        roundtrip_check(frobenius_squared(), RULE3, rel_tol=-1.0)
+    with pytest.raises(ValueError, match="rel_tol"):
+        roundtrip_check(frobenius_squared(), RULE3, rel_tol=math.nan)
+
+
 def test_roundtrip_consistent_for_affine_frobenius():
     report = roundtrip_check(affine_frobenius_squared(1.0, 2.0), RULE3)
     assert report.verdict == "consistent"
