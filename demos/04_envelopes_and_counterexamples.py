@@ -52,8 +52,8 @@ for row in suite.rows:
 
 # the stretch family that defeats every Mooney-Rivlin density
 lams = np.linspace(1.0, 100.0, 200)
-scan = mooney_rivlin_inequality_check(1.0, 1.0, ScalarProfile.power(0.0, 0.0), lams, rule=rule)
+scan = mooney_rivlin_inequality_check(1.0, ScalarProfile.power(0.0, 0.0), lams)
 print(f"\ncof-term inequality fails at stretch lambda = {scan.lambda_star} "
       f"(lhs {scan.lhs_at_failure:.3f} < rhs {scan.rhs_at_failure:.3f}, c = {scan.c_value:.5f})")
-scan0 = mooney_rivlin_inequality_check(1.0, 0.0, ScalarProfile.well(), lams, rule=rule)
+scan0 = mooney_rivlin_inequality_check(0.0, ScalarProfile.well(), lams)
 print(f"growth branch (beta = 0) fails at lambda = {scan0.lambda_star}")

@@ -140,7 +140,7 @@ def _model_keys(common: dict, *groups: str) -> dict:
 SCHEMA = {
     "run": {
         "task": (str, None, None),
-        "seed": (int, 0, None),
+        "seed": (int, 0, 0),
         "threads": (int, 1, 1),
         "quad-order": (int, 32, 2),  # the order of the smallest sphere rule
         "out": (str, "out", None),
@@ -168,7 +168,7 @@ SCHEMA = {
         "slope-min": (float, 0.9, None),
     },
     "counterexamples": {
-        "lambda-max": (float, 100.0, None),
+        "lambda-max": (float, 100.0, 1),  # the scan starts at stretch 1
         "lambda-count": (int, 200, 1),
         "a-value": (float, 1.0, None),
     },
@@ -562,17 +562,14 @@ def _task_converge(cfg: dict) -> tuple[dict, list, list]:
 
 
 def _task_counterexamples(cfg: dict) -> tuple[dict, list, list]:
-    rule = build_rule(3, cfg["run"]["quad-order"])
-    jensen = recoverability.jensen_counterexample_suite(3, rule)
-    lam_max = cfg["counterexamples"]["lambda-max"]
-    lams = np.linspace(1.0, lam_max, cfg["counterexamples"]["lambda-count"])
+    opts = cfg["counterexamples"]
+    jensen = recoverability.jensen_counterexample_suite(3, build_rule(3, cfg["run"]["quad-order"]))
+    lams = np.linspace(1.0, opts["lambda-max"], opts["lambda-count"])
     scan_cof = recoverability.mooney_rivlin_inequality_check(
-        1.0, 1.0, ScalarProfile.power(0.0, 0.0), lams,
-        a_value=cfg["counterexamples"]["a-value"], rule=rule,
+        1.0, ScalarProfile.power(0.0, 0.0), lams, a_value=opts["a-value"]
     )
     scan_growth = recoverability.mooney_rivlin_inequality_check(
-        1.0, 0.0, ScalarProfile.well(), lams,
-        a_value=cfg["counterexamples"]["a-value"], rule=rule,
+        0.0, ScalarProfile.well(), lams, a_value=opts["a-value"]
     )
     confirmed = jensen.all_ok and scan_cof.found and scan_growth.found
     rows = []

@@ -20,7 +20,7 @@ import numpy as np
 
 from .linalg import INF
 from .potentials import DET_TOL, ScalarProfile, StoredEnergy
-from .quadrature import SphereQuadrature, build_rule, sphere_measure
+from .quadrature import SphereQuadrature, sphere_measure
 
 #: residual tolerance |W(A)| -> 1e-6 * (1 + |W(A)|); quadrature error at the
 #: default orders is below 1e-8 on the built-in zoo, two orders of margin.
@@ -234,46 +234,15 @@ def jensen_counterexample_suite(
     return JensenReport(rows, all(r.ok for r in rows))
 
 
-_CUBIC_MEAN_BLOCK = 1024
+def cubic_mean_lower_constant() -> float:
+    """Least sphere mean of |Az|^3 over unit-Frobenius 3x3 matrices: 3^(-3/2).
 
-
-def cubic_mean_lower_constant(
-    rule: SphereQuadrature, grid: int = 96, seed: int = 0, randoms: int = 200
-) -> float:
-    """Smallest sphere mean of |Az|^3 over unit-Frobenius 3x3 matrices.
-
-    The mean is unchanged by A -> R1 A R2, so nonnegative diagonal matrices
-    exhaust the range; a seeded batch of random full matrices cross-checks
-    that reduction numerically.
+    Jensen's inequality for the convex map t -> t^(3/2) gives
+    mean |Az|^3 >= (mean |Az|^2)^(3/2) = (|A|^2 / 3)^(3/2) = 3^(-3/2), and
+    equality holds exactly when |Az| is constant on the sphere, that is at
+    A = R / sqrt(3) for a rotation R.
     """
-    if rule.dim != 3:
-        raise ValueError("the cubic-mean constant is a 3x3 quantity")
-    mean_w = rule.weights / rule.measure
-    z2 = rule.nodes**2  # (N, 3)
-
-    # nonnegative diagonal family: s on the unit-sphere octant
-    theta = np.linspace(0.0, math.pi / 2.0, grid)
-    phi = np.linspace(0.0, math.pi / 2.0, grid)
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    s = np.stack(
-        [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
-    ).reshape(-1, 3)
-    # column blocks bound the (N, block) temporary; one (N, grid^2) array
-    # would take ~150 MB at the default rule
-    best = math.inf
-    for start in range(0, len(s), _CUBIC_MEAN_BLOCK):
-        blk = s[start:start + _CUBIC_MEAN_BLOCK]
-        vals = z2 @ (blk * blk).T
-        np.power(vals, 1.5, out=vals)
-        best = min(best, float((mean_w @ vals).min()))
-
-    rng = np.random.default_rng(seed)
-    for _ in range(randoms):
-        a = rng.standard_normal((3, 3))
-        a /= np.linalg.norm(a)
-        m = float(np.dot(mean_w, np.linalg.norm(rule.nodes @ a.T, axis=-1) ** 3))
-        best = min(best, m)
-    return best
+    return 3.0**-1.5
 
 
 @dataclass(frozen=True)
@@ -295,28 +264,27 @@ class StretchScanReport:
 
 
 def mooney_rivlin_inequality_check(
-    alpha: float,
     beta: float,
     g: ScalarProfile,
     lambda_list,
     a_value: float = 1.0,
-    rule: SphereQuadrature | None = None,
     c_value: float | None = None,
 ) -> StretchScanReport:
     """Scan the stretch family diag(l, 1/l, (a/c)^(1/3)) for the inequality
-    every recoverable Mooney-Rivlin-type density would have to satisfy.
+    every recoverable Mooney-Rivlin-type density
+    alpha |A|^2 + beta |cof A|^2 + g(det A) would have to satisfy.
 
-    With beta > 0 the cofactor term must dominate a quartic in |A|, which
-    fails at a finite stretch; with beta = 0 the scan looks for growth of g
-    beyond its value at the reference point (g must not be eventually
-    constant for this branch to conclude). ``a_value`` is a point past which
-    g is nondecreasing; 1.0 covers every profile in the zoo. The constant c
-    is the least sphere mean of |Az|^3 on the unit Frobenius sphere, capped
-    at 1/a^2.
+    The alpha |A|^2 term satisfies the mean-value identity on its own, so it
+    cancels from both sides and the scan takes no alpha. With beta > 0 the
+    cofactor term must dominate a quartic in |A|, which fails at a finite
+    stretch; with beta = 0 the scan looks for growth of g beyond its value at
+    the reference point (g must not be eventually constant for this branch
+    to conclude). ``a_value`` is a point past which g is nondecreasing; 1.0
+    covers every profile in the zoo. The constant c is the least sphere mean
+    of |Az|^3 on the unit Frobenius sphere, 3^(-3/2), capped at 1/a^2.
     """
-    rule = rule if rule is not None else build_rule(3, 32)
     if c_value is None:
-        c_value = min(cubic_mean_lower_constant(rule), 1.0 / (a_value * a_value))
+        c_value = min(cubic_mean_lower_constant(), 1.0 / (a_value * a_value))
     ac = a_value / c_value
     rows = []
     lam_star = None

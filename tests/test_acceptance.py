@@ -188,9 +188,8 @@ def test_criterion_6_jensen_margins():
 def test_criterion_7_stretch_scans():
     start = time.time()
     lams = np.linspace(1.0, 100.0, 200)
-    rule = build_sphere_rule(32)
-    cof = mooney_rivlin_inequality_check(1.0, 1.0, ScalarProfile.power(0.0, 0.0), lams, rule=rule)
-    growth = mooney_rivlin_inequality_check(1.0, 0.0, ScalarProfile.well(), lams, rule=rule)
+    cof = mooney_rivlin_inequality_check(1.0, ScalarProfile.power(0.0, 0.0), lams)
+    growth = mooney_rivlin_inequality_check(0.0, ScalarProfile.well(), lams)
     elapsed = time.time() - start
     ok = (
         cof.found and cof.lambda_star <= 100.0

@@ -196,6 +196,21 @@ def test_converge_default_config_runs_2d_study(tmp_path):
     assert summary["config"]["potential"]["dim"] == 2
 
 
+def test_counterexamples_default_config_values(tmp_path):
+    # c = 3^(-3/2) puts the default scan's first stretch (lambda = 1) at
+    # diag(1, 1, sqrt(3)), where both branches have closed forms
+    out = tmp_path / "cx"
+    assert main(["--task", "counterexamples", "--out", str(out), "--no-timestamp"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    cof, growth = summary["stretch_scan_cof_term"], summary["stretch_scan_growth"]
+    assert cof["c_value"] == growth["c_value"] == 3.0**-1.5
+    assert cof["lambda_star"] == growth["lambda_star"] == 1.0
+    assert cof["lhs_at_failure"] == 7.0
+    assert cof["rhs_at_failure"] == pytest.approx(25.0 / 3.0, rel=1e-15)
+    assert growth["lhs_at_failure"] == pytest.approx((3.0**0.5 - 1.0) ** 2, rel=1e-14)
+    assert growth["rhs_at_failure"] == pytest.approx(((5.0 / 3.0) ** 1.5 - 1.0) ** 2, rel=1e-14)
+
+
 def test_converge_conflicting_potential_dim_exit_64(tmp_path):
     cfg = tmp_path / "conv.ini"
     cfg.write_text("[run]\ntask = converge\n\n[potential]\ndim = 3\n")
@@ -302,6 +317,9 @@ def test_unparsable_value_exit_64(tmp_path, capsys, name, text, named):
     ("converge", "converge", "box = 1 0", ["[converge] box"]),
     ("counterexamples", "counterexamples", "lambda-count = 0", ["[counterexamples] lambda-count"]),
     ("counterexamples", "counterexamples", "a-value = 0", ["[counterexamples] a-value"]),
+    ("counterexamples", "counterexamples", "lambda-max = 0.5",
+     ["[counterexamples] lambda-max", "0.5", "at least 1"]),
+    ("recoverability", "run", "seed = -1", ["[run] seed", "-1", "at least 0"]),
     ("recoverability", "recoverability", "rel-tol = -1", ["[recoverability] rel-tol", "-1"]),
     ("recoverability", "recoverability", "randoms = -3", ["[recoverability] randoms", "-3"]),
     ("gamma-limit", "recoverability", "trials = 0", ["[recoverability] trials", "0"]),
@@ -313,6 +331,7 @@ def test_unparsable_value_exit_64(tmp_path, capsys, name, text, named):
         "directions-on-diagonal-lattice", "negative-tol", "no-sweeps",
         "negative-fixed-point-tol", "no-deltas", "one-delta", "no-cells-per-horizon",
         "two-cells-per-horizon", "flat-box", "no-stretches", "zero-a-value",
+        "lambda-max-below-1", "negative-seed",
         "negative-rel-tol", "negative-randoms", "no-symmetry-trials", "3x3-density-2x2-lattice",
         "matrix-entries-off-box"])
 def test_out_of_range_value_exit_64(tmp_path, capsys, task, section, line, named):
@@ -324,7 +343,8 @@ def test_out_of_range_value_exit_64(tmp_path, capsys, task, section, line, named
 @pytest.mark.parametrize("flag, value, named", [
     ("--threads", "0", ["[run] threads", "0", "at least 1"]),
     ("--quad-order", "1", ["[run] quad-order", "1", "at least 2"]),
-], ids=["threads-0", "quad-order-1"])
+    ("--seed", "-1", ["[run] seed", "-1", "at least 0"]),
+], ids=["threads-0", "quad-order-1", "seed-minus-1"])
 def test_out_of_range_flag_exit_64(tmp_path, capsys, flag, value, named):
     out = tmp_path / "o"
     assert main(["--task", "quadrature-check", "--out", str(out), flag, value]) == 64
