@@ -15,15 +15,13 @@ or keys are errors, never ignored.
 
 import argparse
 import configparser
-import csv
-import itertools
 import json
 import math
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -361,8 +359,8 @@ def list_zoo() -> str:
 def _json_safe(value):
     """The one serializer of summary.json values: inf, -inf and nan become
     "inf", "-inf" and "nan", numpy scalars and arrays become Python values.
-    detail.csv needs none: ``csv`` writes a number as ``str``, which spells
-    the same three strings."""
+    detail.csv needs none: its writer formats a number with ``str``, which
+    spells the same three strings."""
     if isinstance(value, float):
         if math.isfinite(value):
             return float(value)
@@ -384,7 +382,35 @@ def _json_safe(value):
     return value
 
 
-def _write_reports(cfg: dict, summary: dict, rows: list, header: list) -> None:
+def _csv_lines(columns) -> str:
+    r"""The CSV records of one block: row i joins cell i of each column with
+    ",", ended by csv's "\r\n". Cells are ``str`` of numbers and plain
+    strings, what ``csv`` writes for them unquoted.
+
+    A cell that ``csv`` would quote, one holding ",", '"', "\r" or "\n",
+    raises ValueError instead. Counting those characters in the whole block
+    finds it: each row adds len(columns) - 1 commas and one "\r\n".
+    """
+    cells = [list(map(str, column)) for column in columns]
+    lines = list(map(",".join, zip(*cells, strict=True)))
+    rows = len(lines)
+    lines.append("")  # the last record's terminator
+    text = "\r\n".join(lines)
+    if (text.count(",") != rows * (len(cells) - 1) or text.count("\r") != rows
+            or text.count("\n") != rows or '"' in text):
+        bad = next(cell for column in cells for cell in column
+                   if any(char in cell for char in ',"\r\n'))
+        raise ValueError(f"detail.csv cell {bad!r} holds a comma, a quote or a line break")
+    return text
+
+
+def _write_reports(cfg: dict, summary: dict, columns, header: list) -> None:
+    """Write summary.json, then detail.csv block by block.
+
+    ``columns`` yields the columns of one block after another, len(header)
+    columns of equal length per block, so a task can stream its rows slab
+    by slab without holding the whole report.
+    """
     out_dir = Path(cfg["run"]["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = dict(summary)
@@ -395,14 +421,14 @@ def _write_reports(cfg: dict, summary: dict, rows: list, header: list) -> None:
         json.dumps(_json_safe(summary), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
+    columns = iter(columns)
     with open(out_dir / "detail.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        fh.write(_csv_lines([name] for name in header))
+        for block in zip(*[columns] * len(header), strict=True):
+            fh.write(_csv_lines(block))
 
 
-def _task_quadrature_check(cfg: dict) -> tuple[dict, list, list]:
+def _task_quadrature_check(cfg: dict) -> tuple[dict, tuple, list]:
     order = cfg["run"]["quad-order"]
     rows = []
     worst_weight = 0.0
@@ -434,20 +460,18 @@ def _task_quadrature_check(cfg: dict) -> tuple[dict, list, list]:
         "verdict": "pass" if passed else "fail",
     }
     header = ["rule", "moment", "value", "reference", "error"]
-    return summary, rows, header
+    return summary, tuple(zip(*rows)), header
 
 
-def _task_gamma_limit(cfg: dict) -> tuple[dict, list, list]:
+def _task_gamma_limit(cfg: dict) -> tuple[dict, tuple, list]:
     pot = build_model("potential", cfg["potential"])
     dim = cfg["potential"]["dim"]
     rule = build_rule(dim, cfg["run"]["quad-order"])
     beta_est = pipeline.estimate_beta(pot, seed=cfg["run"]["seed"])
     limit = pipeline.compute_blowup(pot)
     mats = recoverability.default_test_matrices(dim, seed=cfg["run"]["seed"], randoms=5)
-    rows = []
-    for a in mats:
-        value = pipeline.local_density(limit, a, rule)
-        rows.append([" ".join(repr(float(x)) for x in a.ravel()), value])
+    labels = [" ".join(repr(float(x)) for x in a.ravel()) for a in mats]
+    values = [float(pipeline.local_density(limit, a, rule)) for a in mats]
     check = pipeline.verify_limit_invariances(
         limit, np.diag(np.arange(1.0, dim + 1.0)), trials=cfg["recoverability"]["trials"],
         seed=cfg["run"]["seed"], rule=rule,
@@ -467,10 +491,10 @@ def _task_gamma_limit(cfg: dict) -> tuple[dict, list, list]:
         },
         "verdict": "pass" if passed else "fail",
     }
-    return summary, rows, ["matrix_row_major", "local_density"]
+    return summary, (labels, values), ["matrix_row_major", "local_density"]
 
 
-def _task_recoverability(cfg: dict) -> tuple[dict, list, list]:
+def _task_recoverability(cfg: dict) -> tuple[dict, tuple, list]:
     density = build_model("density", cfg["density"])
     dim = cfg["density"]["dim"]
     rule = build_rule(dim, cfg["run"]["quad-order"])
@@ -491,10 +515,26 @@ def _task_recoverability(cfg: dict) -> tuple[dict, list, list]:
         ])
     summary = {"task": "recoverability", **asdict(report)}
     header = ["index", "matrix_row_major", "lhs", "rhs", "residual", "classification", "within_tol"]
-    return summary, rows, header
+    return summary, tuple(zip(*rows)), header
 
 
-def _task_convexify(cfg: dict) -> tuple[dict, list, list]:
+def _lattice_columns(coordinates, values, interior) -> Iterator[list]:
+    """The detail.csv columns of lattice ``values`` and their ``interior``
+    mask: point labels, values and 0/1 flags, one block per leading-axis
+    slab, in C order. Each coordinate is formatted once; a slab's labels
+    are its head coordinate followed by those of the trailing axes, which
+    are built once."""
+    labels = [repr(float(c)) for c in coordinates]
+    tails = [""]
+    for _ in range(values.ndim - 1):
+        tails = [f"{tail} {label}" for tail in tails for label in labels]
+    for head, slab, inside in zip(labels, values, interior.astype(int)):
+        yield list(map(head.__add__, tails))
+        yield slab.ravel().tolist()
+        yield inside.ravel().tolist()
+
+
+def _task_convexify(cfg: dict) -> tuple[dict, Iterator[list], list]:
     density = build_model("density", cfg["density"])
     lat = _lattice(cfg["lattice"])
     result = cvx.rank_one_convexify(
@@ -511,16 +551,6 @@ def _task_convexify(cfg: dict) -> tuple[dict, list, list]:
         )
     change = result.max_change_on_interior()
     fixed = change <= cfg["lattice"]["fixed-point-tol"]
-    # C-order lattice points, each coordinate formatted once
-    labels = [repr(float(c)) for c in lat.coordinates]
-    rows = [
-        [" ".join(point), value, int(inside)]
-        for point, value, inside in zip(
-            itertools.product(labels, repeat=result.values.ndim),
-            result.values.ravel().tolist(),
-            result.interior_mask.ravel().tolist(),
-        )
-    ]
     summary = {
         "task": "convexify",
         "density": density.describe(),
@@ -532,10 +562,11 @@ def _task_convexify(cfg: dict) -> tuple[dict, list, list]:
         "verdict": "fixed-point" if fixed else "lowered",
     }
     header = ["lattice_coordinates", "value", "interior"]
-    return summary, rows, header
+    columns = _lattice_columns(lat.coordinates, result.values, result.interior_mask)
+    return summary, columns, header
 
 
-def _task_converge(cfg: dict) -> tuple[dict, list, list]:
+def _task_converge(cfg: dict) -> tuple[dict, tuple, list]:
     pot = build_model("potential", cfg["potential"])
     sides = cfg["converge"]["box"]
     dim = len(sides)
@@ -548,7 +579,6 @@ def _task_converge(cfg: dict) -> tuple[dict, list, list]:
     )
     slope = study.fitted_slope
     passed = not math.isnan(slope) and slope >= cfg["converge"]["slope-min"]
-    rows = [list(row) for row in study.rows]
     summary = {
         "task": "converge",
         "potential": {"kind": pot.kind, "params": pot.params},
@@ -558,10 +588,10 @@ def _task_converge(cfg: dict) -> tuple[dict, list, list]:
         "verdict": "pass" if passed else "fail",
     }
     header = ["delta", "I_delta", "I_local", "gap", "slope_running"]
-    return summary, rows, header
+    return summary, tuple(zip(*study.rows)), header
 
 
-def _task_counterexamples(cfg: dict) -> tuple[dict, list, list]:
+def _task_counterexamples(cfg: dict) -> tuple[dict, tuple, list]:
     opts = cfg["counterexamples"]
     jensen = recoverability.jensen_counterexample_suite(3, build_rule(3, cfg["run"]["quad-order"]))
     lams = np.linspace(1.0, opts["lambda-max"], opts["lambda-count"])
@@ -595,7 +625,7 @@ def _task_counterexamples(cfg: dict) -> tuple[dict, list, list]:
         "verdict": "confirmed" if confirmed else "not-confirmed",
     }
     header = ["suite", "case", "value", "expected", "ok"]
-    return summary, rows, header
+    return summary, tuple(zip(*rows)), header
 
 
 _TASK_RUNNERS = {
@@ -615,11 +645,11 @@ PASSING_VERDICTS = frozenset({"pass", "consistent", "fixed-point", "confirmed"})
 def run(cfg: dict) -> int:
     """Execute the configured task; returns the process exit code."""
     try:
-        summary, rows, header = _TASK_RUNNERS[cfg["run"]["task"]](cfg)
+        summary, columns, header = _TASK_RUNNERS[cfg["run"]["task"]](cfg)
     except Exception as exc:  # numerical divergence, bad geometry, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    _write_reports(cfg, summary, rows, header)
+    _write_reports(cfg, summary, columns, header)
     print(f"{cfg['run']['task']}: {summary['verdict']}")
     return EXIT_PASS if summary["verdict"] in PASSING_VERDICTS else EXIT_VIOLATED
 

@@ -291,10 +291,13 @@ def _near_block_integral(
         r_dom = np.minimum(np.min(t_hi, axis=2), np.min(t_lo, axis=2))
         r = np.minimum(r_block, r_dom)  # (C, M)
         acc = np.zeros(r.shape)
+        # u(x0) once per chunk; an affine field keeps its exact offset product
+        u0 = None if field.kind == "affine" else field.evaluate(x0)
         for gx, gw in zip(gl_x, gl_w):
             rho = 0.5 * r * (1.0 + gx)  # (C, M)
             offs = rho[..., None] * d  # x - x' = rho * direction
-            diffs = field.difference(np.broadcast_to(x0, offs.shape), x0 - offs)
+            y = x0 - offs
+            diffs = field.difference(x0, y) if u0 is None else u0 - field.evaluate(y)
             vals = np.asarray(w(offs, diffs), dtype=float)
             acc += gw * 0.5 * r * rho ** (dom.dim - 1) * vals
         out[start:start + step] = acc @ dir_weights

@@ -51,17 +51,21 @@ def blowup(
 ):
     """Numerical limit of w(t*x, t*y) / t^beta as t -> 0.
 
-    Evaluates on the geometric grid t_k = 2^-k over ``k_range`` and
-    accelerates the tail with Aitken extrapolation. Inputs may be stacked
-    arrays of offsets; the limit is taken elementwise.
+    Evaluates on the three finest levels t_k = 2^-k of the geometric grid
+    ``k_range``, the only ones the Cauchy test and the Aitken step read.
+    Inputs may be stacked arrays of offsets; the limit is taken elementwise.
 
     Raises
     ------
     BlowupError
-        If the scaled sequence is not Cauchy within ``rel_tol`` (relative),
-        which is what a wrong homogeneity degree produces.
+        If the scaled values are not finite on those levels, or not Cauchy
+        within ``rel_tol`` (relative), which is what a wrong homogeneity
+        degree produces.
     """
-    v = _scaled_values(w, beta, x_ref, y_def, k_range)
+    k_min, k_max = k_range
+    if k_max - k_min < 2:
+        raise ValueError(f"k_range {k_range!r} spans fewer than the three levels Aitken reads")
+    v = _scaled_values(w, beta, x_ref, y_def, (k_max - 2, k_max))
     if not np.all(np.isfinite(v)):
         raise BlowupError(
             f"scaled potential is not finite on the t-grid at degree {beta}"
@@ -156,6 +160,10 @@ def compute_blowup(
     The degree must be declared on the potential, passed explicitly, or
     estimated here; a silent mismatch between a declared and a passed value
     is an error because the horizon-scaling prefactor depends on it.
+
+    ``diagnostics`` samples every level of ``k_range`` at one reference
+    offset pair; :class:`BlowupError` is raised here when one of those
+    samples is not finite, since ``evaluate`` reads only the finest three.
     """
     if beta is not None and w.beta is not None and abs(beta - w.beta) > 1e-9:
         raise ValueError(
@@ -173,6 +181,11 @@ def compute_blowup(
     x0[0] = 1.0
     y0 = np.ones(w.def_dim) / math.sqrt(w.def_dim)
     samples = _scaled_values(w, beta_hat, x0, y0, k_range)
+    if not np.all(np.isfinite(samples)):
+        raise BlowupError(
+            f"scaled potential is not finite on the t-grid at degree {beta_hat} "
+            "at the reference offset pair"
+        )
     diag = {
         "t": [2.0**-k for k in range(k_range[0], k_range[1] + 1)],
         "scaled_samples": [float(s) for s in samples],

@@ -9,14 +9,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peribond import convexify as cvx
 from peribond.cli import (
     _TASK_RUNNERS,
     MODELS,
     SCHEMA,
+    TASKS,
     ConfigError,
     _json_safe,
+    _lattice_columns,
+    _write_reports,
     build_model,
     list_zoo,
     load_config,
@@ -242,6 +247,75 @@ def test_convexify_detail_csv_matches_per_point_loop(tmp_path):
                          _json_safe(float(result.values[idx])), int(mask[idx])])
     assert "inf" in buf.getvalue()
     assert (out / "detail.csv").read_bytes() == buf.getvalue().encode()
+
+
+def csv_writer_bytes(header, rows):
+    """What ``csv.writer`` writes for ``header`` and then ``rows``."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_detail_csv_matches_csv_writer(tmp_path, task):
+    cfg = load_config(None, overrides={"task": task, "out": str(tmp_path), "no-timestamp": True})
+    cfg["lattice"].update(bound=1.5, step=0.5)  # 7^3 points, not 61^3
+    assert run(cfg) in (0, 2)
+    # reference rows: the task's blocks of len(header) columns, transposed
+    _, columns, header = _TASK_RUNNERS[task](cfg)
+    columns = iter(columns)
+    rows = [row for block in zip(*[columns] * len(header)) for row in zip(*block)]
+    assert rows
+    assert (tmp_path / "detail.csv").read_bytes() == csv_writer_bytes(header, rows)
+
+
+LATTICES = [("diagonal", 1), ("diagonal", 2), ("diagonal", 3), ("full", 1), ("full", 2)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from(LATTICES), bound=st.sampled_from([1.0, 2.0]),
+       step=st.sampled_from([0.5, 1.0]), seed=st.integers(0, 2**32 - 1),
+       specials=st.lists(st.floats(), max_size=4))
+def test_lattice_detail_csv_matches_per_point_loop(tmp_path_factory, shape, bound, step,
+                                                   seed, specials):
+    mode, dim = shape
+    lat = cvx.MatrixLattice(dim=dim, bound=bound, step=step, mode=mode)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((lat.points_per_axis,) * lat.axes) * 10.0 ** rng.integers(-3, 4)
+    flat = values.reshape(-1)
+    flat[0], flat[-1] = np.inf, -np.inf
+    flat[rng.integers(0, flat.size, len(specials))] = specials
+    mask = rng.random(values.shape) < 0.5
+    out = tmp_path_factory.mktemp("lattice")
+    header = ["lattice_coordinates", "value", "interior"]
+    _write_reports({"run": {"out": str(out), "no-timestamp": True}}, {},
+                   _lattice_columns(lat.coordinates, values, mask), header)
+    coords = lat.coordinates
+    rows = [[" ".join(repr(float(coords[i])) for i in idx), float(values[idx]), int(mask[idx])]
+            for idx in np.ndindex(values.shape)]
+    assert (out / "detail.csv").read_bytes() == csv_writer_bytes(header, rows)
+
+
+@pytest.mark.parametrize("header, columns", [
+    (["a", "b"], [["1", "2"], ["x,y", "3"]]),
+    (["a"], [['say "x"']]),
+    (["a"], [["line\nbreak"]]),
+    (["a"], [["carriage\rreturn"]]),
+    (["a,b"], [[1]]),
+], ids=["comma", "quote", "newline", "return", "header"])
+def test_detail_csv_refuses_cells_csv_would_quote(tmp_path, header, columns):
+    with pytest.raises(ValueError, match="holds a comma, a quote or a line break"):
+        _write_reports({"run": {"out": str(tmp_path), "no-timestamp": True}}, {}, columns, header)
+
+
+def test_detail_csv_refuses_uneven_blocks(tmp_path):
+    cfg = {"run": {"out": str(tmp_path), "no-timestamp": True}}
+    with pytest.raises(ValueError):  # a column one row short
+        _write_reports(cfg, {}, [[1, 2], [3]], ["a", "b"])
+    with pytest.raises(ValueError):  # a block one column short
+        _write_reports(cfg, {}, [[1], [2], [3]], ["a", "b"])
 
 
 def test_list_zoo_is_the_registry():

@@ -457,6 +457,30 @@ def test_general_near_block_chunks_match_per_center_loop():
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
+def sampled_field(dom, seed):
+    rng = np.random.default_rng(seed)
+    centers = dom.centers()
+    return DeformationField.sampled(centers + 0.05 * rng.standard_normal(centers.shape), dom)
+
+
+@pytest.mark.parametrize("case", ["sampled-2d", "analytic-3d", "sampled-3d"])
+def test_near_block_matches_per_node_difference(case):
+    # u(x0) evaluated once per chunk against u(x0) - u(x0 - offset) per node
+    if case.endswith("2d"):
+        dom = BoxDomain((1.0, 1.0), (20, 24))
+    else:
+        dom = BoxDomain((1.0, 1.0, 1.0), (6, 5, 7))
+    if case == "analytic-3d":
+        u = DeformationField.analytic(lambda p: p + 0.1 * np.sin(p[..., ::-1]) ** 2)
+    else:
+        u = sampled_field(dom, 4)
+    w, rule = quadratic_bond(dom.dim), build_rule(dom.dim, 8)
+    centers = outer_centers(dom, [0] * dom.dim)
+    got = _near_block_integral(w, u, dom, centers, rule.nodes, rule.weights, 8)
+    want = reference_near_block_integral(w, u, dom, centers, rule.nodes, rule.weights, 8)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_local_reference_matches_per_cell_loop(dim):
     # more cells than one chunk (512 cells in 2D, 16 in 3D), the last partial

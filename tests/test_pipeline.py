@@ -25,6 +25,21 @@ def quadratic_bond(dim):
 LIMITS = {dim: compute_blowup(quadratic_bond(dim)) for dim in (2, 3)}
 
 
+def reference_blowup(w, beta, x_ref, y_def, k_range=(4, 12), rel_tol=1e-7):
+    """The blow-up limit evaluated on every level of ``k_range``, of which
+    the Cauchy test and the Aitken step read the finest three."""
+    v = np.stack([np.asarray(w(2.0**-k * x_ref, 2.0**-k * y_def), dtype=float) / (2.0**-k) ** beta
+                  for k in range(k_range[0], k_range[1] + 1)])
+    assert np.all(np.isfinite(v))
+    assert np.all(np.abs(v[-1] - v[-2]) <= rel_tol * (1.0 + np.abs(v[-1])))
+    d2 = v[-1] - 2.0 * v[-2] + v[-3]
+    num = (v[-1] - v[-2]) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = np.where(np.abs(d2) > 0.0, num / np.where(d2 == 0.0, 1.0, d2), 0.0)
+    corr = np.where(np.abs(corr) <= np.abs(v[-1] - v[-2]), corr, 0.0)
+    return v[-1] - corr
+
+
 def test_blowup_homogeneous_is_identity():
     w = quadratic_bond(3)
     x = np.array([1.0, 0.5, -0.25])
@@ -52,6 +67,41 @@ def test_blowup_slow_tail_needs_depth():
     with pytest.raises(BlowupError):
         blowup(w, 2.0, x, y)
     assert blowup(w, 2.0, x, y, k_range=(20, 44)) == pytest.approx(4.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("profile, beta, k_range", [
+    (lambda r, s: s * s / (r * r), 0.0, (4, 12)),
+    (lambda r, s: s**4 / r**3, 1.0, (4, 12)),
+    (lambda r, s: s * s / (r * r) * (1.0 + 1e-4 * r), 0.0, (4, 12)),  # Aitken corrects
+    (lambda r, s: s * s * (1.0 + r), 2.0, (20, 44)),
+], ids=["p2q2", "p4q3", "tail", "slow-tail-deep"])
+def test_blowup_reads_three_finest_levels(profile, beta, k_range):
+    w = PairwisePotential.from_radial_profile(profile, ref_dim=2, def_dim=3)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((40, 2))
+    y = rng.standard_normal((40, 3))
+    levels = []
+
+    def counted(x_ref, y_def):
+        levels.append(round(-math.log2(np.max(np.abs(x_ref)) / np.max(np.abs(x)))))
+        return w(x_ref, y_def)
+
+    got = blowup(counted, beta, x, y, k_range=k_range)
+    assert levels == [k_range[1] - 2, k_range[1] - 1, k_range[1]]
+    assert np.array_equal(got, reference_blowup(w, beta, x, y, k_range))
+    with pytest.raises(ValueError, match="three levels"):
+        blowup(w, beta, x, y, k_range=(k_range[1] - 1, k_range[1]))
+
+
+def test_compute_blowup_checks_every_level_at_reference_pair():
+    # not finite for |x| >= 2^-8: blowup reads t <= 2^-10 only and accepts
+    # the bond, compute_blowup samples every level and refuses it
+    w = PairwisePotential.from_radial_profile(
+        lambda r, s: np.where(r < 2.0**-8, s * s / (r * r), np.inf), ref_dim=2, def_dim=2
+    )
+    assert blowup(w, 0.0, np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 4.0
+    with pytest.raises(BlowupError, match="reference offset pair"):
+        compute_blowup(w, beta=0.0)
 
 
 def test_estimate_beta_powers():
