@@ -37,7 +37,7 @@ from .potentials import (
     make_power_bond,
     make_profile_energy,
 )
-from .quadrature import build_circle_rule, build_rule, build_sphere_rule, sphere_measure
+from .quadrature import build_rule, sphere_measure
 
 EXIT_PASS = 0
 EXIT_ERROR = 1
@@ -433,18 +433,16 @@ def _task_quadrature_check(cfg: dict) -> tuple[dict, tuple, list]:
     rows = []
     worst_weight = 0.0
     worst_moment = 0.0
-    for rule in (build_circle_rule(2 * order), build_sphere_rule(order)):
+    for n in (2, 3):
+        rule = build_rule(n, order)
         sigma = rule.measure
-        n = rule.dim
-        err_w = abs(float(np.sum(rule.weights)) - sigma)
+        total = float(np.sum(rule.weights))
+        err_w = abs(total - sigma)
         worst_weight = max(worst_weight, err_w)
-        rows.append([
-            f"S{n - 1}", "weight-sum",
-            float(np.sum(rule.weights)), sigma, err_w,
-        ])
+        rows.append([f"S{n - 1}", "weight-sum", total, sigma, err_w])
         for j in range(n):
             for k in range(n):
-                moment = float(np.dot(rule.weights, rule.nodes[:, j] * rule.nodes[:, k]))
+                moment = rule.integrate(rule.nodes[:, j] * rule.nodes[:, k])
                 ref = sigma / n if j == k else 0.0
                 err = abs(moment - ref)
                 worst_moment = max(worst_moment, err)

@@ -368,27 +368,24 @@ class ProbeReport:
         return self.convexity_violations == 0 and self.strictness_violations == 0
 
 
-def strict_polyconvexity_probe(
-    density: StoredEnergy, trials: int, seed: int, dim: int = 3
-) -> ProbeReport:
-    """Midpoint tests along random segments whose minors combine affinely.
+def strict_polyconvexity_probe(density: StoredEnergy, trials: int, seed: int) -> ProbeReport:
+    """Midpoint tests on 3x3 matrices along random segments whose minors
+    combine affinely.
 
     Pairs differing by a rank-one matrix have midpoints whose minors are the
     exact average of the endpoint minors, so strict polyconvexity forces a
     strictly convex midpoint inequality there. This is a refutation sampler,
     not a decision procedure: a clean report is evidence only.
     """
-    if dim not in (2, 3):
-        raise ValueError("probe supports square dimensions 2 and 3")
     rng = np.random.default_rng(seed)
     conv = 0
     strict = 0
     min_gap = INF
     worst: dict = {}
     for _ in range(trials):
-        a = rng.standard_normal((dim, dim))
-        u = rng.standard_normal(dim)
-        v = rng.standard_normal(dim)
+        a = rng.standard_normal((3, 3))
+        u = rng.standard_normal(3)
+        v = rng.standard_normal(3)
         d = np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
         d *= rng.uniform(0.2, 1.0)
         f_mid = density(a)

@@ -22,7 +22,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .pipeline import BlowupResult, compute_blowup, local_density
 from .potentials import PairwisePotential
-from .quadrature import build_rule
+from .quadrature import SphereQuadrature, build_rule
 
 
 def _slice_rule(n: int):
@@ -36,6 +36,8 @@ def _slice_rule(n: int):
 
 # built once: the eigenvalue solve costs more than a whole stencil's coverage
 _SLICE_Z, _SLICE_W = _slice_rule(24)
+# radial Gauss-Legendre rule of the near block's polar integral, on [-1, 1]
+_RADIAL_X, _RADIAL_W = leggauss(8)
 
 # chunk bounds of the batched horizon integrals: (center, direction, axis)
 # entries per near-block chunk, (cell, node) pairs per local-density call
@@ -264,19 +266,17 @@ def _pair_ranges(res, k, margins):
     return ranges
 
 
-def _near_block_integral(
-    w, field, dom, centers, directions, dir_weights, radial_nodes
-):
+def _near_block_integral(w, field, dom, centers, rule):
     """Polar integral of the bond density over the diagonal 3h-block.
 
-    ``centers`` has shape (C, dim); rays are clipped exactly to the block
-    and to the domain box. Returns shape (C,). Centers go through in chunks
-    of at most ``_NEAR_CHUNK`` (center, direction, axis) entries.
+    ``centers`` has shape (C, dim); rays along the nodes of the sphere rule
+    ``rule`` are clipped exactly to the block and to the domain box. Returns
+    shape (C,); a NaN integrand raises. Centers go through in chunks of at
+    most ``_NEAR_CHUNK`` (center, direction, axis) entries.
     """
-    gl_x, gl_w = leggauss(radial_nodes)
     half = 1.5 * dom.spacing  # block half-widths
     sides = np.asarray(dom.sides)
-    d = directions  # (M, dim)
+    d = rule.nodes  # (M, dim)
     with np.errstate(divide="ignore"):
         r_block = np.min(
             np.where(np.abs(d) > 0, half / np.abs(d), np.inf), axis=1
@@ -293,14 +293,14 @@ def _near_block_integral(
         acc = np.zeros(r.shape)
         # u(x0) once per chunk; an affine field keeps its exact offset product
         u0 = None if field.kind == "affine" else field.evaluate(x0)
-        for gx, gw in zip(gl_x, gl_w):
+        for gx, gw in zip(_RADIAL_X, _RADIAL_W):
             rho = 0.5 * r * (1.0 + gx)  # (C, M)
             offs = rho[..., None] * d  # x - x' = rho * direction
             y = x0 - offs
             diffs = field.difference(x0, y) if u0 is None else u0 - field.evaluate(y)
             vals = np.asarray(w(offs, diffs), dtype=float)
             acc += gw * 0.5 * r * rho ** (dom.dim - 1) * vals
-        out[start:start + step] = acc @ dir_weights
+        out[start:start + step] = rule.integrate(acc)
     return out
 
 
@@ -336,8 +336,7 @@ def nonlocal_energy(
     field: DeformationField,
     dom: BoxDomain,
     outer_margin: float = 0.0,
-    angular_order: int = 32,
-    radial_nodes: int = 8,
+    rule: SphereQuadrature | None = None,
 ) -> float:
     """Scaled pair energy (n+beta)/delta^(n+beta) * double integral of the
     bond density over interacting cell pairs.
@@ -353,6 +352,15 @@ def nonlocal_energy(
     outer_margin
         Restrict the outer integration to cells at least this far from the
         boundary (0 = whole box).
+    rule
+        Sphere rule of the near block's polar integral, on S^(dim-1);
+        default ``build_rule(dim, 32)``. Its radial rule is fixed at 8
+        Gauss-Legendre nodes.
+
+    Raises
+    ------
+    ValueError
+        If the far-field sum or the near block meets a NaN bond value.
     """
     if w.beta is not None and abs(beta - w.beta) > 1e-9:
         raise ValueError(
@@ -368,7 +376,10 @@ def nonlocal_energy(
     res = dom.resolution
     cellvol = dom.cell_volume
     stencil = _offset_stencil(dom, delta)
-    rule = build_rule(dim, angular_order)
+    if rule is None:
+        rule = build_rule(dim, 32)
+    elif rule.dim != dim:
+        raise ValueError(f"rule lives on S^{rule.dim - 1} but the domain is {dim}D")
 
     far = 0.0
     if field.kind == "affine":
@@ -390,6 +401,8 @@ def nonlocal_energy(
             diff = u_grid[sl_out] - u_grid[sl_in]
             vals = np.asarray(w(np.broadcast_to(-xt, diff.shape[:-1] + (dim,)), diff))
             far += cov * float(np.sum(vals))
+    if math.isnan(far):
+        raise ValueError("far-field sum of the bond density is NaN")
     far *= cellvol * cellvol
 
     # diagonal block in polar coordinates, per outer cell
@@ -400,9 +413,7 @@ def nonlocal_energy(
         inner = tuple(slice(m, n - m) for m, n in zip(margins, res))
         centers = dom.centers()[inner].reshape(-1, dim)
         counts = np.ones(len(centers))
-    values = _near_block_integral(
-        w, field, dom, centers, rule.nodes, rule.weights, radial_nodes
-    )
+    values = _near_block_integral(w, field, dom, centers, rule)
     near = float(np.sum(counts * values))
     near *= cellvol
 
@@ -469,15 +480,15 @@ def convergence_study(
     sides,
     deltas,
     cells_per_horizon: int = 8,
-    angular_order: int = 32,
-    radial_nodes: int = 8,
-    rule=None,
+    rule: SphereQuadrature | None = None,
 ) -> ConvergenceStudy:
     """Shrink the horizon and tabulate the gap to the local energy.
 
     The grid is rebuilt for each horizon at ``cells_per_horizon`` cells per
     delta, so the discretization error stays a fixed small fraction of the
-    energy while the boundary-layer gap shrinks linearly.
+    energy while the boundary-layer gap shrinks linearly. The one sphere
+    rule ``rule`` (default ``build_rule(dim, 32)``) serves both the near
+    block of each energy and the local reference.
     """
     sides = tuple(float(s) for s in sides)
     dim = len(sides)
@@ -490,10 +501,7 @@ def convergence_study(
         h = d / cells_per_horizon
         resolution = tuple(max(1, int(round(s / h))) for s in sides)
         dom = BoxDomain(sides, resolution)
-        energy = nonlocal_energy(
-            w, beta, d, field, dom,
-            angular_order=angular_order, radial_nodes=radial_nodes,
-        )
+        energy = nonlocal_energy(w, beta, d, field, dom, rule=rule)
         reference = local_reference(limit, field, dom, rule)
         gap = abs(energy - reference)
         slope = math.nan

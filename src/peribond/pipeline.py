@@ -47,7 +47,6 @@ def blowup(
     x_ref,
     y_def,
     k_range: tuple[int, int] = DEFAULT_K_RANGE,
-    rel_tol: float = BLOWUP_REL_TOL,
 ):
     """Numerical limit of w(t*x, t*y) / t^beta as t -> 0.
 
@@ -59,7 +58,7 @@ def blowup(
     ------
     BlowupError
         If the scaled values are not finite on those levels, or not Cauchy
-        within ``rel_tol`` (relative), which is what a wrong homogeneity
+        within ``BLOWUP_REL_TOL`` (relative), which is what a wrong homogeneity
         degree produces.
     """
     k_min, k_max = k_range
@@ -72,7 +71,7 @@ def blowup(
         )
     tail = np.abs(v[-1] - v[-2])
     scale = 1.0 + np.abs(v[-1])
-    if np.any(tail > rel_tol * scale):
+    if np.any(tail > BLOWUP_REL_TOL * scale):
         worst = float(np.max(tail / scale))
         raise BlowupError(
             f"no finite blow-up at degree {beta}: scaled values still move by "
@@ -90,27 +89,23 @@ def blowup(
     return float(limit) if limit.ndim == 0 else limit
 
 
-def estimate_beta(
-    w: PairwisePotential,
-    samples: int = 8,
-    seed: int = 0,
-    k_range: tuple[int, int] = DEFAULT_K_RANGE,
-    fit_tol: float = 1e-6,
-) -> float:
+def estimate_beta(w: PairwisePotential, seed: int = 0) -> float:
     """Homogeneity degree of w near zero by log-log slope in t.
 
     Averages least-squares slopes of log |w(t*x, t*y)| against log t over
-    random offset pairs. A curved fit or disagreeing slopes across samples
-    mean the potential is not asymptotically homogeneous, which is an error.
+    8 random offset pairs on the grid ``DEFAULT_K_RANGE``. A fit residual
+    or a slope spread above 1e-6 means the potential is not asymptotically
+    homogeneous, which is an error.
     """
     rng = np.random.default_rng(seed)
-    k_min, k_max = k_range
+    k_min, k_max = DEFAULT_K_RANGE
     log_t = np.array([-k * math.log(2.0) for k in range(k_min, k_max + 1)])
+    fit_tol = 1e-6
     slopes = []
-    for _ in range(samples):
+    for _ in range(8):
         x = rng.standard_normal(w.ref_dim)
         y = rng.standard_normal(w.def_dim)
-        v = _scaled_values(w, 0.0, x, y, k_range)
+        v = _scaled_values(w, 0.0, x, y, DEFAULT_K_RANGE)
         if np.any(v == 0.0) or not np.all(np.isfinite(v)):
             raise ValueError(
                 "potential vanishes or is non-finite along a sampled ray; "
@@ -148,20 +143,14 @@ class BlowupResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def compute_blowup(
-    w: PairwisePotential,
-    beta: float | None = None,
-    k_range: tuple[int, int] = DEFAULT_K_RANGE,
-    rel_tol: float = BLOWUP_REL_TOL,
-    seed: int = 0,
-) -> BlowupResult:
+def compute_blowup(w: PairwisePotential, beta: float | None = None) -> BlowupResult:
     """Resolve the homogeneity degree and package the small-scale limit.
 
     The degree must be declared on the potential, passed explicitly, or
     estimated here; a silent mismatch between a declared and a passed value
     is an error because the horizon-scaling prefactor depends on it.
 
-    ``diagnostics`` samples every level of ``k_range`` at one reference
+    ``diagnostics`` samples every level of ``DEFAULT_K_RANGE`` at one reference
     offset pair; :class:`BlowupError` is raised here when one of those
     samples is not finite, since ``evaluate`` reads only the finest three.
     """
@@ -171,23 +160,23 @@ def compute_blowup(
         )
     beta_hat = beta if beta is not None else w.beta
     if beta_hat is None:
-        beta_hat = estimate_beta(w, seed=seed, k_range=k_range)
+        beta_hat = estimate_beta(w)
     beta_hat = float(beta_hat)
 
     def evaluate(x_ref, y_def):
-        return blowup(w, beta_hat, x_ref, y_def, k_range=k_range, rel_tol=rel_tol)
+        return blowup(w, beta_hat, x_ref, y_def)
 
     x0 = np.zeros(w.ref_dim)
     x0[0] = 1.0
     y0 = np.ones(w.def_dim) / math.sqrt(w.def_dim)
-    samples = _scaled_values(w, beta_hat, x0, y0, k_range)
+    samples = _scaled_values(w, beta_hat, x0, y0, DEFAULT_K_RANGE)
     if not np.all(np.isfinite(samples)):
         raise BlowupError(
             f"scaled potential is not finite on the t-grid at degree {beta_hat} "
             "at the reference offset pair"
         )
     diag = {
-        "t": [2.0**-k for k in range(k_range[0], k_range[1] + 1)],
+        "t": [2.0**-k for k in range(DEFAULT_K_RANGE[0], DEFAULT_K_RANGE[1] + 1)],
         "scaled_samples": [float(s) for s in samples],
         "extrapolation_residual": float(abs(samples[-1] - samples[-2])),
     }
@@ -239,13 +228,12 @@ def verify_limit_invariances(
     trials: int,
     seed: int,
     rule: SphereQuadrature,
-    rel_tol: float = 1e-7,
 ) -> SymmetryReport:
     """Check the local density is unchanged by pre/post rotation of A.
 
     Draws Haar rotation pairs (R1, R2) and compares the density at R1 A R2
     against the density at A; passes when the worst deviation stays below
-    rel_tol * (1 + |density(A)|).
+    1e-7 * (1 + |density(A)|).
     """
     if trials < 1:  # with no trial every density would pass
         raise ValueError(f"trials must be at least 1, not {trials!r}")
@@ -258,5 +246,5 @@ def verify_limit_invariances(
         r1 = rotation_from_rng(m, rng)
         r2 = rotation_from_rng(n, rng)
         worst = max(worst, abs(local_density(limit, r1 @ a @ r2, rule) - base))
-    tol = rel_tol * (1.0 + abs(base))
+    tol = 1e-7 * (1.0 + abs(base))
     return SymmetryReport(base, worst, tol, worst <= tol, trials)

@@ -5,8 +5,9 @@ they evaluate through a radial profile of (|reference offset|, |deformed
 offset|) only. Stored energies evaluate square matrices to extended reals
 (+inf marks the incompressible constraint). Every built-in carries a
 serializable ``kind`` plus ``params`` so reports can round-trip the exact
-model; arbitrary callables are accepted through the ``custom`` entry points
-for tests and probes, at the price of not being serializable.
+model; arbitrary callables are accepted through ``custom_energy`` and
+``PairwisePotential.from_evaluator`` for tests and probes, at the price of
+not being serializable.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ class ScalarProfile:
 
     Kinds form a closed, serializable enumeration: ``power`` (coeff * t**p),
     ``affine-square`` (a + b*t^2), ``well`` ((t-1)^2) and ``indicator``
-    (0 at t=1, +inf elsewhere). ``custom`` wraps an arbitrary evaluator.
+    (0 at t=1, +inf elsewhere, within ``DET_TOL``).
     """
 
     kind: str
@@ -60,16 +61,12 @@ class ScalarProfile:
         return ScalarProfile("well", {}, lambda t: (t - 1.0) ** 2)
 
     @staticmethod
-    def indicator(tol: float = DET_TOL) -> "ScalarProfile":
+    def indicator() -> "ScalarProfile":
         return ScalarProfile(
             "indicator",
-            {"tol": float(tol)},
-            lambda t, tol=tol: np.where(np.abs(t - 1.0) <= tol, 0.0, INF),
+            {"tol": DET_TOL},
+            lambda t: np.where(np.abs(t - 1.0) <= DET_TOL, 0.0, INF),
         )
-
-    @staticmethod
-    def custom(fn: Callable, label: str = "custom") -> "ScalarProfile":
-        return ScalarProfile("custom", {"label": label}, fn)
 
 
 @dataclass(frozen=True)
@@ -132,17 +129,15 @@ def make_power_bond(c: float, p: float, q: float, dim: int = 3) -> PairwisePoten
     blows up at the origin and the diagonal never enters any integral here.
     """
 
-    def fn(x, y, c=float(c), p=float(p), q=float(q)):
-        r = np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
+    def profile(r, s, c=float(c), p=float(p), q=float(q)):
         if np.any(r == 0.0):
             raise ValueError("power bond evaluated at zero reference offset")
-        s = np.linalg.norm(np.asarray(y, dtype=float), axis=-1)
         return c * s**p / r**q
 
-    return PairwisePotential(
+    return PairwisePotential.from_radial_profile(
+        profile,
         "power-bond",
         {"c": float(c), "p": float(p), "q": float(q)},
-        fn,
         beta=float(p) - float(q),
         ref_dim=dim,
         def_dim=dim,

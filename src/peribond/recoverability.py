@@ -130,18 +130,18 @@ def roundtrip_check(
     rule: SphereQuadrature,
     test_set=None,
     rel_tol: float = RESIDUAL_REL_TOL,
-    seed: int = 0,
 ) -> RecoverabilityReport:
     """Extract the candidate profile and test whether it reproduces the density.
 
-    The candidate's sphere integral at each test matrix is compared with the
+    The candidate's sphere integral at each test matrix (by default the
+    battery ``default_test_matrices(rule.dim)``) is compared with the
     density value; residuals beyond rel_tol * (1 + |W(A)|) flip the verdict
     to 'violated', any one-sided infinity to 'infinite-violation'.
     """
     if not rel_tol >= 0:  # a negative tolerance fails every finite row
         raise ValueError(f"rel_tol must be at least 0, not {rel_tol!r}")
     if test_set is None:
-        test_set = default_test_matrices(rule.dim, seed=seed)
+        test_set = default_test_matrices(rule.dim)
     rows = [_residual_row(density, a, rule, rel_tol) for a in test_set]
 
     finite = [abs(r.residual) for r in rows if r.classification == "finite"]
@@ -185,9 +185,7 @@ class JensenReport:
     all_ok: bool
 
 
-def jensen_counterexample_suite(
-    dim: int, rule: SphereQuadrature, zero_tol: float = 1e-10
-) -> JensenReport:
+def jensen_counterexample_suite(dim: int, rule: SphereQuadrature) -> JensenReport:
     """Counterexample margins that block whole families of densities.
 
     For profiles of the squared Frobenius norm the identity forces
@@ -195,7 +193,8 @@ def jensen_counterexample_suite(
     strictly larger whenever z -> |Az| is nonconstant (and strictly smaller
     for strictly concave g), with equality at identity multiples. For
     profiles of |cof A| on 3x3 matrices the corresponding mean dominates
-    g(|A|^2 / sqrt(3)) on the volume-preserving stretches.
+    g(|A|^2 / sqrt(3)) on the volume-preserving stretches. A margin expected
+    to be zero passes within 1e-10.
     """
     if dim != rule.dim:
         raise ValueError("suite dimension must match the quadrature rule")
@@ -220,7 +219,7 @@ def jensen_counterexample_suite(
         )
         m0 = frob_margin(profile, eye)
         rows.append(
-            JensenRow("frobenius", label, eye, m0, "zero", abs(m0) <= zero_tol)
+            JensenRow("frobenius", label, eye, m0, "zero", abs(m0) <= 1e-10)
         )
 
     if dim == 3:

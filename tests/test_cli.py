@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peribond import convexify as cvx
+from peribond import horizon
 from peribond.cli import (
     _TASK_RUNNERS,
     MODELS,
@@ -28,6 +29,7 @@ from peribond.cli import (
     main,
     run,
 )
+from peribond.quadrature import build_rule
 
 MR_CONFIG = """\
 [run]
@@ -199,6 +201,29 @@ def test_converge_default_config_runs_2d_study(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["verdict"] == "pass"
     assert summary["config"]["potential"]["dim"] == 2
+
+
+def test_converge_quad_order_drives_both_sphere_integrals(tmp_path):
+    # quad-order 16 reaches the near block of each energy as well as the
+    # local reference: the rows are the library study's at build_rule(2, 16)
+    cfg = tmp_path / "converge.ini"
+    cfg.write_text("[run]\ntask = converge\nquad-order = 16\n\n[potential]\ndim = 2\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "--no-timestamp"]) == 0
+    resolved = json.loads((out / "summary.json").read_text())["config"]
+    pot, conv = build_model("potential", resolved["potential"]), resolved["converge"]
+    field = horizon.DeformationField.affine(np.reshape(conv["matrix"], (2, 2)))
+
+    def study(deltas, **rule):
+        return horizon.convergence_study(pot, pot.beta, field, conv["box"], deltas,
+                                         cells_per_horizon=conv["cells-per-horizon"], **rule)
+
+    with open(out / "detail.csv", newline="") as fh:
+        rows = [list(map(float, row)) for row in list(csv.reader(fh))[1:]]
+    want = study(conv["deltas"], rule=build_rule(2, 16)).rows
+    np.testing.assert_array_equal(rows, want)  # the first row's slope is nan
+    # the energy itself moves with the rule, not only the local reference
+    assert rows[0][1] != study(conv["deltas"][:1]).rows[0][1]
 
 
 def test_counterexamples_default_config_values(tmp_path):

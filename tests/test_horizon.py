@@ -342,6 +342,33 @@ def test_energy_validations():
         nonlocal_energy(w, 0.0, 0.1, u, dom, outer_margin=0.6)
 
 
+@pytest.mark.parametrize("block", ["far", "near"])
+def test_energy_raises_on_nan_bond_values(block):
+    # 30^2 cells, delta = 0.1: outer cells start at x = 0.117 under the 0.1
+    # margin, so their near blocks stop at x = 0.067 while the far field
+    # reaches partners down to x = 0.017. The second field is NaN off the
+    # cell centers, which only the near block's polar nodes leave.
+    dom = BoxDomain((1.0, 1.0), (30, 30))
+    if block == "far":
+        u = DeformationField.analytic(
+            lambda p: np.where(p[..., :1] < 0.06, np.nan, p), out_dim=2)
+    else:
+        def u_fn(p):
+            idx = p * 30 - 0.5
+            on_grid = np.all(np.abs(idx - np.rint(idx)) < 1e-9, axis=-1)
+            return np.where(on_grid[..., None], p, np.nan)
+        u = DeformationField.analytic(u_fn, out_dim=2)
+    with pytest.raises(ValueError, match="far-field" if block == "far" else "quadrature node"):
+        nonlocal_energy(quadratic_bond(2), 0.0, 0.1, u, dom, outer_margin=0.1)
+
+
+def test_energy_rejects_rule_of_other_dimension():
+    dom = BoxDomain((1.0, 1.0), (40, 40))
+    with pytest.raises(ValueError, match="S\\^2"):
+        nonlocal_energy(quadratic_bond(2), 0.0, 0.1, DeformationField.affine(A2), dom,
+                        rule=build_rule(3, 8))
+
+
 def test_two_grid_estimate_bounds_refinement():
     # halving h again moves the energy by less than the reported estimate
     w = quadratic_bond(2)
@@ -391,7 +418,7 @@ def test_convergence_study_smooth_field_gaps_shrink():
     )
     study = convergence_study(
         quadratic_bond(2), 0.0, u, (1.0, 1.0), [0.25, 0.125], cells_per_horizon=6,
-        angular_order=16, radial_nodes=6,
+        rule=build_rule(2, 16),
     )
     gaps = [row[3] for row in study.rows]
     assert gaps[1] < gaps[0]
@@ -417,7 +444,7 @@ def test_affine_clipping_classes_match_per_center_loop(sides, res, delta, margin
     dirs, weights = rule.nodes, rule.weights
     margins = _margin_cells(dom, margin)
     centers, counts = _clipping_classes(dom, margins)
-    values = _near_block_integral(w, u, dom, centers, dirs, weights, 8)
+    values = _near_block_integral(w, u, dom, centers, rule)
     # the loop at the midpoint for the cells off the walls, and at every
     # outermost ("ring") cell itself
     cells = outer_centers(dom, margins)
@@ -433,7 +460,7 @@ def test_affine_clipping_classes_match_per_center_loop(sides, res, delta, margin
     # is its class's (per axis: 0 first cell, 1 inner, 2 last cell)
     assert len(counts) == (3 ** dim if margin == 0 else 1)
     assert counts.sum() == len(cells)
-    per_cell = _near_block_integral(w, u, dom, cells, dirs, weights, 8)
+    per_cell = _near_block_integral(w, u, dom, cells, rule)
     cell_class = np.where(idx == 0, 0, np.where(idx == np.array(res) - 1, 2, 1))
     h = dom.spacing
     rep_class = np.where(centers < h, 0, np.where(centers > np.array(sides) - h, 2, 1))
@@ -452,7 +479,7 @@ def test_general_near_block_chunks_match_per_center_loop():
     dirs, weights = rule.nodes, rule.weights
     centers = outer_centers(dom, [0, 0])
     assert len(centers) > 512 and len(centers) % 512
-    got = _near_block_integral(w, u, dom, centers, dirs, weights, 8)
+    got = _near_block_integral(w, u, dom, centers, rule)
     want = reference_near_block_integral(w, u, dom, centers, dirs, weights, 8)
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
@@ -476,7 +503,7 @@ def test_near_block_matches_per_node_difference(case):
         u = sampled_field(dom, 4)
     w, rule = quadratic_bond(dom.dim), build_rule(dom.dim, 8)
     centers = outer_centers(dom, [0] * dom.dim)
-    got = _near_block_integral(w, u, dom, centers, rule.nodes, rule.weights, 8)
+    got = _near_block_integral(w, u, dom, centers, rule)
     want = reference_near_block_integral(w, u, dom, centers, rule.nodes, rule.weights, 8)
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
