@@ -521,15 +521,21 @@ def _lattice_columns(coordinates, values, interior) -> Iterator[list]:
     mask: point labels, values and 0/1 flags, one block per leading-axis
     slab, in C order. Each coordinate is formatted once; a slab's labels
     are its head coordinate followed by those of the trailing axes, which
-    are built once."""
+    are built once. Each distinct value is formatted once too, keyed on its
+    bits, which keeps -0.0 apart from 0.0."""
     labels = [repr(float(c)) for c in coordinates]
     tails = [""]
     for _ in range(values.ndim - 1):
         tails = [f"{tail} {label}" for tail in tails for label in labels]
-    for head, slab, inside in zip(labels, values, interior.astype(int)):
+    bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+    cells = np.array(list(map(str, bits.view(float).tolist())), dtype=object)
+    flags = np.array(["0", "1"], dtype=object)
+    slabs = inverse.reshape(len(values), -1)
+    insides = interior.astype(int).reshape(len(values), -1)
+    for head, slab, inside in zip(labels, slabs, insides):
         yield list(map(head.__add__, tails))
-        yield slab.ravel().tolist()
-        yield inside.ravel().tolist()
+        yield cells[slab].tolist()
+        yield flags[inside].tolist()
 
 
 def _task_convexify(cfg: dict) -> tuple[dict, Iterator[list], list]:

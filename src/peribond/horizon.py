@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .linalg import vector_norm
 from .pipeline import BlowupResult, compute_blowup, local_density
 from .potentials import PairwisePotential
 from .quadrature import SphereQuadrature, build_rule
@@ -233,8 +234,8 @@ def _offset_stencil(dom: BoxDomain, delta: float):
     cov = _offset_coverage(h, delta, reach)
     k = np.indices(cov.shape).reshape(dom.dim, -1).T - np.array(reach)  # C order
     ka = np.abs(k)
-    dmin = np.linalg.norm(np.maximum(ka - 0.5, 0.0) * h, axis=1)
-    dmax = np.linalg.norm((ka + 0.5) * h, axis=1)
+    dmin = vector_norm(np.maximum(ka - 0.5, 0.0) * h)
+    dmax = vector_norm((ka + 0.5) * h)
     cov = np.where(dmax <= delta, 1.0, cov.ravel())
     # the diagonal block is integrated in polar coordinates
     keep = (np.max(ka, axis=1) > 1) & (dmin <= delta) & (cov > 0.0)
@@ -285,11 +286,13 @@ def _near_block_integral(w, field, dom, centers, rule):
     out = np.empty(len(centers))
     for start in range(0, len(centers), step):
         x0 = centers[start:start + step, None, :]  # (C, 1, dim)
+        r = r_block
+        # each wall in turn: a minimum is exact, so the order does not matter
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_hi = np.where(d > 0, (sides - x0) / d, np.inf)  # (C, M, dim)
-            t_lo = np.where(d < 0, -x0 / d, np.inf)
-        r_dom = np.minimum(np.min(t_hi, axis=2), np.min(t_lo, axis=2))
-        r = np.minimum(r_block, r_dom)  # (C, M)
+            for j, dj in enumerate(d.T):
+                xj = x0[..., j]  # (C, 1)
+                r = np.minimum(r, np.where(dj > 0, (sides[j] - xj) / dj, np.inf))
+                r = np.minimum(r, np.where(dj < 0, -xj / dj, np.inf))  # (C, M)
         acc = np.zeros(r.shape)
         # u(x0) once per chunk; an affine field keeps its exact offset product
         u0 = None if field.kind == "affine" else field.evaluate(x0)
@@ -489,10 +492,23 @@ def convergence_study(
     energy while the boundary-layer gap shrinks linearly. The one sphere
     rule ``rule`` (default ``build_rule(dim, 32)``) serves both the near
     block of each energy and the local reference.
+
+    Raises
+    ------
+    ValueError
+        If ``deltas`` is empty or holds a horizon that is not positive, or
+        if ``cells_per_horizon`` is not an integer of at least 3. One
+        horizon is a study without a slope; the CLI, whose verdict reads the
+        slope, asks for two.
     """
     sides = tuple(float(s) for s in sides)
     dim = len(sides)
     deltas = [float(d) for d in deltas]
+    if not deltas or not all(d > 0 for d in deltas):
+        raise ValueError(f"deltas = {deltas!r}: need one positive horizon or more")
+    if (isinstance(cells_per_horizon, bool) or not isinstance(cells_per_horizon, (int, np.integer))
+            or cells_per_horizon < 3):
+        raise ValueError(f"cells_per_horizon = {cells_per_horizon!r}: need an integer of at least 3")
     rule = rule if rule is not None else build_rule(dim, 32)
     limit = compute_blowup(w, beta)
     rows = []

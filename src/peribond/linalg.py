@@ -40,6 +40,24 @@ def frobenius(a) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
+def vector_norm(v) -> np.ndarray:
+    """Euclidean norm over the last axis, of length 1 to 3: the square root
+    of the squared components summed one after the other, in order.
+
+    That is numpy's own summation order for so short an axis, so every
+    number is bit-equal to ``np.linalg.norm(v, axis=-1)``, without its
+    reduction; a NaN stays NaN, though its payload bits may differ.
+    """
+    v = np.asarray(v, dtype=float)
+    n = v.shape[-1] if v.ndim else 0
+    if not 1 <= n <= MAX_DIM:
+        raise ValueError(f"vector length must lie in 1..{MAX_DIM}, got shape {v.shape}")
+    total = v[..., 0] * v[..., 0]
+    for j in range(1, n):
+        total += v[..., j] * v[..., j]
+    return np.sqrt(total)
+
+
 def determinant(a) -> float | np.ndarray:
     """Determinant by explicit cofactor expansion, square n <= 3 only."""
     a = _as_matrix(a)

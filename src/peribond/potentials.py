@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import INF, cofactor, determinant, frobenius
+from .linalg import INF, cofactor, determinant, frobenius, vector_norm
 
 #: |det A - 1| tolerance for the incompressible branch; exact equality is
 #: meaningless in floating point. Reports quote this value.
@@ -104,9 +104,7 @@ class PairwisePotential:
         isotropic by construction."""
 
         def fn(x, y):
-            r = np.linalg.norm(x, axis=-1)
-            s = np.linalg.norm(y, axis=-1)
-            return profile(r, s)
+            return profile(vector_norm(x), vector_norm(y))
 
         return PairwisePotential(kind, dict(params or {}), fn, beta, ref_dim, def_dim)
 

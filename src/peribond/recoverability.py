@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import INF
+from .linalg import INF, vector_norm
 from .potentials import DET_TOL, ScalarProfile, StoredEnergy
 from .quadrature import SphereQuadrature, sphere_measure
 
@@ -98,7 +98,7 @@ def _residual_row(density: StoredEnergy, a, rule: SphereQuadrature, rel_tol: flo
     if n != rule.dim:
         raise ValueError(f"matrix is {n}x{n} but rule lives on S^{rule.dim - 1}")
     lhs = float(density(a))
-    stretches = np.linalg.norm(rule.nodes @ a.T, axis=-1)
+    stretches = vector_norm(rule.nodes @ a.T)
     rhs = rule.integrate(np.asarray(extract_candidate(density, n)(stretches), dtype=float))
     if math.isinf(lhs) and math.isinf(rhs):
         return ResidualRow(a, lhs, rhs, math.nan, "indeterminate", False)

@@ -323,6 +323,28 @@ def test_lattice_detail_csv_matches_per_point_loop(tmp_path_factory, shape, boun
     assert (out / "detail.csv").read_bytes() == csv_writer_bytes(header, rows)
 
 
+def test_lattice_detail_csv_formats_repeated_values_by_their_bits(tmp_path):
+    # few distinct values on many points: 0.0 next to -0.0, which compare
+    # equal but print apart, and two NaN payloads, which print alike
+    lat = cvx.MatrixLattice(dim=2, bound=2.0, step=0.5, mode="full")
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64).view(float)
+    pool = np.concatenate([[0.0, -0.0, 1.5, -1.5, np.inf, -np.inf, 5e-324], nans])
+    rng = np.random.default_rng(3)
+    values = pool[rng.integers(0, len(pool), (lat.points_per_axis,) * lat.axes)]
+    values.reshape(-1)[:len(pool)] = pool  # the -0.0 after the 0.0 and every value present
+    mask = rng.random(values.shape) < 0.5
+    header = ["lattice_coordinates", "value", "interior"]
+    _write_reports({"run": {"out": str(tmp_path), "no-timestamp": True}}, {},
+                   _lattice_columns(lat.coordinates, values, mask), header)
+    coords = lat.coordinates
+    rows = [[" ".join(repr(float(coords[i])) for i in idx), float(values[idx]), int(mask[idx])]
+            for idx in np.ndindex(values.shape)]
+    written = (tmp_path / "detail.csv").read_bytes()
+    assert written == csv_writer_bytes(header, rows)
+    cells = [line.split(b",")[1] for line in written.split(b"\r\n")[1:-1]]
+    assert {b"0.0", b"-0.0", b"nan"} <= set(cells) and len(cells) == values.size
+
+
 @pytest.mark.parametrize("header, columns", [
     (["a", "b"], [["1", "2"], ["x,y", "3"]]),
     (["a"], [['say "x"']]),

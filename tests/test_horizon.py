@@ -28,7 +28,7 @@ from peribond.horizon import (
 from peribond.linalg import random_rotation
 from peribond.pipeline import BlowupError, BlowupResult, compute_blowup, local_density
 from peribond.potentials import PairwisePotential, make_power_bond
-from peribond.quadrature import build_rule
+from peribond.quadrature import SphereQuadrature, build_rule
 
 A2 = np.diag([1.0, 2.0])
 
@@ -63,6 +63,35 @@ def reference_near_block_integral(
             vals = np.asarray(w(offs, diffs), dtype=float)
             acc += gw * 0.5 * r * rho ** (dom.dim - 1) * vals
         out[i] = float(np.dot(dir_weights, acc))
+    return out
+
+
+def reference_near_block_stacked_walls(w, field, dom, centers, rule):
+    """The chunked near block with every wall's ray parameter stacked in
+    (C, M, dim) arrays and reduced by np.min over the last axis, the form
+    that clipping one wall at a time replaced; kept to pin its floats."""
+    half = 1.5 * dom.spacing
+    sides = np.asarray(dom.sides)
+    d = rule.nodes
+    with np.errstate(divide="ignore"):
+        r_block = np.min(np.where(np.abs(d) > 0, half / np.abs(d), np.inf), axis=1)
+    step = max(1, horizon._NEAR_CHUNK // d.size)
+    out = np.empty(len(centers))
+    for start in range(0, len(centers), step):
+        x0 = centers[start:start + step, None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_hi = np.where(d > 0, (sides - x0) / d, np.inf)
+            t_lo = np.where(d < 0, -x0 / d, np.inf)
+        r = np.minimum(r_block, np.minimum(np.min(t_hi, axis=2), np.min(t_lo, axis=2)))
+        acc = np.zeros(r.shape)
+        u0 = None if field.kind == "affine" else field.evaluate(x0)
+        for gx, gw in zip(horizon._RADIAL_X, horizon._RADIAL_W):
+            rho = 0.5 * r * (1.0 + gx)
+            offs = rho[..., None] * d
+            y = x0 - offs
+            diffs = field.difference(x0, y) if u0 is None else u0 - field.evaluate(y)
+            acc += gw * 0.5 * r * rho ** (dom.dim - 1) * np.asarray(w(offs, diffs), dtype=float)
+        out[start:start + step] = rule.integrate(acc)
     return out
 
 
@@ -369,6 +398,23 @@ def test_energy_rejects_rule_of_other_dimension():
                         rule=build_rule(3, 8))
 
 
+@pytest.mark.parametrize("kwargs, named", [
+    ({"deltas": []}, "deltas"),
+    ({"deltas": [0.2, 0.0]}, "deltas"),
+    ({"deltas": [0.2, -0.1]}, "deltas"),
+    ({"deltas": [0.2, math.nan]}, "deltas"),
+    ({"cells_per_horizon": 0}, "cells_per_horizon"),
+    ({"cells_per_horizon": 2}, "cells_per_horizon"),
+    ({"cells_per_horizon": 8.5}, "cells_per_horizon"),
+    ({"cells_per_horizon": True}, "cells_per_horizon"),
+])
+def test_convergence_study_rejects_bad_input(kwargs, named):
+    args = {"deltas": [0.2, 0.1], "cells_per_horizon": 8, **kwargs}
+    with pytest.raises(ValueError, match=named):
+        convergence_study(quadratic_bond(2), 0.0, DeformationField.affine(A2), (1.0, 1.0),
+                          args.pop("deltas"), **args)
+
+
 def test_two_grid_estimate_bounds_refinement():
     # halving h again moves the energy by less than the reported estimate
     w = quadratic_bond(2)
@@ -506,6 +552,39 @@ def test_near_block_matches_per_node_difference(case):
     got = _near_block_integral(w, u, dom, centers, rule)
     want = reference_near_block_integral(w, u, dom, centers, rule.nodes, rule.weights, 8)
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def axis_rule(dim):
+    """A hand-built rule whose nodes include every +-e_j, and oblique nodes
+    with zero components, so rays run parallel to walls (d_j == 0)."""
+    oblique = [(0.6, 0.8), (-0.28, 0.96)] if dim == 2 else [
+        (0.6, 0.8, 0.0), (0.0, -0.6, 0.8), (1 / 3, -2 / 3, 2 / 3), (-0.48, 0.6, -0.64)]
+    eye = np.eye(dim)
+    nodes = np.concatenate([eye, -eye, np.array(oblique)])
+    weights = np.full(len(nodes), (2 * math.pi if dim == 2 else 4 * math.pi) / len(nodes))
+    return SphereQuadrature(dim, nodes, weights, len(nodes))
+
+
+@pytest.mark.parametrize("dim, field", [(2, "affine"), (2, "analytic"), (3, "affine"),
+                                         (3, "analytic")])
+def test_near_block_wall_clipping_is_bit_equal_to_stacked_walls(dim, field):
+    # every clipping class's representative, and every cell of an uneven
+    # box, whose first and last cells on each axis are clipped by the walls
+    if dim == 2:
+        dom = BoxDomain((1.0, 1.3), (9, 11))
+        u = analytic_2d() if field == "analytic" else DeformationField.affine(A2)
+    else:
+        dom = BoxDomain((1.0, 1.2, 0.9), (5, 6, 7))
+        u = (DeformationField.analytic(lambda p: p + 0.1 * np.sin(p[..., ::-1]) ** 2)
+             if field == "analytic" else DeformationField.affine(np.diag([1.0, 2.0, 1.5])))
+    rule, w = axis_rule(dim), quadratic_bond(dim)
+    classes, _ = _clipping_classes(dom, [0] * dim)
+    assert len(classes) == 3 ** dim
+    centers = np.concatenate([classes, outer_centers(dom, [0] * dim)])
+    got = _near_block_integral(w, u, dom, centers, rule)
+    want = reference_near_block_stacked_walls(w, u, dom, centers, rule)
+    assert np.all(np.isfinite(want))
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

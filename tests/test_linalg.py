@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from peribond.linalg import (
     INF,
@@ -13,6 +14,7 @@ from peribond.linalg import (
     frobenius,
     is_rotation,
     random_rotation,
+    vector_norm,
 )
 
 
@@ -44,6 +46,45 @@ def test_frobenius_zero_iff_zero():
     for _ in range(50):
         a = rng.standard_normal((3, 3))
         assert (frobenius(a) == 0.0) == bool(np.all(a == 0.0))
+
+
+# values whose squares overflow to inf or underflow to (subnormal or) zero
+NORM_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, 1e154, -1e155, 1e200,
+                 1.7e308, math.inf, -math.inf, math.nan]
+NORM_VIEWS = ["contiguous", "reversed", "last-reversed", "transposed", "broadcast"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), view=st.sampled_from(NORM_VIEWS),
+       lead=hnp.array_shapes(min_dims=0, max_dims=2, max_side=6))
+def test_vector_norm_is_numpys_norm(data, dim, view, lead):
+    # moderate values, where the summation order shows in the last bit
+    elements = (st.floats(-10.0, 10.0) | st.floats(allow_subnormal=True)
+                | st.sampled_from(NORM_SPECIALS))
+    if view == "transposed":  # the last axis strided, the leading ones not
+        v = data.draw(hnp.arrays(float, (dim,) + lead[::-1], elements=elements)).T
+    else:
+        v = data.draw(hnp.arrays(float, lead + (dim,), elements=elements))
+        if view == "reversed":
+            v = v[::-1] if v.ndim > 1 else v
+        elif view == "last-reversed":
+            v = v[..., ::-1]
+        elif view == "broadcast":
+            v = np.broadcast_to(v, (3,) + v.shape)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got, want = vector_norm(v), np.linalg.norm(v, axis=-1)
+    assert np.shape(got) == np.shape(want)
+    # equal bits wherever numpy's norm is a number, NaN wherever it is NaN
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (4,), (5, 4)])
+def test_vector_norm_rejects_other_lengths(shape):
+    with pytest.raises(ValueError, match="vector length"):
+        vector_norm(np.ones(shape))
 
 
 def test_determinant_examples():
