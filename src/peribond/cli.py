@@ -294,12 +294,12 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
     _require(sections, "density", "dim", sections["density"]["dim"] in (2, 3),
              "supported dimensions are 2 and 3")
     try:
-        _lattice(lattice)
+        lat = _lattice(lattice)
     except (ValueError, ArithmeticError) as exc:  # e.g. bound / step overflows
         given = ", ".join(f"{key} = {lattice[key]!r}" for key in ("dim", "bound", "step", "mode"))
         raise ConfigError(f"[lattice] {given}: {exc}") from exc
     _require(sections, "lattice", "directions",
-             lattice["directions"] == 0 or (lattice["mode"] == "full" and lattice["dim"] > 1),
+             lattice["directions"] == 0 or lat.takes_random_dyads,
              f"random dyads need a full lattice of dim > 1, not mode = {lattice['mode']}, "
              f"dim = {lattice['dim']}")
     deltas, box = converge["deltas"], converge["box"]
@@ -307,6 +307,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
              "need at least two positive horizons to fit the slope the verdict reads")
     _require(sections, "converge", "box", len(box) in (2, 3) and min(box) > 0,
              "need 2 or 3 positive sides")
+    _require(sections, "potential", "dim", sections["potential"]["dim"] in (2, 3),
+             "supported dimensions are 2 and 3")
     _require(sections, "converge", "matrix", len(converge["matrix"]) == len(box) ** 2,
              f"need {len(box) ** 2} row-major entries for the {len(box)}D [converge] box")
     _require(sections, "counterexamples", "a-value", sections["counterexamples"]["a-value"] > 0,
@@ -620,12 +622,8 @@ def _task_counterexamples(cfg: dict) -> tuple[dict, tuple, list]:
     summary = {
         "task": "counterexamples",
         "jensen": asdict(jensen),
-        "stretch_scan_cof_term": {
-            k: v for k, v in asdict(scan_cof).items() if k != "rows"
-        },
-        "stretch_scan_growth": {
-            k: v for k, v in asdict(scan_growth).items() if k != "rows"
-        },
+        "stretch_scan_cof_term": asdict(scan_cof),
+        "stretch_scan_growth": asdict(scan_growth),
         "verdict": "confirmed" if confirmed else "not-confirmed",
     }
     header = ["suite", "case", "value", "expected", "ok"]

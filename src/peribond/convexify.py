@@ -71,6 +71,13 @@ class MatrixLattice:
         return self.dim if self.mode == "diagonal" else self.dim * self.dim
 
     @property
+    def takes_random_dyads(self) -> bool:
+        """Whether off-axis random rank-one dyads move within the lattice:
+        full lattices of dim > 1 only, since a 1x1 lattice has the one axis
+        and a diagonal sublattice admits no off-axis rank-one move."""
+        return self.mode == "full" and self.dim > 1
+
+    @property
     def points_per_axis(self) -> int:
         return 2 * int(round(self.bound / self.step)) + 1
 
@@ -112,7 +119,7 @@ class MatrixLattice:
         e_k (x) e_k survive, because no other dyad stays inside the diagonal
         sublattice.
         """
-        if self.mode == "diagonal" or self.dim == 1:
+        if self.mode == "diagonal":
             out = []
             for k in range(self.axes):
                 d = np.zeros(self.axes, dtype=int)
@@ -321,7 +328,7 @@ def rank_one_convexify(
         Stop when the largest pointwise decrement of a sweep drops to tol;
         running out of sweeps first leaves ``converged`` False.
     """
-    if directions < 0 or (directions > 0 and (lattice.mode != "full" or lattice.dim == 1)):
+    if directions < 0 or (directions > 0 and not lattice.takes_random_dyads):
         raise ValueError(
             f"directions = {directions!r}: need 0, or more on a full lattice of dim > 1 "
             f"(this one has mode = {lattice.mode}, dim = {lattice.dim})"

@@ -58,8 +58,12 @@ class BoxDomain:
             raise ValueError("sides and resolution must have matching length")
         if len(self.sides) not in (2, 3):
             raise ValueError("box domains support dimensions 2 and 3")
-        if any(s <= 0 for s in self.sides) or any(r <= 0 for r in self.resolution):
-            raise ValueError("sides and resolution must be positive")
+        # a fractional cell count would skew every pair count of the grid
+        if not all(isinstance(r, (int, np.integer)) and not isinstance(r, bool) and r > 0
+                   for r in self.resolution):
+            raise ValueError(f"resolution = {self.resolution!r}: need positive integers")
+        if not all(math.isfinite(s) and s > 0 for s in self.sides):
+            raise ValueError(f"sides = {self.sides!r}: need finite positive lengths")
 
     @property
     def dim(self) -> int:
@@ -85,32 +89,30 @@ class BoxDomain:
 
 
 class DeformationField:
-    """Deformation u mapping the box into R^m.
+    """Deformation u mapping the box into R^m, evaluated through one
+    vectorized callable ``fn`` (points (..., dim) -> values (..., m)).
 
-    Three kinds: ``affine`` stores the gradient matrix and computes pair
-    differences as A (x - x') exactly; ``analytic`` wraps a vectorized
-    callable (optionally with its gradient, else central differences);
-    ``sampled`` interpolates grid values multilinearly.
+    ``grad_fn`` gives the gradient, else central differences of ``fn`` with
+    step 1e-6 do. An affine field also keeps its gradient ``matrix``, which
+    makes its pair differences A (x - x') exact. ``kind`` (``affine``,
+    ``analytic`` or ``sampled``) names the factory that built the field.
     """
 
-    def __init__(self, kind, matrix=None, fn=None, grad_fn=None, values=None,
-                 domain=None, out_dim=None):
+    def __init__(self, kind, matrix=None, fn=None, grad_fn=None, out_dim=None):
         self.kind = kind
         self.matrix = None if matrix is None else np.asarray(matrix, dtype=float)
         self.fn = fn
         self.grad_fn = grad_fn
-        self.values = None if values is None else np.asarray(values, dtype=float)
-        self.domain = domain
-        if kind == "affine":
-            self.out_dim = self.matrix.shape[0]
-        elif kind == "sampled":
-            self.out_dim = self.values.shape[-1]
-        else:
-            self.out_dim = out_dim
+        self.out_dim = out_dim
 
     @staticmethod
     def affine(matrix) -> "DeformationField":
-        return DeformationField("affine", matrix=np.asarray(matrix, dtype=float))
+        a = np.asarray(matrix, dtype=float)
+        return DeformationField(
+            "affine", matrix=a, fn=lambda p: p @ a.T,
+            grad_fn=lambda p: np.broadcast_to(a, p.shape[:-1] + a.shape).copy(),
+            out_dim=a.shape[0],
+        )
 
     @staticmethod
     def analytic(fn: Callable, grad_fn: Callable | None = None,
@@ -121,46 +123,52 @@ class DeformationField:
 
     @staticmethod
     def sampled(values, domain: BoxDomain) -> "DeformationField":
+        """Multilinear interpolant of grid values (*resolution, m) at the
+        cell centers; its gradient takes central differences a quarter of
+        the shortest cell side wide."""
         values = np.asarray(values, dtype=float)
         if values.shape[:-1] != tuple(domain.resolution):
             raise ValueError("sampled values must cover the domain grid")
-        return DeformationField("sampled", values=values, domain=domain)
+        spacing, dim, m = domain.spacing, domain.dim, values.shape[-1]
+
+        def fn(points):
+            idx = (points / spacing - 0.5).reshape(-1, dim)
+            return _multilinear(values, idx).reshape(points.shape[:-1] + (m,))
+
+        eps = float(np.min(spacing)) / 4.0
+        return DeformationField("sampled", fn=fn, out_dim=m,
+                                grad_fn=lambda p: _central_differences(fn, p, eps))
 
     def evaluate(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        if self.kind == "affine":
-            return points @ self.matrix.T
-        if self.kind == "analytic":
-            out = np.asarray(self.fn(points), dtype=float)
-            if self.out_dim is None:
-                self.out_dim = out.shape[-1]
-            return out
-        idx = (points / self.domain.spacing - 0.5).reshape(-1, self.domain.dim)
-        out = _multilinear(self.values, idx)
-        return out.reshape(points.shape[:-1] + (self.out_dim,))
+        out = np.asarray(self.fn(np.asarray(points, dtype=float)), dtype=float)
+        if self.out_dim is None:
+            self.out_dim = out.shape[-1]
+        return out
 
     def difference(self, x_pts, y_pts) -> np.ndarray:
         """u(x) - u(y); exact in the offset for affine fields."""
-        if self.kind == "affine":
+        if self.matrix is not None:
             return (np.asarray(x_pts, dtype=float) - np.asarray(y_pts, dtype=float)) @ self.matrix.T
-        u = self.evaluate(np.stack(np.broadcast_arrays(x_pts, y_pts)))  # one call for both
-        return u[0] - u[1]
+        return self.evaluate(x_pts) - self.evaluate(y_pts)
 
     def gradient(self, points) -> np.ndarray:
         """Deformation gradient, shape (..., out_dim, dim)."""
         points = np.asarray(points, dtype=float)
-        dim = points.shape[-1]
-        if self.kind == "affine":
-            return np.broadcast_to(self.matrix, points.shape[:-1] + self.matrix.shape).copy()
         if self.grad_fn is not None:
             return np.asarray(self.grad_fn(points), dtype=float)
-        eps = 1e-6 if self.kind == "analytic" else float(np.min(self.domain.spacing)) / 4.0
-        cols = []
-        for j in range(dim):
-            step = np.zeros(dim)
-            step[j] = eps
-            cols.append((self.evaluate(points + step) - self.evaluate(points - step)) / (2 * eps))
-        return np.stack(cols, axis=-1)
+        return _central_differences(self.evaluate, points, 1e-6)
+
+
+def _central_differences(fn, points: np.ndarray, eps: float) -> np.ndarray:
+    """Central differences of ``fn`` at ``points`` with step ``eps`` along
+    each axis, shape (..., m, dim)."""
+    dim = points.shape[-1]
+    cols = []
+    for j in range(dim):
+        step = np.zeros(dim)
+        step[j] = eps
+        cols.append((fn(points + step) - fn(points - step)) / (2 * eps))
+    return np.stack(cols, axis=-1)
 
 
 def _multilinear(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -295,7 +303,7 @@ def _near_block_integral(w, field, dom, centers, rule):
                 r = np.minimum(r, np.where(dj < 0, -xj / dj, np.inf))  # (C, M)
         acc = np.zeros(r.shape)
         # u(x0) once per chunk; an affine field keeps its exact offset product
-        u0 = None if field.kind == "affine" else field.evaluate(x0)
+        u0 = None if field.matrix is not None else field.evaluate(x0)
         for gx, gw in zip(_RADIAL_X, _RADIAL_W):
             rho = 0.5 * r * (1.0 + gx)  # (C, M)
             offs = rho[..., None] * d  # x - x' = rho * direction
@@ -385,7 +393,7 @@ def nonlocal_energy(
         raise ValueError(f"rule lives on S^{rule.dim - 1} but the domain is {dim}D")
 
     far = 0.0
-    if field.kind == "affine":
+    if field.matrix is not None:
         for k, xt, cov in stencil:
             ranges = _pair_ranges(res, k, margins)
             if ranges is None:
@@ -409,7 +417,7 @@ def nonlocal_energy(
     far *= cellvol * cellvol
 
     # diagonal block in polar coordinates, per outer cell
-    if field.kind == "affine":
+    if field.matrix is not None:
         # the integrand does not depend on the center, only the clipping does
         centers, counts = _clipping_classes(dom, margins)
     else:
@@ -463,7 +471,7 @@ def local_reference(
     limit: BlowupResult, field: DeformationField, dom: BoxDomain, rule
 ) -> float:
     """Grid quadrature of the local density at the deformation gradient."""
-    if field.kind == "affine":
+    if field.matrix is not None:
         return float(np.prod(dom.sides)) * local_density(limit, field.matrix, rule)
     grads = field.gradient(dom.centers())
     grads = grads.reshape(-1, *grads.shape[-2:])

@@ -14,7 +14,7 @@ the identity for every matrix.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -244,6 +244,11 @@ def cubic_mean_lower_constant() -> float:
     return 3.0**-1.5
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} = {value!r}: need a finite positive number")
+
+
 @dataclass(frozen=True)
 class StretchScanReport:
     """Outcome of the large-stretch necessary-inequality scan."""
@@ -255,7 +260,6 @@ class StretchScanReport:
     lhs_at_failure: float | None
     rhs_at_failure: float | None
     inconclusive: bool
-    rows: list = field(default_factory=list)
 
     @property
     def found(self) -> bool:
@@ -281,16 +285,26 @@ def mooney_rivlin_inequality_check(
     to conclude). ``a_value`` is a point past which g is nondecreasing; 1.0
     covers every profile in the zoo. The constant c is the least sphere mean
     of |Az|^3 on the unit Frobenius sphere, 3^(-3/2), capped at 1/a^2.
+
+    Raises
+    ------
+    ValueError
+        If ``a_value``, a given ``c_value`` or a stretch is not finite and
+        positive.
     """
+    _require_positive("a_value", a_value)
+    if c_value is not None:
+        _require_positive("c_value", c_value)
+    lambda_list = [float(lam) for lam in lambda_list]
+    for lam in lambda_list:
+        _require_positive("stretch", lam)
     if c_value is None:
         c_value = min(cubic_mean_lower_constant(), 1.0 / (a_value * a_value))
     ac = a_value / c_value
-    rows = []
     lam_star = None
     lhs_fail = rhs_fail = None
     branch = "cof-term" if beta > 0 else "growth"
     for lam in lambda_list:
-        lam = float(lam)
         if branch == "cof-term":
             lhs = beta * (1.0 + lam**2 * ac ** (2.0 / 3.0) + ac ** (2.0 / 3.0) / lam**2)
             lhs += float(g(ac ** (1.0 / 3.0)))
@@ -298,10 +312,9 @@ def mooney_rivlin_inequality_check(
         else:
             lhs = float(g(ac ** (1.0 / 3.0)))
             rhs = float(g(c_value * (lam**2 + lam**-2 + ac ** (2.0 / 3.0)) ** 1.5))
-        rows.append((lam, lhs, rhs))
         if lam_star is None and lhs < rhs:
             lam_star, lhs_fail, rhs_fail = lam, lhs, rhs
     return StretchScanReport(
         branch, c_value, a_value, lam_star, lhs_fail, rhs_fail,
-        inconclusive=lam_star is None, rows=rows,
+        inconclusive=lam_star is None,
     )

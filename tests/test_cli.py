@@ -447,6 +447,7 @@ def test_unparsable_value_exit_64(tmp_path, capsys, name, text, named):
     ("convexify", "density", "kind = profile-cof\n\n[lattice]\ndim = 2\nmode = full",
      ["profile-cof", "[lattice] dim = 2"]),
     ("quadrature-check", "converge", "matrix = 1 2 3", ["[converge] matrix", "4"]),
+    ("gamma-limit", "potential", "dim = 4\nc = 1.0", ["[potential] dim", "4"]),
 ], ids=["quad-order-1", "density-dim-4", "lattice-mode", "lattice-step-other-task",
         "lattice-step-0", "lattice-dim-0", "lattice-bound-below-1", "negative-directions",
         "directions-on-diagonal-lattice", "negative-tol", "no-sweeps",
@@ -454,7 +455,7 @@ def test_unparsable_value_exit_64(tmp_path, capsys, name, text, named):
         "two-cells-per-horizon", "flat-box", "no-stretches", "zero-a-value",
         "lambda-max-below-1", "negative-seed",
         "negative-rel-tol", "negative-randoms", "no-symmetry-trials", "3x3-density-2x2-lattice",
-        "matrix-entries-off-box"])
+        "matrix-entries-off-box", "potential-dim-4"])
 def test_out_of_range_value_exit_64(tmp_path, capsys, task, section, line, named):
     text = f"[run]\ntask = {task}\n" + ("" if section == "run" else f"\n[{section}]\n")
     err = config_error(tmp_path, capsys, "bad.ini", f"{text}{line}\n")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 
 import numpy as np
@@ -173,6 +174,21 @@ def test_box_domain_geometry():
         BoxDomain((1.0, -1.0), (4, 4))
 
 
+@pytest.mark.parametrize("sides, res, named", [
+    ((1.0, 1.0), (30.5, 30), "(30.5, 30)"),
+    ((1.0, 1.0), (30.0, 30), "(30.0, 30)"),
+    ((1.0, 1.0), (True, 30), "(True, 30)"),
+    ((1.0, 1.0), (0, 30), "(0, 30)"),
+    ((math.nan, 1.0), (30, 30), "(nan, 1.0)"),
+    ((1.0, math.inf), (30, 30), "(1.0, inf)"),
+    ((0.0, 1.0), (30, 30), "(0.0, 1.0)"),
+], ids=["fractional-cells", "float-cells", "bool-cells", "no-cells", "nan-side", "inf-side",
+        "zero-side"])
+def test_box_domain_refuses_grids_it_cannot_represent(sides, res, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        BoxDomain(sides, res)
+
+
 def test_affine_field_differences_exact():
     u = DeformationField.affine(A2)
     x = np.array([0.3, 0.7])
@@ -252,6 +268,23 @@ def test_multilinear_nan_corner_and_edge():
     # past the grid each corner index clamps to the edge
     assert at(5.5, -2.0) == values[2, 0, 0]
     assert at(-0.5, 3.5) == values[0, 3, 0]
+
+
+@pytest.mark.parametrize("sides, res", [((1.0, 1.3), (8, 10)), ((1.0, 0.7, 1.2), (5, 4, 6))],
+                         ids=["2d", "3d"])
+def test_sampled_gradient_is_quarter_cell_central_differences(sides, res):
+    dom = BoxDomain(sides, res)
+    u = DeformationField.sampled(np.sin(3.0 * dom.centers()), dom)
+    pts = np.random.default_rng(1).uniform(0.0, 1.0, (40, dom.dim)) * sides
+    eps = float(np.min(dom.spacing)) / 4.0
+    cols = []
+    for j in range(dom.dim):
+        step = np.zeros(dom.dim)
+        step[j] = eps
+        cols.append((u.evaluate(pts + step) - u.evaluate(pts - step)) / (2 * eps))
+    grad = u.gradient(pts)
+    assert grad.shape == (40, dom.dim, dom.dim)
+    assert np.array_equal(grad, np.stack(cols, axis=-1))
 
 
 def test_sampled_difference_broadcasts_like_two_evaluations():

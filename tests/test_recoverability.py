@@ -286,7 +286,24 @@ def test_scan_report_serializes():
     blob = _json_safe(asdict(scan))
     json.dumps(blob, allow_nan=False)
     assert blob["branch"] == "cof-term"
-    assert len(blob["rows"]) == 2
+    assert blob["lambda_star"] == 1.0 and "rows" not in blob
+
+
+@pytest.mark.parametrize("kwargs, lams, named", [
+    ({"a_value": 0.0}, [1.0], "a_value = 0.0"),
+    ({"a_value": -1.0}, [1.0], "a_value = -1.0"),
+    ({"a_value": math.nan}, [1.0], "a_value = nan"),
+    ({"c_value": 0.0}, [1.0], "c_value = 0.0"),
+    ({"c_value": math.inf}, [1.0], "c_value = inf"),
+    ({}, [1.0, 0.0], "stretch = 0.0"),
+    ({}, [-3.0, 2.0], "stretch = -3.0"),
+    ({}, [1.0, math.nan], "stretch = nan"),
+], ids=["a-0", "a-negative", "a-nan", "c-0", "c-inf", "stretch-0", "stretch-negative",
+        "stretch-nan"])
+def test_stretch_scan_rejects_bad_input(kwargs, lams, named):
+    for beta, g in ((1.0, ScalarProfile.power(0.0, 0.0)), (0.0, ScalarProfile.well())):
+        with pytest.raises(ValueError, match=named):
+            mooney_rivlin_inequality_check(beta, g, lams, **kwargs)
 
 
 DENSITY_DEFAULTS = load_config(None, overrides={"task": "recoverability"})["density"]
