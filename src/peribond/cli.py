@@ -249,9 +249,14 @@ def _lattice(section: dict) -> cvx.MatrixLattice:
     )
 
 
-def _require(sections: dict, section: str, key: str, ok: bool, need: str) -> None:
-    if not ok:
-        raise ConfigError(f"[{section}] {key} = {sections[section][key]!r}: {need}")
+def _read_rule(name: str, section: dict, keys: tuple, rule: Callable, *args, **kwargs):
+    """``rule(*args, **kwargs)``; a ValueError or ArithmeticError it raises (say
+    ``bound / step`` overflows) becomes a ConfigError naming ``[name]`` ``keys``."""
+    try:
+        return rule(*args, **kwargs)
+    except (ValueError, ArithmeticError) as exc:
+        given = ", ".join(f"{key} = {section[key]!r}" for key in keys)
+        raise ConfigError(f"[{name}] {given}: {exc}") from exc
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
@@ -279,8 +284,9 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
         raise ConfigError("no task given (flag --task or key task in [run])")
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}; choose one of {', '.join(TASKS)}")
+    potential, converge = sections["potential"], sections["converge"]
+    deltas, box, matrix = converge["deltas"], converge["box"], converge["matrix"]
     if task == "converge":
-        potential, box = sections["potential"], sections["converge"]["box"]
         if "dim" not in raw.get("potential", {}):
             # the box fixes the study's dimension; an unset potential dim follows it
             potential["dim"] = len(box)
@@ -289,40 +295,33 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
                 f"[potential] dim = {potential['dim']} does not match the "
                 f"{len(box)}D [converge] box = {' '.join(map(repr, box))}"
             )
-    # values fail here, whatever the task, before a task runs or a report names them
-    lattice, converge = sections["lattice"], sections["converge"]
-    _require(sections, "density", "dim", sections["density"]["dim"] in (2, 3),
-             "supported dimensions are 2 and 3")
-    try:
-        lat = _lattice(lattice)
-    except (ValueError, ArithmeticError) as exc:  # e.g. bound / step overflows
-        given = ", ".join(f"{key} = {lattice[key]!r}" for key in ("dim", "bound", "step", "mode"))
-        raise ConfigError(f"[lattice] {given}: {exc}") from exc
-    _require(sections, "lattice", "directions",
-             lattice["directions"] == 0 or lat.takes_random_dyads,
-             f"random dyads need a full lattice of dim > 1, not mode = {lattice['mode']}, "
-             f"dim = {lattice['dim']}")
-    deltas, box = converge["deltas"], converge["box"]
-    _require(sections, "converge", "deltas", len(deltas) >= 2 and min(deltas) > 0,
-             "need at least two positive horizons to fit the slope the verdict reads")
-    _require(sections, "converge", "box", len(box) in (2, 3) and min(box) > 0,
-             "need 2 or 3 positive sides")
-    _require(sections, "potential", "dim", sections["potential"]["dim"] in (2, 3),
-             "supported dimensions are 2 and 3")
-    _require(sections, "converge", "matrix", len(converge["matrix"]) == len(box) ** 2,
-             f"need {len(box) ** 2} row-major entries for the {len(box)}D [converge] box")
-    _require(sections, "counterexamples", "a-value", sections["counterexamples"]["a-value"] > 0,
-             "need a positive value")
-    build_model("profile", sections["density"], key="g")
-    density = build_model("density", sections["density"])
+    # values fail here, whatever the task, before a task runs or a report names them:
+    # the library's rules by calling it, then the format's own deltas and matrix sizes
+    density, lattice = sections["density"], sections["lattice"]
+    _read_rule("density", density, ("dim",), sphere_measure, density["dim"])
+    lat = _read_rule("lattice", lattice, ("dim", "bound", "step", "mode"), _lattice, lattice)
+    _read_rule("lattice", lattice, ("directions",),
+               cvx.check_directions, lat, lattice["directions"])
+    if len(deltas) < 2:
+        raise ConfigError(f"[converge] deltas = {deltas!r}: need two horizons to fit a slope")
+    _read_rule("converge", converge, ("box", "deltas", "cells-per-horizon"), horizon.study_grids,
+               box, deltas, converge["cells-per-horizon"])
+    if len(matrix) != len(box) ** 2:
+        raise ConfigError(f"[converge] matrix = {matrix!r}: need {len(box) ** 2} row-major entries")
+    _read_rule("potential", potential, ("dim",), sphere_measure, potential["dim"])
+    counter = sections["counterexamples"]
+    _read_rule("counterexamples", counter, ("a-value",),
+               recoverability._require_positive, "a_value", counter["a-value"])
+    build_model("profile", density, key="g")
+    model = build_model("density", density)
     for section in ("density", "lattice"):  # convexify evaluates it on lattice matrices
         dim = sections[section]["dim"]
-        if density.dim not in (None, dim):
+        if model.dim not in (None, dim):
             raise ConfigError(
-                f"[density] kind = {density.kind} takes {density.dim}x{density.dim} "
+                f"[density] kind = {model.kind} takes {model.dim}x{model.dim} "
                 f"matrices only, not [{section}] dim = {dim}"
             )
-    build_model("potential", sections["potential"])
+    build_model("potential", potential)
     return sections
 
 
@@ -333,10 +332,10 @@ def build_model(group: str, section: dict, key: str = "kind"):
         raise ConfigError(
             f"{key} = {kind!r} names no {group}; choose one of {', '.join(MODELS[group])}"
         )
-    try:
-        return MODELS[group][kind].build(section)
-    except ValueError as exc:  # e.g. a negative coefficient
-        raise ConfigError(f"{group} {kind!r}: {exc}") from exc
+    model = MODELS[group][kind]  # its builder refuses, say, a negative coefficient
+    keys = (key, *(name for name, _, _ in model.keys))
+    return _read_rule("density" if group == "profile" else group, section, keys,
+                      model.build, section)
 
 
 def list_zoo() -> str:

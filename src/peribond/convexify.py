@@ -307,6 +307,16 @@ def _shifted_blend(padded: np.ndarray, box: list[slice], shift: np.ndarray) -> n
     return out
 
 
+def check_directions(lattice: MatrixLattice, directions: int) -> None:
+    """Refuse a random dyad count the lattice would ignore: it must be at
+    least 0, and 0 unless the lattice takes random dyads."""
+    if directions < 0 or (directions > 0 and not lattice.takes_random_dyads):
+        raise ValueError(
+            f"directions = {directions!r}: need 0, or more on a full lattice of dim > 1 "
+            f"(this one has mode = {lattice.mode}, dim = {lattice.dim})"
+        )
+
+
 def rank_one_convexify(
     density: StoredEnergy,
     lattice: MatrixLattice,
@@ -327,12 +337,19 @@ def rank_one_convexify(
     tol, max_sweeps
         Stop when the largest pointwise decrement of a sweep drops to tol;
         running out of sweeps first leaves ``converged`` False.
+
+    Raises
+    ------
+    ValueError
+        If ``directions`` is one :func:`check_directions` refuses, ``tol``
+        is negative or NaN, or ``max_sweeps`` is below 1; and if the
+        density is NaN or -inf at a lattice matrix.
     """
-    if directions < 0 or (directions > 0 and not lattice.takes_random_dyads):
-        raise ValueError(
-            f"directions = {directions!r}: need 0, or more on a full lattice of dim > 1 "
-            f"(this one has mode = {lattice.mode}, dim = {lattice.dim})"
-        )
+    check_directions(lattice, directions)
+    if not tol >= 0:  # a negative or NaN tolerance never stops the sweeps
+        raise ValueError(f"tol = {tol!r}: need a number of at least 0")
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps = {max_sweeps!r}: need at least 1")
     initial = lattice.fill(density)
     values = initial.copy()
     tables = [_chains(values.shape, step) for step in lattice.directions()]
@@ -382,8 +399,12 @@ def strict_polyconvexity_probe(density: StoredEnergy, trials: int, seed: int) ->
     Pairs differing by a rank-one matrix have midpoints whose minors are the
     exact average of the endpoint minors, so strict polyconvexity forces a
     strictly convex midpoint inequality there. This is a refutation sampler,
-    not a decision procedure: a clean report is evidence only.
+    not a decision procedure: a clean report is evidence only. Fewer than
+    one trial raises ValueError, since it would report clean having tested
+    nothing.
     """
+    if trials < 1:
+        raise ValueError(f"trials = {trials!r}: need at least 1")
     rng = np.random.default_rng(seed)
     conv = 0
     strict = 0

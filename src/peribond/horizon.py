@@ -94,12 +94,10 @@ class DeformationField:
 
     ``grad_fn`` gives the gradient, else central differences of ``fn`` with
     step 1e-6 do. An affine field also keeps its gradient ``matrix``, which
-    makes its pair differences A (x - x') exact. ``kind`` (``affine``,
-    ``analytic`` or ``sampled``) names the factory that built the field.
+    makes its pair differences A (x - x') exact.
     """
 
-    def __init__(self, kind, matrix=None, fn=None, grad_fn=None, out_dim=None):
-        self.kind = kind
+    def __init__(self, matrix=None, fn=None, grad_fn=None, out_dim=None):
         self.matrix = None if matrix is None else np.asarray(matrix, dtype=float)
         self.fn = fn
         self.grad_fn = grad_fn
@@ -109,7 +107,7 @@ class DeformationField:
     def affine(matrix) -> "DeformationField":
         a = np.asarray(matrix, dtype=float)
         return DeformationField(
-            "affine", matrix=a, fn=lambda p: p @ a.T,
+            matrix=a, fn=lambda p: p @ a.T,
             grad_fn=lambda p: np.broadcast_to(a, p.shape[:-1] + a.shape).copy(),
             out_dim=a.shape[0],
         )
@@ -119,7 +117,7 @@ class DeformationField:
                  out_dim: int | None = None) -> "DeformationField":
         """Without ``out_dim``, it is read off the first evaluation, since
         only the domain knows the dimension of the points ``fn`` accepts."""
-        return DeformationField("analytic", fn=fn, grad_fn=grad_fn, out_dim=out_dim)
+        return DeformationField(fn=fn, grad_fn=grad_fn, out_dim=out_dim)
 
     @staticmethod
     def sampled(values, domain: BoxDomain) -> "DeformationField":
@@ -136,7 +134,7 @@ class DeformationField:
             return _multilinear(values, idx).reshape(points.shape[:-1] + (m,))
 
         eps = float(np.min(spacing)) / 4.0
-        return DeformationField("sampled", fn=fn, out_dim=m,
+        return DeformationField(fn=fn, out_dim=m,
                                 grad_fn=lambda p: _central_differences(fn, p, eps))
 
     def evaluate(self, points) -> np.ndarray:
@@ -253,6 +251,8 @@ def _offset_stencil(dom: BoxDomain, delta: float):
 
 def _margin_cells(dom: BoxDomain, margin: float) -> list[int]:
     """Excluded boundary cells per axis so centers sit >= margin from the wall."""
+    if not (math.isfinite(margin) and margin >= 0):
+        raise ValueError(f"outer_margin = {margin!r}: need a finite number of at least 0")
     out = []
     for j in range(dom.dim):
         h = dom.spacing[j]
@@ -261,6 +261,23 @@ def _margin_cells(dom: BoxDomain, margin: float) -> list[int]:
             raise ValueError("outer margin leaves no cells in the domain")
         out.append(m)
     return out
+
+
+def _check_horizon(delta: float, dom: BoxDomain) -> None:
+    """Refuse a horizon the grid of ``dom`` cannot carry: one that is not
+    finite and positive, reaches half the shortest side or spans fewer than
+    three cells of the widest spacing."""
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta = {delta!r}: need a finite positive horizon")
+    if delta >= min(dom.sides) / 2.0:
+        raise ValueError(
+            f"delta = {delta!r}: the horizon must be smaller than {min(dom.sides) / 2.0!r}, "
+            "half the shortest side"
+        )
+    cells = delta / float(np.max(dom.spacing))
+    if cells < 3.0 - 1e-12:
+        raise ValueError(
+            f"delta = {delta!r} spans {cells:.3g} cells, fewer than 3; refine the grid")
 
 
 def _pair_ranges(res, k, margins):
@@ -358,8 +375,8 @@ def nonlocal_energy(
         Bond density and its homogeneity degree (must match a declared
         degree on ``w``; the prefactor depends on it).
     delta
-        Horizon. Must stay below half the shortest side and span at least
-        three cells per axis.
+        Horizon, finite and positive. Must stay below half the shortest side
+        and span at least three cells per axis.
     outer_margin
         Restrict the outer integration to cells at least this far from the
         boundary (0 = whole box).
@@ -371,16 +388,20 @@ def nonlocal_energy(
     Raises
     ------
     ValueError
-        If the far-field sum or the near block meets a NaN bond value.
+        If ``beta`` is not finite or conflicts with the degree declared on
+        ``w``; if ``delta`` is not finite and positive, reaches half the
+        shortest side or spans fewer than three cells; if ``outer_margin``
+        is negative or not finite, or leaves no cells; if ``rule`` lives on
+        another sphere; or if the far-field sum or the near block meets a
+        NaN bond value.
     """
+    if not math.isfinite(beta):
+        raise ValueError(f"beta = {beta!r}: need a finite degree")
     if w.beta is not None and abs(beta - w.beta) > 1e-9:
         raise ValueError(
             f"scaling degree {beta} conflicts with the declared degree {w.beta}"
         )
-    if delta >= min(dom.sides) / 2.0:
-        raise ValueError("horizon must be smaller than half the shortest side")
-    if delta / float(np.max(dom.spacing)) < 3.0 - 1e-12:
-        raise ValueError("horizon spans fewer than 3 cells; refine the grid")
+    _check_horizon(delta, dom)
 
     dim = dom.dim
     margins = _margin_cells(dom, outer_margin)
@@ -484,6 +505,40 @@ def local_reference(
     return total * dom.cell_volume
 
 
+def study_grids(sides, deltas, cells_per_horizon: int) -> list[tuple[float, BoxDomain]]:
+    """The (delta, grid) pairs of a convergence study: for each horizon, the
+    box with ``sides`` at ``cells_per_horizon`` cells per delta, each side's
+    cell count rounded to the nearest integer of at least 1.
+
+    Raises
+    ------
+    ValueError
+        If ``deltas`` is empty or holds a horizon that is not positive; if
+        ``cells_per_horizon`` is not an integer of at least 3; if ``sides``
+        are not 2 or 3 finite positive lengths; or if a horizon reaches
+        half the shortest side or spans fewer than three cells of its
+        rounded grid, as :func:`nonlocal_energy` would refuse it. One
+        horizon is a study without a slope; the CLI, whose verdict reads
+        the slope, asks for two.
+    """
+    sides = tuple(float(s) for s in sides)
+    deltas = [float(d) for d in deltas]
+    if not deltas or not all(d > 0 for d in deltas):
+        raise ValueError(f"deltas = {deltas!r}: need one horizon or more, each positive")
+    if (isinstance(cells_per_horizon, bool) or not isinstance(cells_per_horizon, (int, np.integer))
+            or cells_per_horizon < 3):
+        raise ValueError(f"cells_per_horizon = {cells_per_horizon!r}: need an integer of at least 3")
+    grids = []
+    for d in deltas:
+        h = d / cells_per_horizon
+        # a non-finite side gets one cell, which BoxDomain refuses by name
+        dom = BoxDomain(sides, tuple(max(1, int(round(s / h))) if math.isfinite(s) else 1
+                                     for s in sides))
+        _check_horizon(d, dom)
+        grids.append((d, dom))
+    return grids
+
+
 def convergence_study(
     w: PairwisePotential,
     beta: float,
@@ -504,27 +559,15 @@ def convergence_study(
     Raises
     ------
     ValueError
-        If ``deltas`` is empty or holds a horizon that is not positive, or
-        if ``cells_per_horizon`` is not an integer of at least 3. One
-        horizon is a study without a slope; the CLI, whose verdict reads the
-        slope, asks for two.
+        On the inputs :func:`study_grids` refuses, and as
+        :func:`nonlocal_energy` and :func:`local_reference` raise.
     """
-    sides = tuple(float(s) for s in sides)
-    dim = len(sides)
-    deltas = [float(d) for d in deltas]
-    if not deltas or not all(d > 0 for d in deltas):
-        raise ValueError(f"deltas = {deltas!r}: need one positive horizon or more")
-    if (isinstance(cells_per_horizon, bool) or not isinstance(cells_per_horizon, (int, np.integer))
-            or cells_per_horizon < 3):
-        raise ValueError(f"cells_per_horizon = {cells_per_horizon!r}: need an integer of at least 3")
-    rule = rule if rule is not None else build_rule(dim, 32)
+    grids = study_grids(sides, deltas, cells_per_horizon)
+    rule = rule if rule is not None else build_rule(len(sides), 32)
     limit = compute_blowup(w, beta)
     rows = []
     log_d, log_g = [], []
-    for d in deltas:
-        h = d / cells_per_horizon
-        resolution = tuple(max(1, int(round(s / h))) for s in sides)
-        dom = BoxDomain(sides, resolution)
+    for d, dom in grids:
         energy = nonlocal_energy(w, beta, d, field, dom, rule=rule)
         reference = local_reference(limit, field, dom, rule)
         gap = abs(energy - reference)

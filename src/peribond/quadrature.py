@@ -115,6 +115,8 @@ def build_sphere_rule(order: int) -> SphereQuadrature:
 def build_rule(dim: int, order: int) -> SphereQuadrature:
     """Dispatch: order circle points on S^1 are 2*order so that the default
     order 32 gives the 64-point circle and the 32x64 sphere rule."""
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
+        raise ValueError(f"order = {order!r}: need an integer")
     if dim == 2:
         return build_circle_rule(2 * order)
     if dim == 3:

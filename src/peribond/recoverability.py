@@ -289,9 +289,11 @@ def mooney_rivlin_inequality_check(
     Raises
     ------
     ValueError
-        If ``a_value``, a given ``c_value`` or a stretch is not finite and
-        positive.
+        If ``beta`` is negative or not finite, or if ``a_value``, a given
+        ``c_value`` or a stretch is not finite and positive.
     """
+    if not (math.isfinite(beta) and beta >= 0):  # the branch reads beta > 0
+        raise ValueError(f"beta = {beta!r}: need a finite number of at least 0")
     _require_positive("a_value", a_value)
     if c_value is not None:
         _require_positive("c_value", c_value)

@@ -448,6 +448,12 @@ def test_unparsable_value_exit_64(tmp_path, capsys, name, text, named):
      ["profile-cof", "[lattice] dim = 2"]),
     ("quadrature-check", "converge", "matrix = 1 2 3", ["[converge] matrix", "4"]),
     ("gamma-limit", "potential", "dim = 4\nc = 1.0", ["[potential] dim", "4"]),
+    ("converge", "converge", "deltas = 0.8 0.4", ["[converge]", "delta = 0.8", "half"]),
+    ("quadrature-check", "converge", "deltas = 0.8 0.4", ["[converge]", "delta = 0.8", "half"]),
+    ("converge", "converge", "deltas = 0.29 0.2\ncells-per-horizon = 3",
+     ["[converge]", "delta = 0.29", "fewer than 3"]),
+    ("quadrature-check", "converge", "deltas = 0.29 0.2\ncells-per-horizon = 3",
+     ["[converge]", "delta = 0.29", "fewer than 3"]),
 ], ids=["quad-order-1", "density-dim-4", "lattice-mode", "lattice-step-other-task",
         "lattice-step-0", "lattice-dim-0", "lattice-bound-below-1", "negative-directions",
         "directions-on-diagonal-lattice", "negative-tol", "no-sweeps",
@@ -455,7 +461,9 @@ def test_unparsable_value_exit_64(tmp_path, capsys, name, text, named):
         "two-cells-per-horizon", "flat-box", "no-stretches", "zero-a-value",
         "lambda-max-below-1", "negative-seed",
         "negative-rel-tol", "negative-randoms", "no-symmetry-trials", "3x3-density-2x2-lattice",
-        "matrix-entries-off-box", "potential-dim-4"])
+        "matrix-entries-off-box", "potential-dim-4", "horizon-past-half-box",
+        "horizon-past-half-box-other-task", "horizon-under-3-cells",
+        "horizon-under-3-cells-other-task"])
 def test_out_of_range_value_exit_64(tmp_path, capsys, task, section, line, named):
     text = f"[run]\ntask = {task}\n" + ("" if section == "run" else f"\n[{section}]\n")
     err = config_error(tmp_path, capsys, "bad.ini", f"{text}{line}\n")

@@ -85,7 +85,7 @@ def reference_near_block_stacked_walls(w, field, dom, centers, rule):
             t_lo = np.where(d < 0, -x0 / d, np.inf)
         r = np.minimum(r_block, np.minimum(np.min(t_hi, axis=2), np.min(t_lo, axis=2)))
         acc = np.zeros(r.shape)
-        u0 = None if field.kind == "affine" else field.evaluate(x0)
+        u0 = field.evaluate(x0) if field.matrix is None else None
         for gx, gw in zip(horizon._RADIAL_X, horizon._RADIAL_W):
             rho = 0.5 * r * (1.0 + gx)
             offs = rho[..., None] * d

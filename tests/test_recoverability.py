@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from peribond.cli import MODELS, _json_safe, build_model, load_config
 from peribond.linalg import INF, random_rotation
+from peribond.pipeline import compute_blowup, local_density
 from peribond.potentials import (
     ScalarProfile,
     affine_frobenius_squared,
@@ -17,9 +18,10 @@ from peribond.potentials import (
     frobenius_squared,
     make_incompressible_mr,
     make_mooney_rivlin,
+    make_power_bond,
     make_profile_energy,
 )
-from peribond.quadrature import build_circle_rule, build_sphere_rule, sphere_measure
+from peribond.quadrature import build_circle_rule, build_rule, build_sphere_rule, sphere_measure
 from peribond.recoverability import (
     IndeterminateResidualError,
     cubic_mean_lower_constant,
@@ -335,3 +337,30 @@ def test_residual_frame_indifferent_and_isotropic(kind, singular, flip, seeds):
         assert moved == base
     else:
         assert abs(moved - base) <= 1e-8 * (1.0 + abs(base))
+
+
+RULE_2D = build_rule(2, 32)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    c=st.floats(0.1, 10.0),
+    p=st.floats(1.0, 4.0),
+    q=st.floats(0.0, 4.0),
+    eps=st.floats(0.01, 1.0),
+)
+def test_every_bond_limit_passes_the_screen(c, p, q, eps):
+    # the paper's loop: the local density W of a power bond's blow-up is
+    # recoverable, so the screen at the same rule order finds it consistent;
+    # a volumetric term breaks the identity, a Frobenius term keeps it
+    limit = compute_blowup(make_power_bond(c, p, q, dim=2))
+
+    def w(a):
+        return local_density(limit, a, RULE_2D)
+
+    def verdict(fn):
+        return roundtrip_check(custom_energy(fn, dim=2), RULE_2D).verdict
+
+    assert verdict(w) == "consistent"
+    assert verdict(lambda a: w(a) + eps * (np.linalg.det(a) - 1.0) ** 2) == "violated"
+    assert verdict(lambda a: w(a) + eps * np.sum(a * a, axis=(-2, -1))) == "consistent"
