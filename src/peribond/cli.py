@@ -321,7 +321,9 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
                 f"[density] kind = {model.kind} takes {model.dim}x{model.dim} "
                 f"matrices only, not [{section}] dim = {dim}"
             )
-    build_model("potential", potential)
+    pot = build_model("potential", potential)
+    _read_rule("potential", potential, ("dim", "p", "q"),
+               horizon.check_degree, pot.beta, potential["dim"])
     return sections
 
 

@@ -251,7 +251,7 @@ def _chains(shape: tuple[int, ...], step: np.ndarray) -> np.ndarray:
 
 
 def _random_direction_pass(
-    values: np.ndarray, lattice: MatrixLattice, count: int, rng: np.random.Generator
+    values: np.ndarray, lattice: MatrixLattice, count: int, rng: "np.random.Generator | None"
 ) -> np.ndarray:
     """Extra coverage from random rank-one dyads via multilinear interpolation.
 
@@ -353,7 +353,8 @@ def rank_one_convexify(
     initial = lattice.fill(density)
     values = initial.copy()
     tables = [_chains(values.shape, step) for step in lattice.directions()]
-    rng = np.random.default_rng(seed)
+    # a task that draws no dyad never loads numpy.random
+    rng = np.random.default_rng(seed) if directions > 0 else None
     decrement = INF
     sweeps = 0
     while sweeps < max_sweeps:

@@ -23,7 +23,7 @@ from numpy.polynomial.legendre import leggauss
 from .linalg import vector_norm
 from .pipeline import BlowupResult, compute_blowup, local_density
 from .potentials import PairwisePotential
-from .quadrature import SphereQuadrature, build_rule
+from .quadrature import SphereQuadrature, build_rule, is_integer
 
 
 def _slice_rule(n: int):
@@ -59,8 +59,7 @@ class BoxDomain:
         if len(self.sides) not in (2, 3):
             raise ValueError("box domains support dimensions 2 and 3")
         # a fractional cell count would skew every pair count of the grid
-        if not all(isinstance(r, (int, np.integer)) and not isinstance(r, bool) and r > 0
-                   for r in self.resolution):
+        if not all(is_integer(r) and r > 0 for r in self.resolution):
             raise ValueError(f"resolution = {self.resolution!r}: need positive integers")
         if not all(math.isfinite(s) and s > 0 for s in self.sides):
             raise ValueError(f"sides = {self.sides!r}: need finite positive lengths")
@@ -280,6 +279,16 @@ def _check_horizon(delta: float, dom: BoxDomain) -> None:
             f"delta = {delta!r} spans {cells:.3g} cells, fewer than 3; refine the grid")
 
 
+def check_degree(beta: float, dim: int) -> None:
+    """Refuse a bond degree the horizon scaling cannot carry: in ``dim``
+    dimensions a bond of degree ``beta`` is integrable at the diagonal, and
+    the prefactor (dim + beta) / delta^(dim + beta) positive, only if
+    dim + beta > 0."""
+    if not (math.isfinite(beta) and dim + beta > 0):
+        raise ValueError(f"beta = {beta!r}, dim = {dim!r}: need a finite degree with "
+                         "dim + beta > 0, else the pair energy diverges at the diagonal")
+
+
 def _pair_ranges(res, k, margins):
     """Per axis, the first and last outer cell whose partner at offset ``k``
     lies in the box too; None when an axis has no such cell."""
@@ -295,29 +304,24 @@ def _pair_ranges(res, k, margins):
 def _near_block_integral(w, field, dom, centers, rule):
     """Polar integral of the bond density over the diagonal 3h-block.
 
-    ``centers`` has shape (C, dim); rays along the nodes of the sphere rule
-    ``rule`` are clipped exactly to the block and to the domain box. Returns
-    shape (C,); a NaN integrand raises. Centers go through in chunks of at
-    most ``_NEAR_CHUNK`` (center, direction, axis) entries.
+    ``centers`` has shape (C, dim). A center's block, clipped to the box,
+    reaches lo = min(1.5 h, x0) below it and hi = min(1.5 h, side - x0)
+    above it on each axis; the ray along a node d of ``rule`` leaves it at
+    the least hi / d_j (d_j > 0) or lo / |d_j| (d_j < 0). Returns shape
+    (C,); a NaN integrand raises. Chunks hold at most ``_NEAR_CHUNK``
+    (center, direction, axis) entries.
     """
     half = 1.5 * dom.spacing  # block half-widths
     sides = np.asarray(dom.sides)
     d = rule.nodes  # (M, dim)
-    with np.errstate(divide="ignore"):
-        r_block = np.min(
-            np.where(np.abs(d) > 0, half / np.abs(d), np.inf), axis=1
-        )  # (M,)
     step = max(1, _NEAR_CHUNK // d.size)
     out = np.empty(len(centers))
     for start in range(0, len(centers), step):
         x0 = centers[start:start + step, None, :]  # (C, 1, dim)
-        r = r_block
-        # each wall in turn: a minimum is exact, so the order does not matter
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for j, dj in enumerate(d.T):
-                xj = x0[..., j]  # (C, 1)
-                r = np.minimum(r, np.where(dj > 0, (sides[j] - xj) / dj, np.inf))
-                r = np.minimum(r, np.where(dj < 0, -xj / dj, np.inf))  # (C, M)
+        lo, hi = np.minimum(half, x0), np.minimum(half, sides - x0)
+        # d_j = 0 (a ray parallel to the walls of axis j) gives lo_j / 0 = inf there
+        with np.errstate(divide="ignore"):
+            r = np.min(np.where(d > 0, hi, lo) / np.abs(d), axis=-1)  # (C, M)
         acc = np.zeros(r.shape)
         # u(x0) once per chunk; an affine field keeps its exact offset product
         u0 = None if field.matrix is not None else field.evaluate(x0)
@@ -388,15 +392,14 @@ def nonlocal_energy(
     Raises
     ------
     ValueError
-        If ``beta`` is not finite or conflicts with the degree declared on
-        ``w``; if ``delta`` is not finite and positive, reaches half the
-        shortest side or spans fewer than three cells; if ``outer_margin``
-        is negative or not finite, or leaves no cells; if ``rule`` lives on
-        another sphere; or if the far-field sum or the near block meets a
-        NaN bond value.
+        If ``beta`` is not finite, has dim + beta <= 0 or conflicts with
+        the degree declared on ``w``; if ``delta`` is not finite and
+        positive, reaches half the shortest side or spans fewer than three
+        cells; if ``outer_margin`` is negative or not finite, or leaves no
+        cells; if ``rule`` lives on another sphere; or if the far-field sum
+        or the near block meets a NaN bond value.
     """
-    if not math.isfinite(beta):
-        raise ValueError(f"beta = {beta!r}: need a finite degree")
+    check_degree(beta, dom.dim)
     if w.beta is not None and abs(beta - w.beta) > 1e-9:
         raise ValueError(
             f"scaling degree {beta} conflicts with the declared degree {w.beta}"
@@ -414,20 +417,16 @@ def nonlocal_energy(
         raise ValueError(f"rule lives on S^{rule.dim - 1} but the domain is {dim}D")
 
     far = 0.0
-    if field.matrix is not None:
-        for k, xt, cov in stencil:
-            ranges = _pair_ranges(res, k, margins)
-            if ranges is None:
-                continue
+    u_grid = None if field.matrix is not None else field.evaluate(dom.centers())  # (*res, m)
+    for k, xt, cov in stencil:
+        ranges = _pair_ranges(res, k, margins)
+        if ranges is None:
+            continue
+        if u_grid is None:
             pairs = math.prod(hi - lo + 1 for lo, hi in ranges)
             val = float(w(-xt, field.difference(np.zeros(dim), xt)))
             far += cov * pairs * val
-    else:
-        u_grid = field.evaluate(dom.centers())  # (*res, m)
-        for k, xt, cov in stencil:
-            ranges = _pair_ranges(res, k, margins)
-            if ranges is None:
-                continue
+        else:
             sl_out = tuple(slice(lo, hi + 1) for lo, hi in ranges)
             sl_in = tuple(slice(lo + kj, hi + 1 + kj) for (lo, hi), kj in zip(ranges, k))
             diff = u_grid[sl_out] - u_grid[sl_in]
@@ -525,8 +524,7 @@ def study_grids(sides, deltas, cells_per_horizon: int) -> list[tuple[float, BoxD
     deltas = [float(d) for d in deltas]
     if not deltas or not all(d > 0 for d in deltas):
         raise ValueError(f"deltas = {deltas!r}: need one horizon or more, each positive")
-    if (isinstance(cells_per_horizon, bool) or not isinstance(cells_per_horizon, (int, np.integer))
-            or cells_per_horizon < 3):
+    if not is_integer(cells_per_horizon) or cells_per_horizon < 3:
         raise ValueError(f"cells_per_horizon = {cells_per_horizon!r}: need an integer of at least 3")
     grids = []
     for d in deltas:

@@ -121,7 +121,7 @@ def rotation_from_quaternion(q) -> np.ndarray:
     )
 
 
-def rotation_from_rng(dim: int, rng: np.random.Generator) -> np.ndarray:
+def rotation_from_rng(dim: int, rng: "np.random.Generator") -> np.ndarray:
     """Haar-distributed rotation drawn from an existing generator."""
     if dim == 2:
         return rotation_from_angle(rng.uniform(0.0, 2.0 * math.pi))

@@ -10,6 +10,7 @@ model; arbitrary callables are accepted through ``custom_energy`` and
 not being serializable.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -125,7 +126,10 @@ def make_power_bond(c: float, p: float, q: float, dim: int = 3) -> PairwisePoten
 
     Evaluation at a zero reference offset is an error: the bond density
     blows up at the origin and the diagonal never enters any integral here.
+    A coefficient ``c`` that is not finite and positive raises ValueError.
     """
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"c = {c!r}: need a finite positive coefficient")
 
     def profile(r, s, c=float(c), p=float(p), q=float(q)):
         if np.any(r == 0.0):

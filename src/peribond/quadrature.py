@@ -16,6 +16,11 @@ from numpy.polynomial.legendre import leggauss
 from .linalg import INF
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer, Python's or numpy's, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def sphere_measure(dim: int) -> float:
     """Total surface measure of S^(dim-1): 2*pi for dim 2, 4*pi for dim 3."""
     if dim == 2:
@@ -115,7 +120,7 @@ def build_sphere_rule(order: int) -> SphereQuadrature:
 def build_rule(dim: int, order: int) -> SphereQuadrature:
     """Dispatch: order circle points on S^1 are 2*order so that the default
     order 32 gives the 64-point circle and the 32x64 sphere rule."""
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
+    if not is_integer(order):
         raise ValueError(f"order = {order!r}: need an integer")
     if dim == 2:
         return build_circle_rule(2 * order)

@@ -454,6 +454,13 @@ def test_unparsable_value_exit_64(tmp_path, capsys, name, text, named):
      ["[converge]", "delta = 0.29", "fewer than 3"]),
     ("quadrature-check", "converge", "deltas = 0.29 0.2\ncells-per-horizon = 3",
      ["[converge]", "delta = 0.29", "fewer than 3"]),
+    ("gamma-limit", "potential", "dim = 2\np = 2\nq = 4",
+     ["[potential]", "dim = 2", "q = 4.0", "beta = -2.0", "dim + beta > 0"]),
+    ("converge", "potential", "dim = 2\np = 2\nq = 4",
+     ["[potential]", "dim = 2", "q = 4.0", "beta = -2.0", "dim + beta > 0"]),
+    ("converge", "potential", "dim = 2\np = 2\nq = 5",
+     ["[potential]", "dim = 2", "q = 5.0", "beta = -3.0", "dim + beta > 0"]),
+    ("gamma-limit", "potential", "c = -1", ["[potential]", "c = -1.0", "positive"]),
 ], ids=["quad-order-1", "density-dim-4", "lattice-mode", "lattice-step-other-task",
         "lattice-step-0", "lattice-dim-0", "lattice-bound-below-1", "negative-directions",
         "directions-on-diagonal-lattice", "negative-tol", "no-sweeps",
@@ -463,7 +470,8 @@ def test_unparsable_value_exit_64(tmp_path, capsys, name, text, named):
         "negative-rel-tol", "negative-randoms", "no-symmetry-trials", "3x3-density-2x2-lattice",
         "matrix-entries-off-box", "potential-dim-4", "horizon-past-half-box",
         "horizon-past-half-box-other-task", "horizon-under-3-cells",
-        "horizon-under-3-cells-other-task"])
+        "horizon-under-3-cells-other-task", "bond-degree-minus-dim",
+        "bond-degree-minus-dim-converge", "bond-degree-below-minus-dim", "bond-c-negative"])
 def test_out_of_range_value_exit_64(tmp_path, capsys, task, section, line, named):
     text = f"[run]\ntask = {task}\n" + ("" if section == "run" else f"\n[{section}]\n")
     err = config_error(tmp_path, capsys, "bad.ini", f"{text}{line}\n")

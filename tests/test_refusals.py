@@ -48,11 +48,19 @@ def scan(beta):
     (lambda: scan(-1.0), "beta = -1.0"),
     (lambda: scan(math.nan), "beta = nan"),
     (lambda: scan(math.inf), "beta = inf"),
+    (lambda: nonlocal_energy(make_power_bond(1.0, 2.0, 4.0, dim=2), -2.0, 0.1, FIELD, DOM),
+     "beta = -2.0, dim = 2"),
+    (lambda: nonlocal_energy(make_power_bond(1.0, 2.0, 5.0, dim=2), -3.0, 0.1, FIELD, DOM),
+     "beta = -3.0, dim = 2"),
+    (lambda: make_power_bond(-1, 2.0, 2.0), "c = -1"),
+    (lambda: make_power_bond(math.nan, 2.0, 2.0), "c = nan"),
 ], ids=["energy-beta-nan", "energy-beta-inf", "energy-delta-nan", "energy-delta-negative",
         "energy-margin-nan", "energy-margin-negative", "grids-side-inf", "grids-side-nan",
         "grids-horizon-past-half-box", "convexify-tol-negative",
         "convexify-tol-nan", "convexify-no-sweeps", "probe-no-trials", "sphere-order-fraction",
-        "circle-order-fraction", "scan-beta-negative", "scan-beta-nan", "scan-beta-inf"])
+        "circle-order-fraction", "scan-beta-negative", "scan-beta-nan", "scan-beta-inf",
+        "energy-degree-minus-dim", "energy-degree-below-minus-dim", "bond-c-negative",
+        "bond-c-nan"])
 def test_library_refuses_and_names_the_argument(call, named):
     with pytest.raises(ValueError, match=named):
         call()
