@@ -32,6 +32,9 @@ SURROGATE_NOTE = (
     "quasiconvex envelope; a lattice fixed point is evidence, not proof"
 )
 
+#: lattice matrices per density call in ``MatrixLattice.fill``
+_FILL_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class MatrixLattice:
@@ -102,10 +105,17 @@ class MatrixLattice:
     def fill(self, density: StoredEnergy) -> np.ndarray:
         """Density values at every lattice matrix; NaN and -inf are rejected.
 
-        The hull never takes an infinite value as a vertex, so a -inf would
-        stay in place while its chains reported convergence.
+        The density sees ``_FILL_CHUNK`` matrices at a time, so its
+        temporaries stay small whatever the lattice. The hull never takes an
+        infinite value as a vertex, so a -inf would stay in place while its
+        chains reported convergence.
         """
-        values = np.asarray(density(self.matrices()), dtype=float)
+        mats = self.matrices()
+        flat = mats.reshape(-1, self.dim, self.dim)
+        values = np.empty(len(flat))
+        for start in range(0, len(flat), _FILL_CHUNK):
+            values[start:start + _FILL_CHUNK] = density(flat[start:start + _FILL_CHUNK])
+        values = values.reshape(mats.shape[:-2])
         for bad, name in ((np.isnan, "NaN"), (np.isneginf, "-inf")):
             if np.any(bad(values)):
                 raise ValueError(f"density produced {name} on the lattice")

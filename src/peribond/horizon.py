@@ -6,12 +6,18 @@ well below the boundary-layer gap the convergence studies measure: cells
 straddling the interaction sphere |x - x'| = delta enter with their exact
 covered area or volume instead of an all-or-nothing center test (a closed
 form in 2D, that form integrated over slices in 3D), and the block of cells
-around the diagonal is integrated in polar coordinates, where the radial
-Jacobian absorbs the kernel singularity. Affine deformations factor through
-cell offsets, which collapses the double sum to a single stencil pass and
-the diagonal blocks to one polar integral per way the box walls clip them.
+around the diagonal is integrated over its wall pyramids. Each center's
+block, clipped to the box, splits into one pyramid per wall with its apex
+at the center (Duffy, SIAM J. Numer. Anal. 19, 1982); a Gauss-Jacobi rule
+along the apex-to-wall segment absorbs the r^(dim-1) volume factor and the
+bond's degree, and tensor Gauss-Legendre nodes cover each wall face, split
+at the foot of the perpendicular from the center. Affine deformations
+factor through cell offsets, which collapses the double sum to a single
+stencil pass and the diagonal blocks to one integral per way the box walls
+clip them.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -20,7 +26,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .linalg import vector_norm
+from .linalg import matvec, vector_norm
 from .pipeline import BlowupResult, compute_blowup, local_density
 from .potentials import PairwisePotential
 from .quadrature import SphereQuadrature, build_rule, is_integer
@@ -37,10 +43,10 @@ def _slice_rule(n: int):
 
 # built once: the eigenvalue solve costs more than a whole stencil's coverage
 _SLICE_Z, _SLICE_W = _slice_rule(24)
-# radial Gauss-Legendre rule of the near block's polar integral, on [-1, 1]
-_RADIAL_X, _RADIAL_W = leggauss(8)
+# Gauss-Jacobi nodes along each near-block pyramid, from apex to wall
+_RADIAL_NODES = 4
 
-# chunk bounds of the batched horizon integrals: (center, direction, axis)
+# chunk bounds of the batched horizon integrals: (center, node, axis)
 # entries per near-block chunk, (cell, node) pairs per local-density call
 _NEAR_CHUNK = 2**16
 _LOCAL_CHUNK = 2**15
@@ -106,7 +112,7 @@ class DeformationField:
     def affine(matrix) -> "DeformationField":
         a = np.asarray(matrix, dtype=float)
         return DeformationField(
-            matrix=a, fn=lambda p: p @ a.T,
+            matrix=a, fn=lambda p: matvec(a, p),
             grad_fn=lambda p: np.broadcast_to(a, p.shape[:-1] + a.shape).copy(),
             out_dim=a.shape[0],
         )
@@ -145,7 +151,7 @@ class DeformationField:
     def difference(self, x_pts, y_pts) -> np.ndarray:
         """u(x) - u(y); exact in the offset for affine fields."""
         if self.matrix is not None:
-            return (np.asarray(x_pts, dtype=float) - np.asarray(y_pts, dtype=float)) @ self.matrix.T
+            return matvec(self.matrix, np.asarray(x_pts, dtype=float) - np.asarray(y_pts, dtype=float))
         return self.evaluate(x_pts) - self.evaluate(y_pts)
 
     def gradient(self, points) -> np.ndarray:
@@ -242,7 +248,7 @@ def _offset_stencil(dom: BoxDomain, delta: float):
     dmin = vector_norm(np.maximum(ka - 0.5, 0.0) * h)
     dmax = vector_norm((ka + 0.5) * h)
     cov = np.where(dmax <= delta, 1.0, cov.ravel())
-    # the diagonal block is integrated in polar coordinates
+    # the diagonal block is integrated over its wall pyramids
     keep = (np.max(ka, axis=1) > 1) & (dmin <= delta) & (cov > 0.0)
     return [(tuple(kk), np.array(kk) * h, c)
             for kk, c in zip(k[keep].tolist(), cov[keep].tolist())]
@@ -301,39 +307,120 @@ def _pair_ranges(res, k, margins):
     return ranges
 
 
-def _near_block_integral(w, field, dom, centers, rule):
-    """Polar integral of the bond density over the diagonal 3h-block.
+@functools.lru_cache(maxsize=64)
+def _gauss_jacobi(n: int, alpha: float):
+    """n-node Gauss rule on [0, 1] for the weight lam^alpha, alpha > -1
+    (alpha = 0 is Gauss-Legendre), by Golub-Welsch: the nodes are the
+    eigenvalues of the Jacobi matrix of the polynomials orthogonal under
+    that weight, the weights 1 / (alpha + 1) times the squared first
+    components of its eigenvectors. Read-only arrays, built once per rule.
+    """
+    # three-term recurrence of the Jacobi polynomials P_k^(0, alpha) on
+    # [-1, 1], mapped to [0, 1] by lam = (x + 1) / 2
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + alpha
+    diag = np.empty(n)
+    diag[0] = alpha / (alpha + 2.0)
+    diag[1:] = alpha * alpha / (s[1:] * (s[1:] + 2.0))
+    k, s = k[1:], s[1:]
+    off = np.sqrt(4.0 * k * k * (k + alpha) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
+    nodes, vecs = np.linalg.eigh(np.diag(0.5 * (diag + 1.0)) + np.diag(0.5 * off, 1)
+                                 + np.diag(0.5 * off, -1))
+    weights = vecs[0] ** 2 / (alpha + 1.0)
+    for arr in (nodes, weights):
+        arr.setflags(write=False)
+    return nodes, weights
+
+
+def _face_nodes(rule: SphereQuadrature) -> int:
+    """Gauss-Legendre nodes per axis of each near-block face piece: the sphere
+    rule's order / 8, rounded up (``build_rule(dim, order)``; a circle rule
+    of ``order`` counts its points, twice the order it was built with)."""
+    return max(1, math.ceil(rule.order / (16 if rule.dim == 2 else 8)))
+
+
+def _pyramid_nodes(lo, hi, n_face: int, beta: float):
+    """Nodes of the near block [x0 - lo, x0 + hi] of one center x0, as
+    reference offsets x0 - x' (N, dim), with weights (N,) for integrands
+    that are degree ``beta`` homogeneous up to a smooth factor.
+
+    The block is 2 dim pyramids with apex x0, one per wall. A wall at height
+    a from x0 and its face F(t) map to x0 - x' = lam F(t), lam in [0, 1],
+    with volume element a lam^(dim - 1) dlam dt. So the Gauss-Jacobi rule
+    for lam^(dim - 1 + beta) carries the weight a w_face w_lam lam^-beta.
+    Each face is split at the foot of the perpendicular from x0, into
+    2^(dim - 1) pieces of n_face^(dim - 1) Gauss-Legendre nodes each.
+    """
+    dim = len(lo)
+    lam, lam_w = _gauss_jacobi(_RADIAL_NODES, dim - 1.0 + beta)
+    t, t_w = _gauss_jacobi(n_face, 0.0)
+    # offsets x0 - x' run over [-hi, lo]: per axis, the face's two pieces
+    line = [np.concatenate([-h * t, l * t]) for l, h in zip(lo, hi)]
+    line_w = [np.concatenate([h * t_w, l * t_w]) for l, h in zip(lo, hi)]
+    offsets, weights = [], []
+    for j in range(dim):
+        others = [k for k in range(dim) if k != j]
+        grids = np.meshgrid(*[line[k] for k in others], indexing="ij")
+        face_w = math.prod(np.meshgrid(*[line_w[k] for k in others], indexing="ij")).ravel()
+        for a in (lo[j], -hi[j]):
+            face = np.empty((face_w.size, dim))
+            face[:, j] = a
+            for k, g in zip(others, grids):
+                face[:, k] = g.ravel()
+            offsets.append(lam[:, None, None] * face)  # (radial, face, dim)
+            weights.append(np.outer(lam_w * lam ** -beta, abs(a) * face_w))
+    return np.concatenate(offsets).reshape(-1, dim), np.concatenate(weights).ravel()
+
+
+def _near_block_integral(w, field, dom, centers, rule, *, beta):
+    """Integral of the bond density over the diagonal 3h-block of each
+    center, over its wall pyramids (:func:`_pyramid_nodes`).
 
     ``centers`` has shape (C, dim). A center's block, clipped to the box,
     reaches lo = min(1.5 h, x0) below it and hi = min(1.5 h, side - x0)
-    above it on each axis; the ray along a node d of ``rule`` leaves it at
-    the least hi / d_j (d_j > 0) or lo / |d_j| (d_j < 0). Returns shape
-    (C,); a NaN integrand raises. Chunks hold at most ``_NEAR_CHUNK``
-    (center, direction, axis) entries.
+    above it on each axis, and u is evaluated only inside it. Centers with
+    the same (lo, hi), all but the first and last cells of each axis on a
+    grid, share one set of nodes, weights and reference-offset norms; an
+    affine field takes one integral per such class. ``rule``'s order sets
+    the face nodes (:func:`_face_nodes`), ``beta`` is the bond's degree.
+    Returns shape (C,); a NaN integrand raises. Chunks hold at most
+    ``_NEAR_CHUNK`` (center, node, axis) entries.
     """
+    dim = dom.dim
+    centers = np.asarray(centers, dtype=float)
     half = 1.5 * dom.spacing  # block half-widths
-    sides = np.asarray(dom.sides)
-    d = rule.nodes  # (M, dim)
-    step = max(1, _NEAR_CHUNK // d.size)
+
+    def reach(room):  # a wall 1.5 h away, up to rounding, only touches the block
+        return np.where(room < (1.0 - 1e-9) * half, room, half)
+
+    lo, hi = reach(centers), reach(np.asarray(dom.sides) - centers)
+    boxes, which = np.unique(np.concatenate([lo, hi], axis=1), axis=0, return_inverse=True)
+    which = which.reshape(-1)
+    n_face = _face_nodes(rule)
     out = np.empty(len(centers))
-    for start in range(0, len(centers), step):
-        x0 = centers[start:start + step, None, :]  # (C, 1, dim)
-        lo, hi = np.minimum(half, x0), np.minimum(half, sides - x0)
-        # d_j = 0 (a ray parallel to the walls of axis j) gives lo_j / 0 = inf there
-        with np.errstate(divide="ignore"):
-            r = np.min(np.where(d > 0, hi, lo) / np.abs(d), axis=-1)  # (C, M)
-        acc = np.zeros(r.shape)
-        # u(x0) once per chunk; an affine field keeps its exact offset product
-        u0 = None if field.matrix is not None else field.evaluate(x0)
-        for gx, gw in zip(_RADIAL_X, _RADIAL_W):
-            rho = 0.5 * r * (1.0 + gx)  # (C, M)
-            offs = rho[..., None] * d  # x - x' = rho * direction
-            y = x0 - offs
-            diffs = field.difference(x0, y) if u0 is None else u0 - field.evaluate(y)
-            vals = np.asarray(w(offs, diffs), dtype=float)
-            acc += gw * 0.5 * r * rho ** (dom.dim - 1) * vals
-        out[start:start + step] = rule.integrate(acc)
+    for g, box in enumerate(boxes):
+        offs, wts = _pyramid_nodes(box[:dim], box[dim:], n_face, beta)
+        mine = np.flatnonzero(which == g)
+        if field.matrix is not None:
+            # the integrand does not depend on the center, only the clipping does
+            out[mine] = _weighted_node_sum(w(offs, matvec(field.matrix, offs)), wts)
+            continue
+        step = max(1, _NEAR_CHUNK // offs.size)
+        for start in range(0, len(mine), step):
+            idx = mine[start:start + step]
+            x0 = centers[idx]
+            diffs = field.evaluate(x0)[:, None, :] - field.evaluate(x0[:, None, :] - offs)
+            out[idx] = _weighted_node_sum(w(offs, diffs), wts)
     return out
+
+
+def _weighted_node_sum(values, weights):
+    """Sum over the last (node) axis of values * weights; a row's sum is the
+    same however many rows are stacked. A NaN value raises."""
+    values = np.asarray(values, dtype=float)
+    if np.any(np.isnan(values)):
+        raise ValueError("near block: integrand returned NaN at a quadrature node")
+    return np.sum(values * weights, axis=-1)
 
 
 def _clipping_classes(dom: BoxDomain, margins):
@@ -385,9 +472,10 @@ def nonlocal_energy(
         Restrict the outer integration to cells at least this far from the
         boundary (0 = whole box).
     rule
-        Sphere rule of the near block's polar integral, on S^(dim-1);
-        default ``build_rule(dim, 32)``. Its radial rule is fixed at 8
-        Gauss-Legendre nodes.
+        Sphere rule on S^(dim-1), default ``build_rule(dim, 32)``. Its order
+        sets the near block's face nodes: ``build_rule(dim, order)`` gives
+        ceil(order / 8) Gauss-Legendre nodes per axis of each face piece.
+        The pyramids' radial rule is fixed at 4 Gauss-Jacobi nodes.
 
     Raises
     ------
@@ -430,13 +518,13 @@ def nonlocal_energy(
             sl_out = tuple(slice(lo, hi + 1) for lo, hi in ranges)
             sl_in = tuple(slice(lo + kj, hi + 1 + kj) for (lo, hi), kj in zip(ranges, k))
             diff = u_grid[sl_out] - u_grid[sl_in]
-            vals = np.asarray(w(np.broadcast_to(-xt, diff.shape[:-1] + (dim,)), diff))
+            vals = np.asarray(w(-xt, diff))
             far += cov * float(np.sum(vals))
     if math.isnan(far):
         raise ValueError("far-field sum of the bond density is NaN")
     far *= cellvol * cellvol
 
-    # diagonal block in polar coordinates, per outer cell
+    # diagonal block over its wall pyramids, per outer cell
     if field.matrix is not None:
         # the integrand does not depend on the center, only the clipping does
         centers, counts = _clipping_classes(dom, margins)
@@ -444,7 +532,7 @@ def nonlocal_energy(
         inner = tuple(slice(m, n - m) for m, n in zip(margins, res))
         centers = dom.centers()[inner].reshape(-1, dim)
         counts = np.ones(len(centers))
-    values = _near_block_integral(w, field, dom, centers, rule)
+    values = _near_block_integral(w, field, dom, centers, rule, beta=beta)
     near = float(np.sum(counts * values))
     near *= cellvol
 

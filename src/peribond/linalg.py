@@ -58,6 +58,21 @@ def vector_norm(v) -> np.ndarray:
     return np.sqrt(total)
 
 
+def matvec(a, v) -> np.ndarray:
+    """A v over the last axis of ``v``, shape (..., m) for A of shape (m, n):
+    the products summed one after the other, in order, as ``vector_norm``
+    does. A matmul's rounding depends on how many vectors are stacked; this
+    sum gives every vector the same bits however it is batched.
+    """
+    a, v = np.asarray(a, dtype=float), np.asarray(v, dtype=float)
+    if a.ndim != 2 or v.ndim < 1 or v.shape[-1] != a.shape[1]:
+        raise ValueError(f"cannot apply a {a.shape} matrix to vectors of shape {v.shape}")
+    out = v[..., :1] * a[:, 0]
+    for j in range(1, a.shape[1]):
+        out += v[..., j:j + 1] * a[:, j]
+    return out
+
+
 def determinant(a) -> float | np.ndarray:
     """Determinant by explicit cofactor expansion, square n <= 3 only."""
     a = _as_matrix(a)

@@ -207,8 +207,8 @@ def local_density(limit: BlowupResult, a, rule: SphereQuadrature):
             f"S^{rule.dim - 1}"
         )
     y_def = rule.nodes @ np.swapaxes(a, -1, -2)  # (..., N, m)
-    x_ref = np.broadcast_to(rule.nodes, y_def.shape[:-1] + (rule.dim,))
-    return rule.integrate(limit.evaluate(x_ref, y_def))
+    # the nodes broadcast against the stacked images: one norm per node
+    return rule.integrate(limit.evaluate(rule.nodes, y_def))
 
 
 @dataclass(frozen=True)

@@ -75,8 +75,11 @@ class PairwisePotential:
     """Bond density w(x_ref, y_def) on pairs of offsets.
 
     ``fn`` maps arrays of shape (..., ref_dim) and (..., def_dim) to (...)
-    values. ``beta`` is the declared homogeneity degree of the pair
-    (None = unknown).
+    values. The leading axes of ``x_ref`` and ``y_def`` broadcast against
+    each other, and ``fn`` returns values of their broadcast shape: callers
+    pass reference offsets shared by many deformed ones unbroadcast, so
+    their norms are taken once. ``beta`` is the declared homogeneity degree
+    of the pair (None = unknown).
     """
 
     kind: str

@@ -205,9 +205,13 @@ def test_converge_default_config_runs_2d_study(tmp_path):
 
 def test_converge_quad_order_drives_both_sphere_integrals(tmp_path):
     # quad-order 16 reaches the near block of each energy as well as the
-    # local reference: the rows are the library study's at build_rule(2, 16)
+    # local reference: the rows are the library study's at build_rule(2, 16).
+    # On a square box the x and y walls clip equally many cells, and the
+    # quadratic bond's near block sums to its exact value under any
+    # symmetric face rule; an oblong box shows the rule in the energy
     cfg = tmp_path / "converge.ini"
-    cfg.write_text("[run]\ntask = converge\nquad-order = 16\n\n[potential]\ndim = 2\n")
+    cfg.write_text("[run]\ntask = converge\nquad-order = 16\n\n[potential]\ndim = 2\n\n"
+                   "[converge]\nbox = 1 1.3\n")
     out = tmp_path / "o"
     assert main(["--config", str(cfg), "--out", str(out), "--no-timestamp"]) == 0
     resolved = json.loads((out / "summary.json").read_text())["config"]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peribond import convexify
 from peribond.convexify import (
     MatrixLattice,
     _chains,
@@ -273,6 +274,34 @@ def test_fill_rejects_negative_infinity():
         lat.fill(square)
     with pytest.raises(ValueError, match="-inf"):
         rank_one_convexify(square, lat)
+
+
+@pytest.mark.parametrize("lattice, density", [
+    (MatrixLattice(dim=3, bound=3.0, step=0.1, mode="diagonal"),
+     make_mooney_rivlin(0.7, 1.3, ScalarProfile.well())),
+    (MatrixLattice(dim=3, bound=3.0, step=0.1, mode="diagonal"), make_incompressible_mr(1.0, 0.5)),
+    (MatrixLattice(dim=2, bound=2.0, step=0.5, mode="full"),
+     make_profile_energy("frobenius", ScalarProfile.well())),
+    (MatrixLattice(dim=1, bound=1.0, step=0.5), frobenius_squared()),
+], ids=["mooney-rivlin-diag61", "incompressible-diag61", "double-well-full2x2", "interval"])
+def test_fill_in_chunks_is_bit_equal_to_one_call(lattice, density):
+    # 61^3 and 9^4 lattice points: several chunks, the last one partial
+    want = np.asarray(density(lattice.matrices()), dtype=float)
+    got = lattice.fill(density)
+    assert got.shape == want.shape == (lattice.points_per_axis,) * lattice.axes
+    assert np.array_equal(got, want)
+
+
+def test_fill_rejects_nan_in_a_later_chunk():
+    lat = MatrixLattice(dim=3, bound=3.0, step=0.1, mode="diagonal")
+    target = lat.matrices().reshape(-1, 3, 3)[5 * convexify._FILL_CHUNK + 7]
+
+    def fn(m):
+        hit = np.all(m == target, axis=(-2, -1))
+        return np.where(hit, np.nan, np.sum(m * m, axis=(-2, -1)))
+
+    with pytest.raises(ValueError, match="NaN"):
+        lat.fill(custom_energy(fn, "one-nan"))
 
 
 def test_lattice_matrices_shapes():

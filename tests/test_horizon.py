@@ -29,7 +29,7 @@ from peribond.horizon import (
 from peribond.linalg import random_rotation
 from peribond.pipeline import BlowupError, BlowupResult, compute_blowup, local_density
 from peribond.potentials import PairwisePotential, make_power_bond
-from peribond.quadrature import SphereQuadrature, build_rule
+from peribond.quadrature import build_rule
 
 A2 = np.diag([1.0, 2.0])
 
@@ -39,61 +39,76 @@ def quadratic_bond(dim):
     return make_power_bond(dim / sigma, 2.0, 2.0, dim=dim)
 
 
-def reference_near_block_integral(
-    w, field, dom, centers, directions, dir_weights, radial_nodes
-):
-    """The polar near-block integral one center at a time, as a loop."""
-    gl_x, gl_w = leggauss(radial_nodes)
-    half = 1.5 * dom.spacing
-    sides = np.asarray(dom.sides)
-    d = directions
-    with np.errstate(divide="ignore"):
-        r_block = np.min(np.where(np.abs(d) > 0, half / np.abs(d), np.inf), axis=1)
+def reference_near_block_integral(w, field, dom, centers, n_face, n_radial, beta):
+    """The near block one center, one wall and one face piece at a time:
+    the block [x0 - lo, x0 + hi] clipped to the box is 2 dim pyramids with
+    apex x0, the points x' = x0 + lam (P - x0) for P on a wall face, with
+    volume element a lam^(dim - 1) for a wall at distance a. Each face is
+    split at the foot of the perpendicular from x0; its pieces take
+    n_face Gauss-Legendre nodes per axis, and lam the n_radial-node
+    Gauss-Jacobi rule for lam^(dim - 1 + beta)."""
+    roots_jacobi = pytest.importorskip("scipy.special").roots_jacobi
+    dim = dom.dim
+    lam, lam_w = roots_jacobi(n_radial, 0.0, dim - 1.0 + beta)
+    lam, lam_w = (lam + 1.0) / 2.0, lam_w / 2.0 ** (dim + beta)
+    gl_x, gl_w = leggauss(n_face)
+    half, sides = 1.5 * dom.spacing, np.asarray(dom.sides)
     out = np.zeros(len(centers))
     for i, x0 in enumerate(centers):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_hi = np.where(d > 0, (sides - x0) / d, np.inf)
-            t_lo = np.where(d < 0, -x0 / d, np.inf)
-        r_dom = np.minimum(np.min(t_hi, axis=1), np.min(t_lo, axis=1))
-        r = np.minimum(r_block, r_dom)
+        lo, hi = np.minimum(half, x0), np.minimum(half, sides - x0)
+        for j, wall in itertools.product(range(dim), (-1, 1)):
+            a = lo[j] if wall < 0 else hi[j]
+            others = [k for k in range(dim) if k != j]
+            for signs in itertools.product((-1, 1), repeat=dim - 1):
+                ends = [x0[k] + (hi[k] if sg > 0 else -lo[k]) for k, sg in zip(others, signs)]
+                nodes = np.meshgrid(*[x0[k] + (e - x0[k]) * (gl_x + 1.0) / 2.0
+                                      for k, e in zip(others, ends)], indexing="ij")
+                weights = math.prod(np.meshgrid(*[abs(e - x0[k]) * gl_w / 2.0
+                                                  for k, e in zip(others, ends)], indexing="ij"))
+                face = np.empty((weights.size, dim))
+                face[:, j] = x0[j] + wall * a
+                face[:, others] = np.stack([g.ravel() for g in nodes], axis=-1)
+                y = x0 + lam[:, None, None] * (face - x0)  # (radial, face node, dim)
+                vals = np.asarray(w(x0 - y, field.difference(np.broadcast_to(x0, y.shape), y)))
+                out[i] += a * float(np.sum(weights.ravel() * (lam_w / lam ** beta)[:, None] * vals))
+    return out
+
+
+def reference_polar_near_block(w, field, dom, centers, rule):
+    """The near block in polar coordinates about each center, along the
+    directions of ``rule`` with 8 Gauss-Legendre nodes out to the clipped
+    block's wall: the rule the pyramids replaced."""
+    gl_x, gl_w = leggauss(8)
+    half, sides, d = 1.5 * dom.spacing, np.asarray(dom.sides), rule.nodes
+    out = np.zeros(len(centers))
+    for i, x0 in enumerate(centers):
+        lo, hi = np.minimum(half, x0), np.minimum(half, sides - x0)
+        with np.errstate(divide="ignore"):
+            r = np.min(np.where(d > 0, hi, lo) / np.abs(d), axis=1)
         acc = np.zeros(len(d))
         for gx, gw in zip(gl_x, gl_w):
             rho = 0.5 * r * (1.0 + gx)
-            offs = rho[:, None] * d
-            diffs = field.difference(np.broadcast_to(x0, offs.shape), x0 - offs)
-            vals = np.asarray(w(offs, diffs), dtype=float)
-            acc += gw * 0.5 * r * rho ** (dom.dim - 1) * vals
-        out[i] = float(np.dot(dir_weights, acc))
+            y = x0 + rho[:, None] * d
+            diffs = field.difference(np.broadcast_to(x0, y.shape), y)
+            acc += gw * 0.5 * r * rho ** (dom.dim - 1) * np.asarray(w(x0 - y, diffs))
+        out[i] = rule.integrate(acc)
     return out
 
 
-def reference_near_block_stacked_walls(w, field, dom, centers, rule):
-    """The chunked near block with every wall's ray parameter stacked in
-    (C, M, dim) arrays and reduced by np.min over the last axis, the form
-    that clipping one wall at a time replaced; kept to pin its floats."""
+def midpoint_near_block(w, field, dom, x0, per_half_cell):
+    """Midpoint sum over the clipped block of one center, on a grid of
+    ``per_half_cell`` points per half cell width, which puts x0 on a grid
+    vertex; it converges as the grid squared."""
     half = 1.5 * dom.spacing
-    sides = np.asarray(dom.sides)
-    d = rule.nodes
-    with np.errstate(divide="ignore"):
-        r_block = np.min(np.where(np.abs(d) > 0, half / np.abs(d), np.inf), axis=1)
-    step = max(1, horizon._NEAR_CHUNK // d.size)
-    out = np.empty(len(centers))
-    for start in range(0, len(centers), step):
-        x0 = centers[start:start + step, None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_hi = np.where(d > 0, (sides - x0) / d, np.inf)
-            t_lo = np.where(d < 0, -x0 / d, np.inf)
-        r = np.minimum(r_block, np.minimum(np.min(t_hi, axis=2), np.min(t_lo, axis=2)))
-        acc = np.zeros(r.shape)
-        u0 = field.evaluate(x0) if field.matrix is None else None
-        for gx, gw in zip(horizon._RADIAL_X, horizon._RADIAL_W):
-            rho = 0.5 * r * (1.0 + gx)
-            offs = rho[..., None] * d
-            y = x0 - offs
-            diffs = field.difference(x0, y) if u0 is None else u0 - field.evaluate(y)
-            acc += gw * 0.5 * r * rho ** (dom.dim - 1) * np.asarray(w(offs, diffs), dtype=float)
-        out[start:start + step] = rule.integrate(acc)
-    return out
+    lo, hi = np.minimum(half, x0), np.minimum(half, np.asarray(dom.sides) - x0)
+    step = dom.spacing / (2 * per_half_cell)
+    axes = [x0[k] - lo[k] + step[k] * (np.arange(int(round((lo[k] + hi[k]) / step[k]))) + 0.5)
+            for k in range(dom.dim)]
+    total = 0.0
+    for first in np.array_split(axes[0], 8):  # bounded memory in 3D
+        y = np.stack(np.meshgrid(first, *axes[1:], indexing="ij"), axis=-1).reshape(-1, dom.dim)
+        total += float(np.sum(w(x0 - y, field.difference(np.broadcast_to(x0, y.shape), y))))
+    return total * float(np.prod(step))
 
 
 def reference_local_reference(limit, field, dom, rule):
@@ -520,46 +535,43 @@ def test_affine_clipping_classes_match_per_center_loop(sides, res, delta, margin
     a = np.eye(dim) + 0.3 * np.random.default_rng(dim).standard_normal((dim, dim))
     w, u = quadratic_bond(dim), DeformationField.affine(a)
     rule = build_rule(dim, 32 if dim == 2 else 4)
-    dirs, weights = rule.nodes, rule.weights
     margins = _margin_cells(dom, margin)
     centers, counts = _clipping_classes(dom, margins)
-    values = _near_block_integral(w, u, dom, centers, rule)
-    # the loop at the midpoint for the cells off the walls, and at every
-    # outermost ("ring") cell itself
-    cells = outer_centers(dom, margins)
-    idx = np.rint(cells / dom.spacing - 0.5).astype(int)
-    ring = np.any((idx == 0) | (idx == np.array(res) - 1), axis=1)
-    mid = np.asarray(sides)[None, :] / 2.0
-    want = (len(cells) - np.count_nonzero(ring)) * reference_near_block_integral(
-        w, u, dom, mid, dirs, weights, 8)[0]
-    want += float(np.sum(reference_near_block_integral(w, u, dom, cells[ring], dirs, weights, 8)))
-    got = float(np.sum(counts * values))
-    assert abs(got - want) <= 1e-12 * abs(want)
+    values = _near_block_integral(w, u, dom, centers, rule, beta=0.0)
     # the classes cover every outer cell once, and each cell's own integral
     # is its class's (per axis: 0 first cell, 1 inner, 2 last cell)
+    cells = outer_centers(dom, margins)
+    idx = np.rint(cells / dom.spacing - 0.5).astype(int)
     assert len(counts) == (3 ** dim if margin == 0 else 1)
     assert counts.sum() == len(cells)
-    per_cell = _near_block_integral(w, u, dom, cells, rule)
+    per_cell = _near_block_integral(w, u, dom, cells, rule, beta=0.0)
     cell_class = np.where(idx == 0, 0, np.where(idx == np.array(res) - 1, 2, 1))
     h = dom.spacing
     rep_class = np.where(centers < h, 0, np.where(centers > np.array(sides) - h, 2, 1))
+    firsts = []
     for key, count, value in zip(rep_class, counts, values):
         mine = np.all(cell_class == key, axis=1)
         assert np.count_nonzero(mine) == count
         assert np.all(np.abs(per_cell[mine] - value) <= 1e-12 * value)
+        firsts.append(cells[np.argmax(mine)])
+    # the loop at one actual cell of each class, the midpoint's included
+    want = float(np.sum(counts * reference_near_block_integral(
+        w, u, dom, np.array(firsts), horizon._face_nodes(rule), horizon._RADIAL_NODES, 0.0)))
+    got = float(np.sum(counts * values))
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_general_near_block_chunks_match_per_center_loop():
-    # 40^2 centers with 64 directions: chunks of 512 centers, the last one
-    # partial
+    # 40^2 centers with 128 nodes each: the 38^2 unclipped centers share one
+    # geometry and take chunks of 256 centers, the last one partial
     dom = BoxDomain((1.0, 1.0), (40, 40))
     w, u = quadratic_bond(2), analytic_2d()
     rule = build_rule(2, 32)
-    dirs, weights = rule.nodes, rule.weights
     centers = outer_centers(dom, [0, 0])
-    assert len(centers) > 512 and len(centers) % 512
-    got = _near_block_integral(w, u, dom, centers, rule)
-    want = reference_near_block_integral(w, u, dom, centers, dirs, weights, 8)
+    inner = 38 ** 2
+    assert horizon._NEAR_CHUNK // (128 * 2) == 256 and inner > 256 and inner % 256
+    got = _near_block_integral(w, u, dom, centers, rule, beta=0.0)
+    want = reference_near_block_integral(w, u, dom, centers, 4, horizon._RADIAL_NODES, 0.0)
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
@@ -571,7 +583,7 @@ def sampled_field(dom, seed):
 
 @pytest.mark.parametrize("case", ["sampled-2d", "analytic-3d", "sampled-3d"])
 def test_near_block_matches_per_node_difference(case):
-    # u(x0) evaluated once per chunk against u(x0) - u(x0 - offset) per node
+    # u(x0) evaluated once per chunk against u(x0) - u(x') per node
     if case.endswith("2d"):
         dom = BoxDomain((1.0, 1.0), (20, 24))
     else:
@@ -582,42 +594,187 @@ def test_near_block_matches_per_node_difference(case):
         u = sampled_field(dom, 4)
     w, rule = quadratic_bond(dom.dim), build_rule(dom.dim, 8)
     centers = outer_centers(dom, [0] * dom.dim)
-    got = _near_block_integral(w, u, dom, centers, rule)
-    want = reference_near_block_integral(w, u, dom, centers, rule.nodes, rule.weights, 8)
+    got = _near_block_integral(w, u, dom, centers, rule, beta=0.0)
+    want = reference_near_block_integral(w, u, dom, centers, 1, horizon._RADIAL_NODES, 0.0)
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
-
-
-def axis_rule(dim):
-    """A hand-built rule whose nodes include every +-e_j, and oblique nodes
-    with zero components, so rays run parallel to walls (d_j == 0)."""
-    oblique = [(0.6, 0.8), (-0.28, 0.96)] if dim == 2 else [
-        (0.6, 0.8, 0.0), (0.0, -0.6, 0.8), (1 / 3, -2 / 3, 2 / 3), (-0.48, 0.6, -0.64)]
-    eye = np.eye(dim)
-    nodes = np.concatenate([eye, -eye, np.array(oblique)])
-    weights = np.full(len(nodes), (2 * math.pi if dim == 2 else 4 * math.pi) / len(nodes))
-    return SphereQuadrature(dim, nodes, weights, len(nodes))
 
 
 @pytest.mark.parametrize("dim, field", [(2, "affine"), (2, "analytic"), (3, "affine"),
                                          (3, "analytic")])
-def test_near_block_wall_clipping_is_bit_equal_to_stacked_walls(dim, field):
+def test_near_block_is_bit_equal_per_center_and_per_class(dim, field):
     # every clipping class's representative, and every cell of an uneven
-    # box, whose first and last cells on each axis are clipped by the walls
+    # box, whose first and last cells on each axis are clipped by the walls:
+    # one call for all of them, one call per center and one per class agree
+    # bit for bit, so batching never moves a report digit (a matmul over the
+    # batch moved the bits of most 3D affine class values)
     if dim == 2:
         dom = BoxDomain((1.0, 1.3), (9, 11))
         u = analytic_2d() if field == "analytic" else DeformationField.affine(A2)
     else:
         dom = BoxDomain((1.0, 1.2, 0.9), (5, 6, 7))
         u = (DeformationField.analytic(lambda p: p + 0.1 * np.sin(p[..., ::-1]) ** 2)
-             if field == "analytic" else DeformationField.affine(np.diag([1.0, 2.0, 1.5])))
-    rule, w = axis_rule(dim), quadratic_bond(dim)
+             if field == "analytic" else DeformationField.affine(np.diag([2.0, -1.0, 1.5])))
+    rule, w = build_rule(dim, 32), quadratic_bond(dim)
     classes, _ = _clipping_classes(dom, [0] * dim)
     assert len(classes) == 3 ** dim
     centers = np.concatenate([classes, outer_centers(dom, [0] * dim)])
-    got = _near_block_integral(w, u, dom, centers, rule)
-    want = reference_near_block_stacked_walls(w, u, dom, centers, rule)
-    assert np.all(np.isfinite(want))
-    assert np.array_equal(got, want)
+    got = _near_block_integral(w, u, dom, centers, rule, beta=0.0)
+    assert np.all(np.isfinite(got))
+    one_by_one = [_near_block_integral(w, u, dom, centers[i:i + 1], rule, beta=0.0)[0]
+                  for i in range(len(centers))]
+    assert np.array_equal(got, one_by_one)
+    per_class = [_near_block_integral(w, u, dom, c[None], rule, beta=0.0)[0] for c in classes]
+    assert np.array_equal(got[:len(classes)], per_class)
+
+
+def recording(field):
+    """``field`` with every point its callable sees appended to a list."""
+    seen = []
+
+    def fn(p):
+        seen.append(np.array(p).reshape(-1, p.shape[-1]))
+        return field.fn(p)
+
+    return DeformationField(fn=fn, out_dim=field.out_dim), seen
+
+
+@pytest.mark.parametrize("case", ["analytic-2d", "sampled-2d", "analytic-3d", "sampled-3d"])
+def test_near_block_evaluates_u_inside_the_box(case):
+    # a clipped block's points lie on the side of the center the box holds,
+    # never mirrored past the wall, where a sampled field clamps
+    if case.endswith("2d"):
+        dom = BoxDomain((1.0, 1.3), (9, 11))
+        u = analytic_2d() if case.startswith("analytic") else sampled_field(dom, 2)
+    else:
+        dom = BoxDomain((1.0, 1.2, 0.9), (5, 6, 7))
+        u = (DeformationField.analytic(lambda p: p + 0.1 * np.sin(p[..., ::-1]) ** 2, out_dim=3)
+             if case.startswith("analytic") else sampled_field(dom, 2))
+    recorded, seen = recording(u)
+    centers = outer_centers(dom, [0] * dom.dim)
+    _near_block_integral(quadratic_bond(dom.dim), recorded, dom, centers, build_rule(dom.dim, 32),
+                         beta=0.0)
+    points = np.concatenate(seen)
+    assert len(points) > len(centers)
+    assert np.all(points >= 0.0) and np.all(points <= np.asarray(dom.sides))
+
+
+@pytest.mark.parametrize("field", ["analytic", "sampled"])
+def test_near_block_first_and_last_cells_match_midpoint_sum(field):
+    # u = (x + 0.1 sin 2y, y + 0.1 x^2) on 40^2 cells: at (h/2, 0.5) the
+    # clipped block integrates to 1.19993e-3 and its mirror image past the
+    # wall to 1.20326e-3; the sampled field clamps outside its centers
+    dom = BoxDomain((1.0, 1.0), (40, 40))
+    u = DeformationField.analytic(lambda p: np.stack(
+        [p[..., 0] + 0.1 * np.sin(2 * p[..., 1]), p[..., 1] + 0.1 * p[..., 0] ** 2], axis=-1))
+    if field == "sampled":
+        u = DeformationField.sampled(u.evaluate(dom.centers()), dom)
+    h, w = dom.spacing, quadratic_bond(2)
+    centers = np.array([[h[0] / 2, 0.5], [1.0 - h[0] / 2, 0.5], [0.5, h[1] / 2],
+                        [0.5, 1.0 - h[1] / 2], h / 2, [1.0 - h[0] / 2, h[1] / 2]])
+    got = _near_block_integral(w, u, dom, centers, build_rule(2, 32), beta=0.0)
+    want = np.array([midpoint_near_block(w, u, dom, x0, 40) for x0 in centers])
+    if field == "analytic":
+        assert got[0] == pytest.approx(1.19993e-3, rel=1e-5)
+    assert np.all(np.abs(got - want) <= 2e-4 * want)
+
+
+def accuracy_case(dim, field):
+    """A box of non-square cells, a field on it, and one center of each
+    kind: unclipped, clipped on one axis, clipped on every axis, and one
+    cell in from a wall, where the block just touches it."""
+    if dim == 2:
+        dom = BoxDomain((1.0, 1.3), (40, 40))
+        u = (DeformationField.affine(np.array([[1.0, 0.3], [-0.2, 2.0]])) if field == "affine"
+             else analytic_2d())
+    else:
+        dom = BoxDomain((1.0, 1.2, 0.9), (10, 10, 10))
+        u = (DeformationField.affine(np.diag([1.0, 2.0, 1.5]) + 0.2) if field == "affine"
+             else DeformationField.analytic(lambda p: p + 0.1 * np.sin(p[..., ::-1]) ** 2))
+    h, sides = dom.spacing, np.asarray(dom.sides)
+    axis = np.arange(dim)
+    middle = (np.floor(sides / 2 / h) + 0.5) * h
+    centers = np.array([middle, np.where(axis == 0, h / 2, middle),
+                        np.where(axis % 2 == 0, h / 2, sides - h / 2),
+                        np.where(axis == 0, 1.5 * h, middle)])
+    return dom, u, centers
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 2.0), (4.0, 3.0), (2.5, 3.0)],
+                         ids=["p2q2", "p4q3", "p2.5q3"])
+@pytest.mark.parametrize("dim, field", [(2, "affine"), (2, "analytic"), (3, "affine"),
+                                         (3, "analytic")])
+def test_near_block_accuracy_against_converged_reference(dim, field, p, q):
+    # converged: 48 (2D) or 24 (3D) face nodes per piece axis and 16 radial
+    # nodes, which a fine midpoint sum confirms where the bond is bounded
+    dom, u, centers = accuracy_case(dim, field)
+    w, beta = make_power_bond(1.0, p, q, dim=dim), p - q
+    rule = build_rule(dim, 32)
+    exact = reference_near_block_integral(w, u, dom, centers, 48 if dim == 2 else 24, 16, beta)
+    if beta >= 0:
+        mid = [midpoint_near_block(w, u, dom, x0, 40 if dim == 2 else 12) for x0 in centers]
+        assert np.all(np.abs(mid / exact - 1.0) <= 3e-4)
+    pyramid = np.abs(_near_block_integral(w, u, dom, centers, rule, beta=beta) / exact - 1.0)
+    polar = np.abs(reference_polar_near_block(w, u, dom, centers, rule) / exact - 1.0)
+    assert np.all(pyramid <= polar)
+    if (p, q) == (2.0, 2.0):
+        assert np.all(pyramid <= polar / 10.0)
+        assert np.all(pyramid <= (1.1e-4 if dim == 2 else 3.3e-5))
+
+
+def test_sampled_near_block_accuracy():
+    # the sampled interpolant kinks along the cell-center lines, which the
+    # face pieces follow through the center but cross one cell out; its
+    # gradient drops to 0 past the first and last centers, the largest kink
+    dom = BoxDomain((1.0, 1.0), (40, 40))
+    u = DeformationField.sampled(analytic_2d().evaluate(dom.centers()), dom)
+    w, rule = quadratic_bond(2), build_rule(2, 32)
+    cells = outer_centers(dom, [0, 0])
+    idx = np.rint(cells / dom.spacing - 0.5).astype(int)
+    ring = np.minimum(idx, 39 - idx)  # cells from the nearest wall, per axis
+    first_last = np.any(ring == 0, axis=1)
+    one_in = np.any(ring == 1, axis=1)  # the kink past the first center crosses them
+    rng = np.random.default_rng(3)
+    pick = np.concatenate([np.flatnonzero(first_last | one_in),
+                           rng.choice(np.flatnonzero(~first_last & ~one_in), 40)])
+    exact = reference_near_block_integral(w, u, dom, cells[pick], 48, 16, 0.0)
+    err = np.abs(_near_block_integral(w, u, dom, cells[pick], rule, beta=0.0) / exact - 1.0)
+    first_last, one_in = first_last[pick], one_in[pick]
+    assert np.all(err[first_last & ~one_in] <= 2e-4)
+    assert np.all(err[first_last & one_in] <= 1e-3)
+    assert np.all(err[~first_last] <= 2e-2)
+    # random samples kink hard in every cell
+    small = BoxDomain((1.0, 1.3), (12, 10))
+    noisy, cells = sampled_field(small, 4), outer_centers(small, [0, 0])
+    exact = reference_near_block_integral(w, noisy, small, cells, 48, 16, 0.0)
+    err = np.abs(_near_block_integral(w, noisy, small, cells, rule, beta=0.0) / exact - 1.0)
+    assert np.all(err <= 2e-2)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.5, 0.5, 1.5, -0.9])
+def test_gauss_jacobi_rule(alpha):
+    roots_jacobi = pytest.importorskip("scipy.special").roots_jacobi
+    nodes, weights = horizon._gauss_jacobi(6, alpha)
+    x, wx = roots_jacobi(6, 0.0, alpha)
+    assert np.max(np.abs(nodes - (x + 1.0) / 2.0)) <= 1e-14
+    assert np.max(np.abs(weights - wx / 2.0 ** (alpha + 1.0))) <= 1e-13
+    # exact for lam^alpha times polynomials of degree < 12
+    for k in range(12):
+        assert float(np.sum(weights * nodes ** k)) == pytest.approx(1.0 / (alpha + k + 1.0),
+                                                                    rel=1e-13)
+
+
+@pytest.mark.parametrize("lo, hi", [((1.5, 1.5), (1.5, 1.5)), ((0.5, 1.5), (1.5, 0.7)),
+                                    ((0.5, 1.5, 0.5), (1.5, 1.5, 0.9))])
+def test_pyramid_nodes_fill_the_block(lo, hi):
+    # 2 dim walls of 2^(dim - 1) face pieces, 3 nodes per piece axis and 4
+    # radial nodes; at degree 0 the weights sum to the block's measure
+    lo, hi = np.array(lo), np.array(hi)
+    for beta in (0.0, -0.5, 1.0):
+        offs, wts = horizon._pyramid_nodes(lo, hi, 3, beta)
+        assert len(offs) == len(wts) == 2 * len(lo) * 2 ** (len(lo) - 1) * 3 ** (len(lo) - 1) * 4
+        assert np.all(offs > -hi) and np.all(offs < lo) and np.all(wts > 0.0)
+        if beta == 0.0:
+            assert float(np.sum(wts)) == pytest.approx(float(np.prod(lo + hi)), rel=1e-14)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -14,6 +14,7 @@ from peribond.linalg import (
     frobenius,
     is_rotation,
     random_rotation,
+    matvec,
     vector_norm,
 )
 
@@ -191,3 +192,22 @@ def test_extended_real_absorption():
     assert INF > 1e300
     assert not INF < INF
     assert min(INF, 3.0) == 3.0
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 3), (3, 2), (1, 3)])
+def test_matvec_bits_do_not_depend_on_the_batch(m, n):
+    rng = np.random.default_rng(m * 10 + n)
+    a = rng.standard_normal((m, n))
+    v = rng.standard_normal((7, 300, n))
+    whole = matvec(a, v)
+    assert whole.shape == (7, 300, m)
+    # the sum in order, per vector, and every slice of the batch alone
+    want = v[..., 0:1] * a[:, 0]
+    for j in range(1, n):
+        want = want + v[..., j:j + 1] * a[:, j]
+    assert np.array_equal(whole, want)
+    assert np.array_equal(whole[3, 17:18], matvec(a, v[3, 17:18]))
+    assert np.array_equal(whole[2, 5], matvec(a, v[2, 5]))
+    assert np.allclose(whole, v @ a.T, rtol=1e-14, atol=1e-14)
+    with pytest.raises(ValueError, match="cannot apply"):
+        matvec(a, v[..., :n - 1] if n > 1 else np.ones((4, 2)))

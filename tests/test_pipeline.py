@@ -178,6 +178,19 @@ def test_local_density_stacks_gradients():
     assert isinstance(local_density(LIMITS[3], stack[0, 0], rule), float)
 
 
+@pytest.mark.parametrize("dim, p, q", [(2, 2.0, 2.0), (3, 4.0, 3.0), (3, 2.5, 3.0)])
+def test_local_density_of_stacked_gradients_matches_broadcast_nodes(dim, p, q):
+    # the nodes go in unbroadcast: the same numbers as one reference offset
+    # per (gradient, node) pair, with one norm per node
+    limit = compute_blowup(make_power_bond(1.0, p, q, dim=dim))
+    rule = build_rule(dim, 16)
+    a = np.random.default_rng(dim).standard_normal((5, 4, dim, dim))
+    y_def = rule.nodes @ np.swapaxes(a, -1, -2)
+    x_ref = np.broadcast_to(rule.nodes, y_def.shape[:-1] + (dim,))
+    want = rule.integrate(limit.evaluate(x_ref, y_def))
+    assert np.array_equal(local_density(limit, a, rule), want)
+
+
 def test_local_density_rectangular_gradient():
     # 3x2 gradient: directions live on the circle, images in R^3
     w = PairwisePotential.from_radial_profile(
