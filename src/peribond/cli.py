@@ -484,6 +484,8 @@ def _task_gamma_limit(cfg: dict) -> tuple[dict, tuple, list]:
         "potential": {"kind": pot.kind, "params": pot.params},
         "beta_declared": pot.beta,
         "beta_estimated": beta_est,
+        "limit": {"diagnostics": limit.diagnostics},
+        "quadrature": rule.describe(),
         "symmetry": {
             "max_abs_deviation": check.max_abs_deviation,
             "tolerance": check.tolerance,

@@ -17,11 +17,12 @@ sweep takes one batched hull per direction over all its chains at once.
 
 import itertools
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import INF
+from .linalg import INF, normals, seeded
 from .potentials import StoredEnergy
 
 #: Caveat attached to every envelope report: agreement of the rank-one
@@ -261,7 +262,7 @@ def _chains(shape: tuple[int, ...], step: np.ndarray) -> np.ndarray:
 
 
 def _random_direction_pass(
-    values: np.ndarray, lattice: MatrixLattice, count: int, rng: "np.random.Generator | None"
+    values: np.ndarray, lattice: MatrixLattice, count: int, rng: random.Random
 ) -> np.ndarray:
     """Extra coverage from random rank-one dyads via multilinear interpolation.
 
@@ -285,8 +286,8 @@ def _random_direction_pass(
     index = np.arange(lattice.points_per_axis)
     top = lattice.points_per_axis - 1
     for _ in range(count):
-        a = rng.standard_normal(lattice.dim)
-        b = rng.standard_normal(lattice.dim)
+        a = normals(rng, lattice.dim)
+        b = normals(rng, lattice.dim)
         d = np.outer(a / np.linalg.norm(a), b / np.linalg.norm(b)).ravel()
         for i, j in ((1, 1), (1, 2), (2, 1)):
             lo, hi = -j * d, i * d
@@ -352,19 +353,19 @@ def rank_one_convexify(
     ------
     ValueError
         If ``directions`` is one :func:`check_directions` refuses, ``tol``
-        is negative or NaN, or ``max_sweeps`` is below 1; and if the
-        density is NaN or -inf at a lattice matrix.
+        is negative or NaN, ``max_sweeps`` is below 1, or ``seed`` is one
+        :func:`peribond.linalg.seeded` refuses, also when no dyad is drawn;
+        and if the density is NaN or -inf at a lattice matrix.
     """
     check_directions(lattice, directions)
     if not tol >= 0:  # a negative or NaN tolerance never stops the sweeps
         raise ValueError(f"tol = {tol!r}: need a number of at least 0")
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps = {max_sweeps!r}: need at least 1")
+    rng = seeded(seed)
     initial = lattice.fill(density)
     values = initial.copy()
     tables = [_chains(values.shape, step) for step in lattice.directions()]
-    # a task that draws no dyad never loads numpy.random
-    rng = np.random.default_rng(seed) if directions > 0 else None
     decrement = INF
     sweeps = 0
     while sweeps < max_sweeps:
@@ -416,17 +417,17 @@ def strict_polyconvexity_probe(density: StoredEnergy, trials: int, seed: int) ->
     """
     if trials < 1:
         raise ValueError(f"trials = {trials!r}: need at least 1")
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed)
     conv = 0
     strict = 0
     min_gap = INF
     worst: dict = {}
     for _ in range(trials):
-        a = rng.standard_normal((3, 3))
-        u = rng.standard_normal(3)
-        v = rng.standard_normal(3)
+        a = normals(rng, 3, 3)
+        u = normals(rng, 3)
+        v = normals(rng, 3)
         d = np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
-        d *= rng.uniform(0.2, 1.0)
+        d *= 0.2 + 0.8 * rng.random()
         f_mid = density(a)
         f_lo = density(a - d)
         f_hi = density(a + d)

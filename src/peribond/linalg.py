@@ -6,15 +6,53 @@ factorization). All functions accept stacked inputs of shape (..., m, n)
 and broadcast over the leading axes. Extended-real values are IEEE floats
 with ``math.inf`` as the infinity marker, so absorption under addition and
 multiplication by positive reals is exact.
+
+Every seeded draw of the package comes from one generator rule: ``seeded``
+builds Python's Mersenne Twister, whose ``seed()`` and ``random()`` output
+Python keeps the same across versions, and ``normals`` turns its uniforms
+into standard normals by Box-Muller, so numpy's random module is never
+imported.
 """
 
 import math
+import random
 
 import numpy as np
 
 INF = math.inf
 
 MAX_DIM = 3
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer, Python's or numpy's, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def seeded(seed) -> random.Random:
+    """The generator of every seeded draw: a Mersenne Twister seeded with
+    ``seed``, an integer of at least 0 (numpy integers included).
+
+    A bool, a non-integer or a negative seed raises ValueError;
+    ``random.Random(-s)`` would silently give the stream of ``s``.
+    """
+    if not is_integer(seed) or seed < 0:
+        raise ValueError(f"seed = {seed!r}: need an integer of at least 0")
+    return random.Random(int(seed))
+
+
+def normals(rng: random.Random, *shape: int) -> np.ndarray:
+    """Standard normals of the given shape, float64 in C order, by Box-Muller
+    on ``rng.random()``: each pair of uniforms (u, v) gives the pair
+    r cos(2 pi v), r sin(2 pi v) with r = sqrt(-2 log(1 - u)), and an odd
+    count drops the last sine."""
+    count = math.prod(shape)
+    out = []
+    for _ in range((count + 1) // 2):
+        radius = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+        angle = 2.0 * math.pi * rng.random()
+        out += (radius * math.cos(angle), radius * math.sin(angle))
+    return np.array(out[:count], dtype=float).reshape(shape)
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -136,19 +174,19 @@ def rotation_from_quaternion(q) -> np.ndarray:
     )
 
 
-def rotation_from_rng(dim: int, rng: "np.random.Generator") -> np.ndarray:
+def rotation_from_rng(dim: int, rng: random.Random) -> np.ndarray:
     """Haar-distributed rotation drawn from an existing generator."""
     if dim == 2:
-        return rotation_from_angle(rng.uniform(0.0, 2.0 * math.pi))
+        return rotation_from_angle(2.0 * math.pi * rng.random())
     if dim == 3:
         # normalized 4-gaussian = uniform quaternion = Haar on SO(3)
-        return rotation_from_quaternion(rng.standard_normal(4))
+        return rotation_from_quaternion(normals(rng, 4))
     raise ValueError(f"rotations supported for dim 2 and 3 only, got {dim}")
 
 
 def random_rotation(dim: int, seed: int) -> np.ndarray:
     """Haar-distributed rotation, deterministic per seed."""
-    return rotation_from_rng(dim, np.random.default_rng(seed))
+    return rotation_from_rng(dim, seeded(seed))
 
 
 def is_rotation(r, tol: float = 1e-12) -> bool:

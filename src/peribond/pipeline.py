@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import rotation_from_rng
+from .linalg import normals, rotation_from_rng, seeded
 from .potentials import PairwisePotential
 from .quadrature import SphereQuadrature
 
@@ -97,14 +97,14 @@ def estimate_beta(w: PairwisePotential, seed: int = 0) -> float:
     or a slope spread above 1e-6 means the potential is not asymptotically
     homogeneous, which is an error.
     """
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed)
     k_min, k_max = DEFAULT_K_RANGE
     log_t = np.array([-k * math.log(2.0) for k in range(k_min, k_max + 1)])
     fit_tol = 1e-6
     slopes = []
     for _ in range(8):
-        x = rng.standard_normal(w.ref_dim)
-        y = rng.standard_normal(w.def_dim)
+        x = normals(rng, w.ref_dim)
+        y = normals(rng, w.def_dim)
         v = _scaled_values(w, 0.0, x, y, DEFAULT_K_RANGE)
         if np.any(v == 0.0) or not np.all(np.isfinite(v)):
             raise ValueError(
@@ -237,10 +237,10 @@ def verify_limit_invariances(
     """
     if trials < 1:  # with no trial every density would pass
         raise ValueError(f"trials must be at least 1, not {trials!r}")
+    rng = seeded(seed)
     a = np.asarray(a, dtype=float)
     m, n = a.shape
     base = local_density(limit, a, rule)
-    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         r1 = rotation_from_rng(m, rng)

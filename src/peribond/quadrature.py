@@ -13,12 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .linalg import INF
-
-
-def is_integer(value) -> bool:
-    """Whether ``value`` is an integer, Python's or numpy's, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+from .linalg import INF, is_integer
 
 
 def sphere_measure(dim: int) -> float:
@@ -58,6 +53,10 @@ class SphereQuadrature:
 
     def __len__(self) -> int:
         return len(self.weights)
+
+    def describe(self) -> dict:
+        """The rule as a report records it: dimension, order and node count."""
+        return {"dim": self.dim, "order": self.order, "nodes": len(self)}
 
     def integrate(self, values):
         """Weighted sum of per-node values (the surface integral).

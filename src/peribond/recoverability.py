@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import INF, vector_norm
+from .linalg import INF, normals, seeded, vector_norm
 from .potentials import DET_TOL, ScalarProfile, StoredEnergy
 from .quadrature import SphereQuadrature, sphere_measure
 
@@ -59,9 +59,9 @@ def default_test_matrices(dim: int, seed: int = 0, randoms: int = 20) -> list[np
         stretch = np.diag([lam, 1.0 / lam, 1.0][:dim])
         mats.append(stretch)
     mats.append(np.diag(np.arange(1.0, dim + 1.0)))
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed)
     for _ in range(randoms):
-        mats.append(rng.standard_normal((dim, dim)))
+        mats.append(normals(rng, dim, dim))
     return mats
 
 
@@ -163,7 +163,7 @@ def roundtrip_check(
         rows,
         max_abs,
         verdict,
-        {"dim": rule.dim, "order": rule.order, "nodes": len(rule)},
+        rule.describe(),
         rel_tol,
         tuple(notes),
     )

@@ -109,6 +109,17 @@ def test_quadrature_check_exit_zero(tmp_path):
     assert (out / "detail.csv").exists()
 
 
+def test_gamma_limit_reports_blowup_diagnostics_and_rule(tmp_path):
+    out = tmp_path / "g"
+    assert main(["--task", "gamma-limit", "--out", str(out), "--no-timestamp"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    diag = summary["limit"]["diagnostics"]
+    samples = diag["scaled_samples"]
+    assert diag["t"] == [2.0**-k for k in range(4, 13)] and len(samples) == 9
+    assert diag["extrapolation_residual"] == abs(samples[-1] - samples[-2])
+    assert summary["quadrature"] == {"dim": 3, "order": 32, "nodes": len(build_rule(3, 32))}
+
+
 def test_recoverability_positive_control_exit_zero(tmp_path):
     out = tmp_path / "r"
     proc = run_cli("--task", "recoverability", "--out", str(out), "--no-timestamp")

@@ -1,6 +1,8 @@
 """peribond runs on numpy alone: no module under src/ imports SciPy, and no
 path loads it, the full-lattice random-dyad pass and sampled fields included.
-numpy.random loads only where a task draws."""
+Every seeded draw comes from Python's random module, so numpy.random never
+loads either: no module under src/ names it, and no entry point that draws
+imports it."""
 
 import ast
 import functools
@@ -9,14 +11,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+from peribond.cli import TASKS
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+NUMPY_RANDOM = {("numpy", "random"), ("np", "random")}
+
 PROBE = """
-import json, sys
+import json, os, sys, tempfile
 import numpy as np
 import peribond, peribond.cli
 from peribond import DeformationField, BoxDomain, MatrixLattice, nonlocal_energy
-from peribond import frobenius_squared, make_power_bond, rank_one_convexify
+from peribond import frobenius_squared, make_power_bond, rank_one_convexify, random_rotation
+from peribond.convexify import strict_polyconvexity_probe
+from peribond.pipeline import compute_blowup, estimate_beta, verify_limit_invariances
+from peribond.quadrature import build_rule
+from peribond.recoverability import default_test_matrices
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -38,11 +48,34 @@ nonlocal_energy(w, 0.0, 0.1, DeformationField.sampled(dom.centers() ** 2, dom), 
 after("sampled energy")
 rank_one_convexify(frobenius_squared(), MatrixLattice(2, 1.0, 0.5, "full"), directions=2)
 after("full convexify")
+estimate_beta(w, seed=3)
+after("estimate_beta")
+verify_limit_invariances(compute_blowup(w), np.eye(2), trials=2, seed=3, rule=build_rule(2, 8))
+after("verify_limit_invariances")
+default_test_matrices(3, seed=3)
+after("default_test_matrices")
+strict_polyconvexity_probe(frobenius_squared(), trials=2, seed=3)
+after("strict_polyconvexity_probe")
+random_rotation(3, seed=3)
+after("random_rotation")
+SMALL = {  # every task, on the smallest config that still draws where the task draws
+    "convexify": {"lattice": {"mode": "full", "dim": 2, "bound": 1.0, "step": 0.5,
+                              "directions": 2}},
+    "converge": {"converge": {"deltas": [0.2, 0.1]}},
+}
+with tempfile.TemporaryDirectory() as tmp:
+    for task in peribond.cli.TASKS:
+        config = os.path.join(tmp, task + ".json")
+        with open(config, "w") as fh:
+            json.dump({"run": {"task": task}, **SMALL.get(task, {})}, fh)
+        assert peribond.cli.main(["--config", config, "--out", os.path.join(tmp, task)]) in (0, 2)
+        after("cli " + task)
 print(json.dumps([seen, drew]))
 """
 
 
 def test_src_never_imports_scipy():
+    # nor numpy.random, by import or as an attribute of np / numpy
     files = sorted(SRC.rglob("*.py"))
     assert files
     for path in files:
@@ -51,9 +84,17 @@ def test_src_never_imports_scipy():
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 names = [node.module or ""]
+                if names[0] == "numpy":
+                    names = [f"numpy.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and node.attr == "random":
+                # np.random / numpy.random as an attribute of the numpy module
+                value = node.value
+                names = [f"{value.id}.random"] if isinstance(value, ast.Name) else []
             else:
                 continue
             assert not any(n.split(".")[0] == "scipy" for n in names), (path, node.lineno)
+            assert not any(tuple(n.split(".")[:2]) in NUMPY_RANDOM for n in names), (
+                path, node.lineno)
 
 
 @functools.cache
@@ -64,16 +105,14 @@ def run_probe():
 
 
 def test_no_scipy_at_startup():
-    seen, _ = run_probe()
-    assert seen == {
-        "import": [], "diagonal convexify": [], "full convexify": [],
-        "affine energy": [], "sampled energy": [],
-    }
+    seen, drew = run_probe()
+    assert seen == dict.fromkeys(drew, [])  # every step of the probe
 
 
-def test_numpy_random_loads_only_where_a_task_draws():
+def test_numpy_random_never_loads():
     _, drew = run_probe()
-    assert drew == {
-        "import": False, "diagonal convexify": False, "affine energy": False,
-        "sampled energy": False, "full convexify": True,
-    }
+    assert drew == dict.fromkeys([
+        "import", "diagonal convexify", "affine energy", "sampled energy", "full convexify",
+        "estimate_beta", "verify_limit_invariances", "default_test_matrices",
+        "strict_polyconvexity_probe", "random_rotation", *(f"cli {task}" for task in TASKS),
+    ], False)

@@ -7,9 +7,11 @@ import pytest
 
 from peribond.convexify import MatrixLattice, rank_one_convexify, strict_polyconvexity_probe
 from peribond.horizon import BoxDomain, DeformationField, nonlocal_energy, study_grids
+from peribond.linalg import random_rotation
+from peribond.pipeline import estimate_beta
 from peribond.potentials import ScalarProfile, frobenius_squared, make_power_bond
 from peribond.quadrature import build_rule
-from peribond.recoverability import mooney_rivlin_inequality_check
+from peribond.recoverability import default_test_matrices, mooney_rivlin_inequality_check
 
 BOND = make_power_bond(1.0 / math.pi, 2.0, 2.0, dim=2)  # declares degree 0
 FIELD = DeformationField.affine([[1.0, 0.0], [0.0, 2.0]])
@@ -54,13 +56,19 @@ def scan(beta):
      "beta = -3.0, dim = 2"),
     (lambda: make_power_bond(-1, 2.0, 2.0), "c = -1"),
     (lambda: make_power_bond(math.nan, 2.0, 2.0), "c = nan"),
+    (lambda: default_test_matrices(3, seed=-1), "seed = -1"),
+    (lambda: random_rotation(3, seed=True), "seed = True"),
+    (lambda: estimate_beta(BOND, seed=1.5), "seed = 1.5"),
+    # refused although no dyad is drawn
+    (lambda: convexify(directions=0, seed=-2), "seed = -2"),
 ], ids=["energy-beta-nan", "energy-beta-inf", "energy-delta-nan", "energy-delta-negative",
         "energy-margin-nan", "energy-margin-negative", "grids-side-inf", "grids-side-nan",
         "grids-horizon-past-half-box", "convexify-tol-negative",
         "convexify-tol-nan", "convexify-no-sweeps", "probe-no-trials", "sphere-order-fraction",
         "circle-order-fraction", "scan-beta-negative", "scan-beta-nan", "scan-beta-inf",
         "energy-degree-minus-dim", "energy-degree-below-minus-dim", "bond-c-negative",
-        "bond-c-nan"])
+        "bond-c-nan", "matrices-seed-negative", "rotation-seed-bool", "beta-seed-fraction",
+        "convexify-seed-negative"])
 def test_library_refuses_and_names_the_argument(call, named):
     with pytest.raises(ValueError, match=named):
         call()
