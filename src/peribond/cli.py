@@ -168,7 +168,7 @@ SCHEMA = {
     "counterexamples": {
         "lambda-max": (float, 100.0, 1),  # the scan starts at stretch 1
         "lambda-count": (int, 200, 1),
-        "a-value": (float, 1.0, None),
+        "a-value": (float, 1.0, 1),  # the growth scan's well profile rises from 1 on
     },
     "recoverability": {
         "rel-tol": (float, recoverability.RESIDUAL_REL_TOL, 0),
@@ -309,9 +309,6 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
     if len(matrix) != len(box) ** 2:
         raise ConfigError(f"[converge] matrix = {matrix!r}: need {len(box) ** 2} row-major entries")
     _read_rule("potential", potential, ("dim",), sphere_measure, potential["dim"])
-    counter = sections["counterexamples"]
-    _read_rule("counterexamples", counter, ("a-value",),
-               recoverability._require_positive, "a_value", counter["a-value"])
     build_model("profile", density, key="g")
     model = build_model("density", density)
     for section in ("density", "lattice"):  # convexify evaluates it on lattice matrices

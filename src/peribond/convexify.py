@@ -107,9 +107,9 @@ class MatrixLattice:
         """Density values at every lattice matrix; NaN and -inf are rejected.
 
         The density sees ``_FILL_CHUNK`` matrices at a time, so its
-        temporaries stay small whatever the lattice. The hull never takes an
-        infinite value as a vertex, so a -inf would stay in place while its
-        chains reported convergence.
+        temporaries stay small whatever the lattice; its own call refuses a
+        NaN. The hull never takes an infinite value as a vertex, so a -inf
+        would stay in place while its chains reported convergence.
         """
         mats = self.matrices()
         flat = mats.reshape(-1, self.dim, self.dim)
@@ -117,9 +117,8 @@ class MatrixLattice:
         for start in range(0, len(flat), _FILL_CHUNK):
             values[start:start + _FILL_CHUNK] = density(flat[start:start + _FILL_CHUNK])
         values = values.reshape(mats.shape[:-2])
-        for bad, name in ((np.isnan, "NaN"), (np.isneginf, "-inf")):
-            if np.any(bad(values)):
-                raise ValueError(f"density produced {name} on the lattice")
+        if np.any(np.isneginf(values)):
+            raise ValueError("density produced -inf on the lattice")
         return values
 
     def directions(self) -> list[np.ndarray]:

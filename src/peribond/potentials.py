@@ -154,7 +154,9 @@ class StoredEnergy:
     """Extended-real density W(A) on square matrices.
 
     ``fn`` maps stacked matrices of shape (..., n, n) to (...) values; +inf
-    is a legal value (incompressible models).
+    is a legal value (incompressible models). A NaN value raises ValueError
+    naming the kind and the first matrix where it occurs, so no caller draws
+    a verdict from it.
     """
 
     kind: str
@@ -170,6 +172,11 @@ class StoredEnergy:
                 f"got {a.shape[-2]}x{a.shape[-1]}"
             )
         out = np.asarray(self.fn(a), dtype=float)
+        nan = np.isnan(out)
+        if nan.any():
+            stack = a.shape[:-2]
+            first = np.unravel_index(np.argmax(np.broadcast_to(nan, stack)), stack)
+            raise ValueError(f"density {self.kind!r} is NaN at A = {a[first].tolist()}")
         return float(out) if out.ndim == 0 else out
 
     def describe(self) -> dict:

@@ -2,12 +2,12 @@
 
 A density is recoverable from an isotropic, frame-indifferent bond model
 exactly when it satisfies the mean-value identity: its value at A equals
-the sphere mean of its values on the scaled identities |Az| I. The module
-evaluates that identity on batteries of test matrices, extracts the
-candidate radial bond profile W(tI)/sigma, reproduces the classical
-counterexample inequalities (Jensen margins for profiles of |A|^2 and of
-|cof A|), and runs the large-stretch scan that rules out Mooney-Rivlin
-densities.
+the sphere mean of its values on the scaled identities |Az| I. One function,
+``_stretch_mean``, computes that mean. The module evaluates the identity on
+batteries of test matrices, extracts the candidate radial bond profile
+W(tI)/sigma, reads the classical counterexample inequalities off the same
+mean (Jensen margins for profiles of |A|^2 and of |cof A|), and runs the
+large-stretch scan that rules out Mooney-Rivlin densities.
 
 Sampling refutes or accumulates consistency evidence; it cannot certify
 the identity for every matrix.
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import INF, normals, seeded, vector_norm
-from .potentials import DET_TOL, ScalarProfile, StoredEnergy
+from .linalg import normals, seeded, vector_norm
+from .potentials import DET_TOL, ScalarProfile, StoredEnergy, make_profile_energy
 from .quadrature import SphereQuadrature, sphere_measure
 
 #: residual tolerance |W(A)| -> 1e-6 * (1 + |W(A)|); quadrature error at the
@@ -31,22 +31,16 @@ class IndeterminateResidualError(ArithmeticError):
     """Both sides of the mean-value identity are infinite at this matrix."""
 
 
-@dataclass(frozen=True)
-class CandidateProfile:
-    """Radial bond profile t -> W(tI)/sigma extracted from a density."""
+def extract_candidate(density: StoredEnergy, dim: int):
+    """The only radial profile that can reproduce the density, if any does:
+    t -> W(tI)/sigma, with sigma the measure of the unit sphere."""
+    eye, sigma = np.eye(dim), sphere_measure(dim)
 
-    density: StoredEnergy
-    dim: int
-
-    def __call__(self, t):
+    def candidate(t):
         t = np.asarray(t, dtype=float)
-        mats = t[..., None, None] * np.eye(self.dim)
-        return self.density(mats) / sphere_measure(self.dim)
+        return density(t[..., None, None] * eye) / sigma
 
-
-def extract_candidate(density: StoredEnergy, dim: int) -> CandidateProfile:
-    """The only radial profile that can reproduce the density, if any does."""
-    return CandidateProfile(density, dim)
+    return candidate
 
 
 def default_test_matrices(dim: int, seed: int = 0, randoms: int = 20) -> list[np.ndarray]:
@@ -88,9 +82,15 @@ class RecoverabilityReport:
     notes: tuple = ()
 
 
+def _stretch_mean(density: StoredEnergy, a: np.ndarray, rule: SphereQuadrature) -> float:
+    """The sphere mean of W(|Az| I): the sphere integral of the extracted
+    candidate profile at the stretches |Az|, the right side of the identity."""
+    stretches = vector_norm(rule.nodes @ a.T)
+    return rule.integrate(np.asarray(extract_candidate(density, rule.dim)(stretches), dtype=float))
+
+
 def _residual_row(density: StoredEnergy, a, rule: SphereQuadrature, rel_tol: float) -> ResidualRow:
-    """One matrix of the mean-value identity: lhs W(A), rhs the sphere
-    integral of the extracted candidate profile at the stretches |Az|."""
+    """One matrix of the mean-value identity: lhs W(A), rhs its stretch mean."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("the mean-value identity is evaluated on square matrices")
@@ -98,8 +98,7 @@ def _residual_row(density: StoredEnergy, a, rule: SphereQuadrature, rel_tol: flo
     if n != rule.dim:
         raise ValueError(f"matrix is {n}x{n} but rule lives on S^{rule.dim - 1}")
     lhs = float(density(a))
-    stretches = vector_norm(rule.nodes @ a.T)
-    rhs = rule.integrate(np.asarray(extract_candidate(density, n)(stretches), dtype=float))
+    rhs = _stretch_mean(density, a, rule)
     if math.isinf(lhs) and math.isinf(rhs):
         return ResidualRow(a, lhs, rhs, math.nan, "indeterminate", False)
     residual = lhs - rhs
@@ -188,36 +187,28 @@ class JensenReport:
 def jensen_counterexample_suite(dim: int, rule: SphereQuadrature) -> JensenReport:
     """Counterexample margins that block whole families of densities.
 
-    For profiles of the squared Frobenius norm the identity forces
-    mean g(n |Az|^2) = g(|A|^2); a strictly convex g makes the left side
-    strictly larger whenever z -> |Az| is nonconstant (and strictly smaller
+    Each margin is the stretch mean of a density (the right side of the
+    mean-value identity) minus a value at A. For W = g(|A|^2) that value is
+    W(A), so the margin is minus the recoverability residual: a strictly
+    convex g makes it positive whenever z -> |Az| is nonconstant (negative
     for strictly concave g), with equality at identity multiples. For
-    profiles of |cof A| on 3x3 matrices the corresponding mean dominates
-    g(|A|^2 / sqrt(3)) on the volume-preserving stretches. A margin expected
-    to be zero passes within 1e-10.
+    W = g(|cof A|) with g(t) = t^2 on 3x3 matrices the stretch mean
+    dominates g(|A|^2 / sqrt(3)) on the volume-preserving stretches. A
+    margin expected to be zero passes within 1e-10.
     """
     if dim != rule.dim:
         raise ValueError("suite dimension must match the quadrature rule")
     rows = []
-    sq = ScalarProfile.power(1.0, 2.0)
-    neg_sq = ScalarProfile.power(-1.0, 2.0)
     stretch = np.diag([1.0, 2.0, 1.0][:dim])
     eye = np.eye(dim)
-    mean_w = rule.weights / rule.measure
-
-    def frob_margin(profile, a):
-        s2 = np.sum((rule.nodes @ a.T) ** 2, axis=-1)
-        lhs = float(np.dot(mean_w, profile(dim * s2)))
-        frob2 = float(np.sum(a * a))
-        return lhs - profile(frob2)
-
-    for profile, label, sign in ((sq, "t^2", 1.0), (neg_sq, "-t^2", -1.0)):
-        m = frob_margin(profile, stretch)
+    for sign, label in ((1.0, "t^2"), (-1.0, "-t^2")):
+        density = make_profile_energy("frobenius", ScalarProfile.power(sign, 2.0))
+        m = _stretch_mean(density, stretch, rule) - density(stretch)
         expected = "positive" if sign > 0 else "negative"
         rows.append(
             JensenRow("frobenius", label, stretch, m, expected, sign * m > 0.0)
         )
-        m0 = frob_margin(profile, eye)
+        m0 = _stretch_mean(density, eye, rule) - density(eye)
         rows.append(
             JensenRow("frobenius", label, eye, m0, "zero", abs(m0) <= 1e-10)
         )
@@ -225,9 +216,9 @@ def jensen_counterexample_suite(dim: int, rule: SphereQuadrature) -> JensenRepor
     if dim == 3:
         lam = 2.0
         a = np.diag([lam, 1.0 / lam, 1.0])
-        s2 = np.sum((rule.nodes @ a.T) ** 2, axis=-1)
-        lhs = float(np.dot(mean_w, sq(math.sqrt(3.0) * s2)))
-        margin = lhs - sq(float(np.sum(a * a)) / math.sqrt(3.0))
+        sq = ScalarProfile.power(1.0, 2.0)
+        mean = _stretch_mean(make_profile_energy("cof", sq), a, rule)
+        margin = mean - sq(float(np.sum(a * a)) / math.sqrt(3.0))
         rows.append(JensenRow("cofactor", "t^2", a, margin, "nonnegative", margin >= 0.0))
 
     return JensenReport(rows, all(r.ok for r in rows))
@@ -289,8 +280,9 @@ def mooney_rivlin_inequality_check(
     Raises
     ------
     ValueError
-        If ``beta`` is negative or not finite, or if ``a_value``, a given
-        ``c_value`` or a stretch is not finite and positive.
+        If ``beta`` is negative or not finite, if ``a_value``, a given
+        ``c_value`` or a stretch is not finite and positive, or if either
+        side of the inequality is NaN at a stretch.
     """
     if not (math.isfinite(beta) and beta >= 0):  # the branch reads beta > 0
         raise ValueError(f"beta = {beta!r}: need a finite number of at least 0")
@@ -314,6 +306,8 @@ def mooney_rivlin_inequality_check(
         else:
             lhs = float(g(ac ** (1.0 / 3.0)))
             rhs = float(g(c_value * (lam**2 + lam**-2 + ac ** (2.0 / 3.0)) ** 1.5))
+        if math.isnan(lhs) or math.isnan(rhs):  # a NaN side fails every comparison
+            raise ValueError(f"g is NaN in the {branch} scan at stretch {lam!r}")
         if lam_star is None and lhs < rhs:
             lam_star, lhs_fail, rhs_fail = lam, lhs, rhs
     return StretchScanReport(

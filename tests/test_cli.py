@@ -256,6 +256,20 @@ def test_counterexamples_default_config_values(tmp_path):
     assert growth["rhs_at_failure"] == pytest.approx(((5.0 / 3.0) ** 1.5 - 1.0) ** 2, rel=1e-14)
 
 
+def test_nan_density_exits_1_without_a_report(tmp_path, capsys):
+    # g(det A) = (det A)^0.5 is NaN wherever det A < 0, as on part of the battery
+    cfg = tmp_path / "nan.ini"
+    cfg.write_text(
+        "[run]\ntask = recoverability\nseed = 7\n\n"
+        "[density]\nkind = mooney-rivlin\ndim = 3\ng = power\ng-exponent = 0.5\n"
+    )
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "density 'mooney-rivlin' is NaN at A = [[" in err, err
+    assert not (out / "summary.json").exists()
+
+
 def test_converge_conflicting_potential_dim_exit_64(tmp_path):
     cfg = tmp_path / "conv.ini"
     cfg.write_text("[run]\ntask = converge\n\n[potential]\ndim = 3\n")
@@ -453,6 +467,8 @@ def test_unparsable_value_exit_64(tmp_path, capsys, name, text, named):
     ("converge", "converge", "box = 1 0", ["[converge] box"]),
     ("counterexamples", "counterexamples", "lambda-count = 0", ["[counterexamples] lambda-count"]),
     ("counterexamples", "counterexamples", "a-value = 0", ["[counterexamples] a-value"]),
+    ("counterexamples", "counterexamples", "a-value = 0.5",
+     ["[counterexamples] a-value", "0.5", "at least 1"]),
     ("counterexamples", "counterexamples", "lambda-max = 0.5",
      ["[counterexamples] lambda-max", "0.5", "at least 1"]),
     ("recoverability", "run", "seed = -1", ["[run] seed", "-1", "at least 0"]),
@@ -480,7 +496,7 @@ def test_unparsable_value_exit_64(tmp_path, capsys, name, text, named):
         "lattice-step-0", "lattice-dim-0", "lattice-bound-below-1", "negative-directions",
         "directions-on-diagonal-lattice", "negative-tol", "no-sweeps",
         "negative-fixed-point-tol", "no-deltas", "one-delta", "no-cells-per-horizon",
-        "two-cells-per-horizon", "flat-box", "no-stretches", "zero-a-value",
+        "two-cells-per-horizon", "flat-box", "no-stretches", "zero-a-value", "a-value-below-1",
         "lambda-max-below-1", "negative-seed",
         "negative-rel-tol", "negative-randoms", "no-symmetry-trials", "3x3-density-2x2-lattice",
         "matrix-entries-off-box", "potential-dim-4", "horizon-past-half-box",

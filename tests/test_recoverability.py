@@ -24,6 +24,7 @@ from peribond.potentials import (
 from peribond.quadrature import build_circle_rule, build_rule, build_sphere_rule, sphere_measure
 from peribond.recoverability import (
     IndeterminateResidualError,
+    _stretch_mean,
     cubic_mean_lower_constant,
     default_test_matrices,
     extract_candidate,
@@ -194,6 +195,30 @@ def test_jensen_suite_two_dimensional():
     report = jensen_counterexample_suite(2, RULE2)
     assert report.all_ok
     assert all(r.case == "frobenius" for r in report.rows)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("order", [16, 32, 64])
+def test_jensen_frobenius_margins_are_minus_the_residual(dim, order):
+    rule = build_rule(dim, order)
+    rows = [r for r in jensen_counterexample_suite(dim, rule).rows if r.case == "frobenius"]
+    assert len(rows) == 4
+    for r in rows:
+        sign = {"t^2": 1.0, "-t^2": -1.0}[r.profile]
+        density = make_profile_energy("frobenius", ScalarProfile.power(sign, 2.0))
+        assert r.margin == -recoverability_residual(density, r.matrix, rule)
+
+
+@pytest.mark.parametrize("order", [16, 32, 64])
+def test_jensen_cofactor_margin_is_the_stretch_mean_less_a_quartic(order):
+    rule = build_sphere_rule(order)
+    (row,) = [r for r in jensen_counterexample_suite(3, rule).rows if r.case == "cofactor"]
+    cof2 = make_profile_energy("cof", ScalarProfile.power(1.0, 2.0))
+    quartic = float(np.sum(row.matrix**2)) ** 2 / 3.0
+    assert row.margin == pytest.approx(_stretch_mean(cof2, row.matrix, rule) - quartic, rel=1e-15)
+    assert row.margin >= 0.0
+    # closed form at diag(2, 1/2, 1): 3 * mean |Az|^4 - 5.25^2 / 3 = 12.3375 - 9.1875
+    assert row.margin == pytest.approx(3.15, rel=1e-13)
 
 
 def test_cubic_mean_constant_close_to_isotropic_floor():
