@@ -43,8 +43,8 @@ print("\nrotation invariance of the density:",
       f"(max deviation {check.max_abs_deviation:.2e}, tol {check.tolerance:.2e})")
 
 # a control that depends on the direction of the reference offset must fail
-aniso = PairwisePotential.from_evaluator(
-    lambda x, y: x[..., 0] ** 2 * np.sum(y * y, axis=-1), beta=4.0
+aniso = PairwisePotential(
+    "custom", {}, lambda x, y: x[..., 0] ** 2 * np.sum(y * y, axis=-1), beta=4.0
 )
 control = verify_limit_invariances(compute_blowup(aniso), a, 30, 1, rule)
 print("anisotropic control:", "pass" if control.passed else "fails, as it should",

@@ -312,12 +312,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
     build_model("profile", density, key="g")
     model = build_model("density", density)
     for section in ("density", "lattice"):  # convexify evaluates it on lattice matrices
-        dim = sections[section]["dim"]
-        if model.dim not in (None, dim):
-            raise ConfigError(
-                f"[density] kind = {model.kind} takes {model.dim}x{model.dim} "
-                f"matrices only, not [{section}] dim = {dim}"
-            )
+        _read_rule(section, sections[section], ("dim",), model.check_dim, sections[section]["dim"])
     pot = build_model("potential", potential)
     _read_rule("potential", potential, ("dim", "p", "q"),
                horizon.check_degree, pot.beta, potential["dim"])
@@ -478,7 +473,7 @@ def _task_gamma_limit(cfg: dict) -> tuple[dict, tuple, list]:
     passed = check.passed and beta_ok
     summary = {
         "task": "gamma-limit",
-        "potential": {"kind": pot.kind, "params": pot.params},
+        "potential": pot.describe(),
         "beta_declared": pot.beta,
         "beta_estimated": beta_est,
         "limit": {"diagnostics": limit.diagnostics},
@@ -587,7 +582,7 @@ def _task_converge(cfg: dict) -> tuple[dict, tuple, list]:
     passed = not math.isnan(slope) and slope >= cfg["converge"]["slope-min"]
     summary = {
         "task": "converge",
-        "potential": {"kind": pot.kind, "params": pot.params},
+        "potential": pot.describe(),
         "matrix": [list(map(float, r)) for r in matrix],
         "fitted_slope": slope,
         "slope_min": cfg["converge"]["slope-min"],

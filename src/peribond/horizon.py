@@ -488,10 +488,7 @@ def nonlocal_energy(
         or the near block meets a NaN bond value.
     """
     check_degree(beta, dom.dim)
-    if w.beta is not None and abs(beta - w.beta) > 1e-9:
-        raise ValueError(
-            f"scaling degree {beta} conflicts with the declared degree {w.beta}"
-        )
+    w.degree(beta)
     _check_horizon(delta, dom)
 
     dim = dom.dim

@@ -154,11 +154,7 @@ def compute_blowup(w: PairwisePotential, beta: float | None = None) -> BlowupRes
     offset pair; :class:`BlowupError` is raised here when one of those
     samples is not finite, since ``evaluate`` reads only the finest three.
     """
-    if beta is not None and w.beta is not None and abs(beta - w.beta) > 1e-9:
-        raise ValueError(
-            f"requested degree {beta} conflicts with the declared degree {w.beta}"
-        )
-    beta_hat = beta if beta is not None else w.beta
+    beta_hat = w.degree(beta)
     if beta_hat is None:
         beta_hat = estimate_beta(w)
     beta_hat = float(beta_hat)

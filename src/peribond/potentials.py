@@ -4,14 +4,14 @@ Built-in potentials are frame indifferent and isotropic by construction:
 they evaluate through a radial profile of (|reference offset|, |deformed
 offset|) only. Stored energies evaluate square matrices to extended reals
 (+inf marks the incompressible constraint). Every built-in carries a
-serializable ``kind`` plus ``params`` so reports can round-trip the exact
-model; arbitrary callables are accepted through ``custom_energy`` and
-``PairwisePotential.from_evaluator`` for tests and probes, at the price of
-not being serializable.
+serializable ``kind`` plus ``params``, which ``describe()`` reports, so
+reports can round-trip the exact model; arbitrary callables are accepted
+through ``custom_energy`` and the ``PairwisePotential`` constructor for
+tests and probes, at the price of not being serializable.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,22 +24,37 @@ DET_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class ScalarProfile:
+class _Model:
+    """A model that ``fn`` evaluates and its serializable ``kind`` and
+    ``params`` describe: the base of profiles, bonds and densities."""
+
+    kind: str
+    params: dict
+    fn: Callable
+
+    def __call__(self, *args):
+        """``fn`` at ``args`` read as float arrays: a float for a 0-d value,
+        else an array."""
+        out = self._evaluate(*[np.asarray(x, dtype=float) for x in args])
+        return float(out) if out.ndim == 0 else out
+
+    def _evaluate(self, *args) -> np.ndarray:
+        return np.asarray(self.fn(*args), dtype=float)
+
+    def describe(self) -> dict:
+        """``kind`` and ``params``, a model among the params described alike."""
+        params = {k: v.describe() if isinstance(v, _Model) else v for k, v in self.params.items()}
+        return {"kind": self.kind, "params": params}
+
+
+@dataclass(frozen=True)
+class ScalarProfile(_Model):
     """Scalar profile g used inside stored energies, t -> g(t).
 
     Kinds form a closed, serializable enumeration: ``power`` (coeff * t**p),
     ``affine-square`` (a + b*t^2), ``well`` ((t-1)^2) and ``indicator``
     (0 at t=1, +inf elsewhere, within ``DET_TOL``).
     """
-
-    kind: str
-    params: dict = field(default_factory=dict)
-    fn: Callable = None
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.asarray(self.fn(t), dtype=float)
-        return float(out) if out.ndim == 0 else out
 
     @staticmethod
     def power(coeff: float = 1.0, exponent: float = 1.0) -> "ScalarProfile":
@@ -71,7 +86,7 @@ class ScalarProfile:
 
 
 @dataclass(frozen=True)
-class PairwisePotential:
+class PairwisePotential(_Model):
     """Bond density w(x_ref, y_def) on pairs of offsets.
 
     ``fn`` maps arrays of shape (..., ref_dim) and (..., def_dim) to (...)
@@ -82,18 +97,19 @@ class PairwisePotential:
     of the pair (None = unknown).
     """
 
-    kind: str
-    params: dict
-    fn: Callable
     beta: float | None = None
     ref_dim: int = 3
     def_dim: int = 3
 
-    def __call__(self, x_ref, y_def):
-        x_ref = np.asarray(x_ref, dtype=float)
-        y_def = np.asarray(y_def, dtype=float)
-        out = np.asarray(self.fn(x_ref, y_def), dtype=float)
-        return float(out) if out.ndim == 0 else out
+    def degree(self, beta: float | None = None) -> float | None:
+        """The homogeneity degree: ``beta`` if given, else the declared one
+        (None when neither is). A ``beta`` more than 1e-9 from the declared
+        degree raises ValueError: the horizon scaling depends on it."""
+        if beta is None:
+            return self.beta
+        if self.beta is not None and abs(beta - self.beta) > 1e-9:
+            raise ValueError(f"degree {beta!r} conflicts with the declared degree {self.beta!r}")
+        return beta
 
     @staticmethod
     def from_radial_profile(
@@ -111,17 +127,6 @@ class PairwisePotential:
             return profile(vector_norm(x), vector_norm(y))
 
         return PairwisePotential(kind, dict(params or {}), fn, beta, ref_dim, def_dim)
-
-    @staticmethod
-    def from_evaluator(
-        fn: Callable,
-        beta: float | None = None,
-        kind: str = "custom",
-        ref_dim: int = 3,
-        def_dim: int = 3,
-    ) -> "PairwisePotential":
-        """Arbitrary evaluator, used by tests (e.g. anisotropic controls)."""
-        return PairwisePotential(kind, {}, fn, beta, ref_dim, def_dim)
 
 
 def make_power_bond(c: float, p: float, q: float, dim: int = 3) -> PairwisePotential:
@@ -149,8 +154,14 @@ def make_power_bond(c: float, p: float, q: float, dim: int = 3) -> PairwisePoten
     )
 
 
+def _squares(a):
+    """|A|^2 of stacked matrices: ``np.sum``'s own reduction, without its
+    wrapper, which costs a single-matrix density call about a microsecond."""
+    return np.add.reduce(a * a, axis=(-2, -1))
+
+
 @dataclass(frozen=True)
-class StoredEnergy:
+class StoredEnergy(_Model):
     """Extended-real density W(A) on square matrices.
 
     ``fn`` maps stacked matrices of shape (..., n, n) to (...) values; +inf
@@ -159,53 +170,52 @@ class StoredEnergy:
     a verdict from it.
     """
 
-    kind: str
-    params: dict
-    fn: Callable
     dim: int | None = None  # None: any square size up to 3
 
-    def __call__(self, a):
-        a = np.asarray(a, dtype=float)
-        if self.dim is not None and a.shape[-1] != self.dim:
+    def check_dim(self, n: int) -> None:
+        """Refuse n x n matrices when the density takes another size only."""
+        if self.dim not in (None, n):
             raise ValueError(
-                f"density {self.kind!r} expects {self.dim}x{self.dim} matrices, "
-                f"got {a.shape[-2]}x{a.shape[-1]}"
+                f"density {self.kind!r} takes {self.dim}x{self.dim} matrices only, not {n}x{n}"
             )
+
+    @np.errstate(invalid="ignore")  # no warning: a NaN is refused below, naming A
+    def _evaluate(self, a):
+        self.check_dim(a.shape[-1])
         out = np.asarray(self.fn(a), dtype=float)
         nan = np.isnan(out)
-        if nan.any():
+        if np.count_nonzero(nan):  # faster than nan.any() on a single value
             stack = a.shape[:-2]
             first = np.unravel_index(np.argmax(np.broadcast_to(nan, stack)), stack)
             raise ValueError(f"density {self.kind!r} is NaN at A = {a[first].tolist()}")
-        return float(out) if out.ndim == 0 else out
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "params": _describe_params(self.params)}
+        return out
 
 
-def _describe_params(params: dict) -> dict:
-    out = {}
-    for k, v in params.items():
-        if isinstance(v, ScalarProfile):
-            out[k] = {"kind": v.kind, "params": v.params}
-        else:
-            out[k] = v
-    return out
+def _check_det_profile(kind: str, g: ScalarProfile) -> None:
+    """Refuse g(det A) for a power profile with a non-integer exponent: it is
+    NaN wherever det A < 0, and every battery and lattice holds such A."""
+    if g.kind == "power" and not g.params["exponent"].is_integer():
+        raise ValueError(
+            f"density {kind!r} takes g(det A), and g = power with exponent "
+            f"{g.params['exponent']!r} is NaN wherever det A < 0; need an integer exponent"
+        )
 
 
 def make_mooney_rivlin(alpha: float, beta: float, g: ScalarProfile) -> StoredEnergy:
     """Stored energy alpha |A|^2 + beta |cof A|^2 + g(det A).
 
-    beta = 0 gives the Neo-Hookean family.
+    beta = 0 gives the Neo-Hookean family. A negative coefficient, or a
+    power profile g with a non-integer exponent, raises ValueError.
     """
     if alpha < 0 or beta < 0:
-        raise ValueError("mooney-rivlin coefficients must be nonnegative")
+        raise ValueError(f"alpha = {alpha!r}, beta = {beta!r}: need nonnegative coefficients")
+    _check_det_profile("mooney-rivlin", g)
 
     def fn(a, al=float(alpha), be=float(beta), g=g):
-        out = al * np.sum(a * a, axis=(-2, -1))
+        out = al * _squares(a)
         if be != 0.0:
             cof = cofactor(a)
-            out = out + be * np.sum(cof * cof, axis=(-2, -1))
+            out = out + be * _squares(cof)
         return out + g(determinant(a))
 
     return StoredEnergy(
@@ -214,16 +224,9 @@ def make_mooney_rivlin(alpha: float, beta: float, g: ScalarProfile) -> StoredEne
 
 
 def make_incompressible_mr(alpha: float, beta: float) -> StoredEnergy:
-    """alpha |A|^2 + beta |cof A|^2 where det A = 1 (within DET_TOL), else +inf."""
-    if alpha < 0 or beta < 0:
-        raise ValueError("incompressible coefficients must be nonnegative")
-
-    def fn(a, al=float(alpha), be=float(beta)):
-        cof = cofactor(a)
-        finite = al * np.sum(a * a, axis=(-2, -1)) + be * np.sum(cof * cof, axis=(-2, -1))
-        det = determinant(a)
-        return np.where(np.abs(np.asarray(det) - 1.0) <= DET_TOL, finite, INF)
-
+    """alpha |A|^2 + beta |cof A|^2 where det A = 1 (within DET_TOL), else
+    +inf: Mooney-Rivlin with the indicator as g."""
+    fn = make_mooney_rivlin(alpha, beta, ScalarProfile.indicator()).fn
     return StoredEnergy(
         "incompressible-mr", {"alpha": float(alpha), "beta": float(beta)}, fn, dim=3
     )
@@ -233,19 +236,21 @@ def make_profile_energy(kind: str, g: ScalarProfile) -> StoredEnergy:
     """Compose a scalar profile with a matrix invariant.
 
     kind 'frobenius' gives A -> g(|A|^2); 'cof' gives g(|cof A|) and 'det'
-    gives g(det A), the latter two on 3x3 matrices only.
+    gives g(det A), the latter two on 3x3 matrices only. 'det' refuses a
+    power profile with a non-integer exponent, as ``make_mooney_rivlin`` does.
     """
     if kind == "frobenius":
         return StoredEnergy(
             "profile-frobenius",
             {"g": g},
-            lambda a, g=g: g(np.sum(a * a, axis=(-2, -1))),
+            lambda a, g=g: g(_squares(a)),
         )
     if kind == "cof":
         return StoredEnergy(
             "profile-cof", {"g": g}, lambda a, g=g: g(frobenius(cofactor(a))), dim=3
         )
     if kind == "det":
+        _check_det_profile("profile-det", g)
         return StoredEnergy(
             "profile-det", {"g": g}, lambda a, g=g: g(determinant(a)), dim=3
         )
@@ -254,9 +259,7 @@ def make_profile_energy(kind: str, g: ScalarProfile) -> StoredEnergy:
 
 def frobenius_squared() -> StoredEnergy:
     """W(A) = |A|^2, the density the quadratic bond recovers exactly."""
-    return StoredEnergy(
-        "frobenius-squared", {}, lambda a: np.sum(a * a, axis=(-2, -1))
-    )
+    return StoredEnergy("frobenius-squared", {}, _squares)
 
 
 def frobenius_power(p: float) -> StoredEnergy:
@@ -264,7 +267,7 @@ def frobenius_power(p: float) -> StoredEnergy:
     return StoredEnergy(
         "frobenius-power",
         {"p": float(p)},
-        lambda a, p=float(p): np.sum(a * a, axis=(-2, -1)) ** (p / 2.0),
+        lambda a, p=float(p): _squares(a) ** (p / 2.0),
     )
 
 
@@ -274,7 +277,7 @@ def affine_frobenius_squared(a: float, b: float) -> StoredEnergy:
     return StoredEnergy(
         "affine-frobenius-squared",
         {"a": float(a), "b": float(b)},
-        lambda m, a=float(a), b=float(b): a + b * np.sum(m * m, axis=(-2, -1)),
+        lambda m, a=float(a), b=float(b): a + b * _squares(m),
     )
 
 

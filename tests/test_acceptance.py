@@ -246,7 +246,7 @@ def test_criterion_9_symmetry_inheritance():
     def aniso(x, y):
         return x[..., 0] ** 2 * np.sum(y * y, axis=-1)
 
-    control = PairwisePotential.from_evaluator(aniso, beta=4.0, ref_dim=3, def_dim=3)
+    control = PairwisePotential("custom", {}, aniso, beta=4.0, ref_dim=3, def_dim=3)
     control_rep = verify_limit_invariances(
         compute_blowup(control), np.diag([1.0, 2.0, 3.0]), trials=20, seed=0, rule=rule
     )

@@ -257,16 +257,20 @@ def test_counterexamples_default_config_values(tmp_path):
 
 
 def test_nan_density_exits_1_without_a_report(tmp_path, capsys):
-    # g(det A) = (det A)^0.5 is NaN wherever det A < 0, as on part of the battery
+    # g(det A) = 0 * (det A)^-1 is 0 * inf = NaN where det A = 0, as on the lattice
     cfg = tmp_path / "nan.ini"
     cfg.write_text(
-        "[run]\ntask = recoverability\nseed = 7\n\n"
-        "[density]\nkind = mooney-rivlin\ndim = 3\ng = power\ng-exponent = 0.5\n"
+        "[run]\ntask = convexify\n\n"
+        "[density]\nkind = profile-det\ng = power\ng-coeff = 0\ng-exponent = -1\n\n"
+        "[lattice]\nmode = diagonal\ndim = 3\nbound = 1\nstep = 0.5\n"
     )
     out = tmp_path / "o"
-    assert main(["--config", str(cfg), "--out", str(out)]) == 1
+    with pytest.warns(RuntimeWarning, match="divide by zero"):  # +inf is legal, NaN is not
+        assert main(["--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "density 'mooney-rivlin' is NaN at A = [[" in err, err
+    assert "density 'profile-det' is NaN at A = [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], " \
+        "[0.0, 0.0, 0.0]]" in err, err
+    assert "invalid value encountered" not in err, err
     assert not (out / "summary.json").exists()
 
 
@@ -418,6 +422,36 @@ def test_registry_roundtrip(tmp_path):
         assert rebuilt.describe() == summary["density"]
 
 
+@pytest.mark.parametrize("task", ["gamma-limit", "converge"])
+def test_summary_describes_the_potential(tmp_path, task):
+    cfg = tmp_path / f"{task}.ini"
+    cfg.write_text(f"[run]\ntask = {task}\nquad-order = 8\n\n[converge]\ndeltas = 0.2 0.1\n")
+    out = tmp_path / task
+    assert main(["--config", str(cfg), "--out", str(out), "--no-timestamp"]) in (0, 2)
+    summary = json.loads((out / "summary.json").read_text())
+    described = build_model("potential", summary["config"]["potential"]).describe()
+    assert summary["potential"] == described
+
+
+def test_every_registry_model_describes_itself_in_plain_values():
+    defaults = load_config(None, overrides={"task": "quadrature-check"})
+    for group, models in MODELS.items():
+        section = dict(defaults["potential" if group == "potential" else "density"])
+        key = "g" if group == "profile" else "kind"
+        for kind in models:
+            section[key] = kind
+            described = build_model(group, section, key=key).describe()
+            assert json.loads(json.dumps(described)) == described, (group, kind)
+
+
+@pytest.mark.parametrize("kind", ["profile-frobenius", "profile-cof"])
+def test_fractional_power_of_a_nonnegative_invariant_loads(tmp_path, kind):
+    cfg = tmp_path / "root.ini"
+    cfg.write_text(f"[run]\ntask = quadrature-check\n\n"
+                   f"[density]\nkind = {kind}\ng = power\ng-exponent = 0.5\n")
+    assert load_config(str(cfg))["density"]["g-exponent"] == 0.5
+
+
 @pytest.mark.parametrize("section, lines, named", [
     ("density", ["kind = bogus"], ["bogus"]),
     ("density", ["g = bogus"], ["bogus"]),
@@ -425,8 +459,18 @@ def test_registry_roundtrip(tmp_path):
     ("density", ["kind = incompressible-mr", "dim = 2"], ["incompressible-mr", "dim = 2"]),
     ("density", ["kind = profile-cof", "dim = 2"], ["profile-cof", "dim = 2"]),
     ("density", ["kind = profile-det", "dim = 2"], ["profile-det", "dim = 2"]),
+    ("density", ["kind = profile-cof", "", "[lattice]", "dim = 2", "mode = full"],
+     ["[lattice] dim = 2", "profile-cof", "3x3 matrices only, not 2x2"]),
+    ("density", ["kind = mooney-rivlin", "g = power", "g-exponent = 0.5"],
+     ["mooney-rivlin", "exponent 0.5", "det A < 0"]),
+    ("density", ["kind = neo-hookean", "g = power", "g-exponent = 0.5"],
+     ["neo-hookean", "exponent 0.5", "det A < 0"]),
+    ("density", ["kind = profile-det", "g = power", "g-exponent = 0.5"],
+     ["profile-det", "exponent 0.5", "det A < 0"]),
 ], ids=["density-kind", "profile", "potential-kind", "incompressible-mr-2d",
-        "profile-cof-2d", "profile-det-2d"])
+        "profile-cof-2d", "profile-det-2d", "profile-cof-2d-lattice",
+        "mooney-rivlin-fractional-det-power", "neo-hookean-fractional-det-power",
+        "profile-det-fractional-det-power"])
 def test_invalid_model_value_exit_64(tmp_path, capsys, section, lines, named):
     body = "\n".join(lines)
     err = config_error(tmp_path, capsys, "bad.ini",

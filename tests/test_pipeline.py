@@ -282,7 +282,7 @@ def test_invariance_check_fails_for_anisotropic_control():
     def aniso(x, y):
         return x[..., 0] ** 2 * np.sum(y * y, axis=-1)
 
-    w = PairwisePotential.from_evaluator(aniso, beta=4.0, ref_dim=3, def_dim=3)
+    w = PairwisePotential("custom", {}, aniso, beta=4.0, ref_dim=3, def_dim=3)
     limit = compute_blowup(w)
     report = verify_limit_invariances(
         limit, np.diag([1.0, 2.0, 3.0]), 20, 0, build_sphere_rule(32)

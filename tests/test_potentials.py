@@ -1,13 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from peribond.linalg import INF, random_rotation
+from peribond.linalg import INF, cofactor, determinant, random_rotation
 from peribond.potentials import (
+    DET_TOL,
     PairwisePotential,
     ScalarProfile,
     affine_frobenius_squared,
+    custom_energy,
     frobenius_power,
     frobenius_squared,
     make_incompressible_mr,
@@ -162,3 +167,110 @@ def test_density_descriptor_serializes_profiles():
     desc = w.describe()
     assert desc["kind"] == "mooney-rivlin"
     assert desc["params"]["g"] == {"kind": "well", "params": {}}
+
+
+def described(kind, **params):
+    return {"kind": kind, "params": params}
+
+
+WELL = described("well")
+DESCRIPTIONS = [
+    (ScalarProfile.power(2.0, 3.0), described("power", coeff=2.0, exponent=3.0)),
+    (ScalarProfile.affine_square(1.0, 2.0), described("affine-square", a=1.0, b=2.0)),
+    (ScalarProfile.well(), WELL),
+    (ScalarProfile.indicator(), described("indicator", tol=DET_TOL)),
+    (make_power_bond(1.5, 2.0, 3.0, dim=2), described("power-bond", c=1.5, p=2.0, q=3.0)),
+    (frobenius_squared(), described("frobenius-squared")),
+    (frobenius_power(4.0), described("frobenius-power", p=4.0)),
+    (affine_frobenius_squared(1.0, 2.0), described("affine-frobenius-squared", a=1.0, b=2.0)),
+    (make_mooney_rivlin(1.0, 2.0, ScalarProfile.well()),
+     described("mooney-rivlin", alpha=1.0, beta=2.0, g=WELL)),
+    (make_incompressible_mr(1.0, 2.0), described("incompressible-mr", alpha=1.0, beta=2.0)),
+    (make_profile_energy("frobenius", ScalarProfile.well()), described("profile-frobenius", g=WELL)),
+    (make_profile_energy("cof", ScalarProfile.well()), described("profile-cof", g=WELL)),
+    (make_profile_energy("det", ScalarProfile.well()), described("profile-det", g=WELL)),
+    (custom_energy(np.trace, label="trace"), described("custom", label="trace")),
+]
+
+
+@pytest.mark.parametrize("model, description", DESCRIPTIONS,
+                         ids=[description["kind"] for _, description in DESCRIPTIONS])
+def test_every_model_describes_itself(model, description):
+    assert model.describe() == description
+
+
+def test_degree_checks_a_passed_degree_against_the_declared_one():
+    bond = make_power_bond(1.0, 2.0, 2.0, dim=2)
+    assert bond.degree() == 0.0 and bond.degree(5e-10) == 5e-10
+    with pytest.raises(ValueError, match="degree 2e-09 conflicts with the declared degree 0.0"):
+        bond.degree(2e-9)
+    undeclared = PairwisePotential("custom", {}, bond.fn, ref_dim=2, def_dim=2)
+    assert undeclared.degree() is None and undeclared.degree(7.0) == 7.0
+
+
+def test_check_dim_names_both_sizes():
+    cof = make_profile_energy("cof", ScalarProfile.well())
+    cof.check_dim(3)
+    with pytest.raises(ValueError, match="'profile-cof' takes 3x3 matrices only, not 2x2"):
+        cof.check_dim(2)
+    frobenius_squared().check_dim(2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda g: make_mooney_rivlin(1.0, 1.0, g),
+    lambda g: make_mooney_rivlin(1.0, 0.0, g),
+    lambda g: make_profile_energy("det", g),
+], ids=["mooney-rivlin", "neo-hookean", "profile-det"])
+def test_det_profile_refuses_a_fractional_power(build):
+    # (det A)^0.5 is NaN wherever det A < 0, so no battery or lattice could run
+    with pytest.raises(ValueError, match="exponent 0.5 is NaN wherever det A < 0"):
+        build(ScalarProfile.power(1.0, 0.5))
+    assert build(ScalarProfile.power(1.0, -1.0))(-np.eye(3)) == pytest.approx(
+        build(ScalarProfile.power(0.0, 0.0))(-np.eye(3)) - 1.0)
+
+
+def test_fractional_powers_of_nonnegative_invariants_load():
+    root = ScalarProfile.power(1.0, 0.5)
+    assert make_profile_energy("frobenius", root)(np.diag([3.0, -4.0])) == pytest.approx(5.0)
+    assert make_profile_energy("cof", root)(-np.eye(3)) == pytest.approx(3.0**0.25)
+
+
+def test_nan_density_raises_without_a_numpy_warning():
+    density = custom_energy(lambda a: np.sqrt(a[..., 0, 0]), dim=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"'custom' is NaN at A = \[\[-1.0, 0.0, 0.0\]"):
+            density(np.diag([-1.0, 1.0, 1.0]))
+    # +inf is a legal value, so dividing by zero still warns
+    inverse = make_profile_energy("det", ScalarProfile.power(1.0, -1.0))
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        assert inverse(np.zeros((3, 3))) == INF
+
+
+def incompressible_before(a, alpha, beta):
+    """The formula make_incompressible_mr evaluated on its own before it was
+    built on make_mooney_rivlin."""
+    cof = cofactor(a)
+    finite = alpha * np.sum(a * a, axis=(-2, -1)) + beta * np.sum(cof * cof, axis=(-2, -1))
+    return np.where(np.abs(np.asarray(determinant(a)) - 1.0) <= DET_TOL, finite, INF)
+
+
+@st.composite
+def near_unimodular(draw):
+    """diag(2^k, 2^-k, 1 + eps) with a shear: det A is exactly 1 + eps in
+    floating point, and eps reaches in and out of DET_TOL."""
+    k = draw(st.integers(-6, 6))
+    eps = draw(st.one_of(st.sampled_from([0.0, DET_TOL, -DET_TOL, 2 * DET_TOL, -0.5]),
+                         st.floats(-3 * DET_TOL, 3 * DET_TOL)))
+    shear = draw(st.floats(-4.0, 4.0))
+    return np.array([[2.0**k, shear, 0.0], [0.0, 2.0**-k, 0.0], [0.0, 0.0, 1.0 + eps]])
+
+
+@given(a=st.one_of(near_unimodular(),
+                   st.lists(st.floats(-10.0, 10.0), min_size=9, max_size=9).map(
+                       lambda entries: np.array(entries).reshape(3, 3))),
+       alpha=st.floats(0.0, 10.0), beta=st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+def test_incompressible_is_mooney_rivlin_with_the_indicator(a, alpha, beta):
+    value = make_incompressible_mr(alpha, beta)(a)
+    before = float(incompressible_before(a, alpha, beta))
+    assert np.float64(value).tobytes() == np.float64(before).tobytes(), (value, before)

@@ -76,6 +76,8 @@ def scan(beta):
     (lambda: estimate_beta(BOND, seed=1.5), "seed = 1.5"),
     # refused although no dyad is drawn
     (lambda: convexify(directions=0, seed=-2), "seed = -2"),
+    (lambda: compute_blowup(BOND, beta=1.0), "conflicts with the declared degree"),
+    (lambda: energy(beta=0.5), "conflicts with the declared degree"),
 ], ids=["energy-beta-nan", "energy-beta-inf", "energy-delta-nan", "energy-delta-negative",
         "energy-margin-nan", "energy-margin-negative", "grids-side-inf", "grids-side-nan",
         "grids-horizon-past-half-box", "convexify-tol-negative",
@@ -83,10 +85,15 @@ def scan(beta):
         "circle-order-fraction", "scan-beta-negative", "scan-beta-nan", "scan-beta-inf",
         "energy-degree-minus-dim", "energy-degree-below-minus-dim", "bond-c-negative",
         "bond-c-nan", "matrices-seed-negative", "rotation-seed-bool", "beta-seed-fraction",
-        "convexify-seed-negative"])
+        "convexify-seed-negative", "blowup-degree-conflict", "energy-degree-conflict"])
 def test_library_refuses_and_names_the_argument(call, named):
     with pytest.raises(ValueError, match=named):
         call()
+
+
+def test_a_degree_within_1e_9_of_the_declared_one_passes():
+    assert compute_blowup(BOND, beta=5e-10).beta_hat == 5e-10
+    assert energy(beta=-5e-10) == pytest.approx(energy(beta=0.0), rel=1e-8)
 
 
 class NaNAt:
