@@ -42,6 +42,7 @@ from .potentials import (
     frobenius_squared,
     make_incompressible_mr,
     make_mooney_rivlin,
+    make_neo_hookean,
     make_power_bond,
     make_profile_energy,
 )
@@ -93,6 +94,7 @@ __all__ = [
     "local_density",
     "make_incompressible_mr",
     "make_mooney_rivlin",
+    "make_neo_hookean",
     "make_power_bond",
     "make_profile_energy",
     "mean_over_sphere",

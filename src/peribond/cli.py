@@ -34,6 +34,7 @@ from .potentials import (
     frobenius_squared,
     make_incompressible_mr,
     make_mooney_rivlin,
+    make_neo_hookean,
     make_power_bond,
     make_profile_energy,
 )
@@ -84,7 +85,7 @@ MODELS = {
             (_ALPHA, _BETA, _G), "alpha |A|^2 + beta |cof A|^2 + g(det A)",
         ),
         "neo-hookean": Model(
-            lambda s: make_mooney_rivlin(s["alpha"], 0.0, _profile(s)),
+            lambda s: make_neo_hookean(s["alpha"], _profile(s)),
             (_ALPHA, _G), "mooney-rivlin with beta = 0",
         ),
         "incompressible-mr": Model(
@@ -377,35 +378,37 @@ def _json_safe(value):
     return value
 
 
+def _unquoted(cells: list) -> list:
+    r"""``cells``, refusing one that ``csv`` would quote: one holding ",",
+    '"', "\r" or "\n". The cells hold one iff their concatenation does."""
+    text = "".join(cells)
+    if any(char in text for char in ',"\r\n'):
+        bad = next(cell for cell in cells if any(char in cell for char in ',"\r\n'))
+        raise ValueError(f"detail.csv cell {bad!r} holds a comma, a quote or a line break")
+    return cells
+
+
 def _csv_lines(columns) -> str:
     r"""The CSV records of one block: row i joins cell i of each column with
     ",", ended by csv's "\r\n". Cells are ``str`` of numbers and plain
-    strings, what ``csv`` writes for them unquoted.
-
-    A cell that ``csv`` would quote, one holding ",", '"', "\r" or "\n",
-    raises ValueError instead. Counting those characters in the whole block
-    finds it: each row adds len(columns) - 1 commas and one "\r\n".
-    """
-    cells = [list(map(str, column)) for column in columns]
-    lines = list(map(",".join, zip(*cells, strict=True)))
-    rows = len(lines)
-    lines.append("")  # the last record's terminator
-    text = "\r\n".join(lines)
-    if (text.count(",") != rows * (len(cells) - 1) or text.count("\r") != rows
-            or text.count("\n") != rows or '"' in text):
-        bad = next(cell for column in cells for cell in column
-                   if any(char in cell for char in ',"\r\n'))
-        raise ValueError(f"detail.csv cell {bad!r} holds a comma, a quote or a line break")
-    return text
+    strings, what ``csv`` writes for them unquoted; a cell it would quote
+    raises ValueError (:func:`_unquoted`), and so do columns of unequal
+    length."""
+    cells = [_unquoted(list(map(str, column))) for column in columns]
+    return "".join(",".join(row) + "\r\n" for row in zip(*cells, strict=True))
 
 
-def _write_reports(cfg: dict, summary: dict, columns, header: list) -> None:
-    """Write summary.json, then detail.csv block by block.
+def _csv_table(header: list, columns) -> Iterator[str]:
+    """The detail.csv text of a task with few rows: ``header``, then one
+    record per row of ``columns``, one column per header name. It is
+    formatted when the writer reads it."""
+    yield _csv_lines([[name, *column] for name, column in zip(header, columns, strict=True)])
 
-    ``columns`` yields the columns of one block after another, len(header)
-    columns of equal length per block, so a task can stream its rows slab
-    by slab without holding the whole report.
-    """
+
+def _write_reports(cfg: dict, summary: dict, lines) -> None:
+    """Write summary.json, then detail.csv, the text that ``lines`` yields,
+    block after block: a task can stream its rows without holding the
+    whole report."""
     out_dir = Path(cfg["run"]["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = dict(summary)
@@ -416,14 +419,11 @@ def _write_reports(cfg: dict, summary: dict, columns, header: list) -> None:
         json.dumps(_json_safe(summary), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-    columns = iter(columns)
     with open(out_dir / "detail.csv", "w", newline="") as fh:
-        fh.write(_csv_lines([name] for name in header))
-        for block in zip(*[columns] * len(header), strict=True):
-            fh.write(_csv_lines(block))
+        fh.writelines(lines)
 
 
-def _task_quadrature_check(cfg: dict) -> tuple[dict, tuple, list]:
+def _task_quadrature_check(cfg: dict) -> tuple[dict, Iterator[str]]:
     order = cfg["run"]["quad-order"]
     rows = []
     worst_weight = 0.0
@@ -453,10 +453,10 @@ def _task_quadrature_check(cfg: dict) -> tuple[dict, tuple, list]:
         "verdict": "pass" if passed else "fail",
     }
     header = ["rule", "moment", "value", "reference", "error"]
-    return summary, tuple(zip(*rows)), header
+    return summary, _csv_table(header, zip(*rows))
 
 
-def _task_gamma_limit(cfg: dict) -> tuple[dict, tuple, list]:
+def _task_gamma_limit(cfg: dict) -> tuple[dict, Iterator[str]]:
     pot = build_model("potential", cfg["potential"])
     dim = cfg["potential"]["dim"]
     rule = build_rule(dim, cfg["run"]["quad-order"])
@@ -486,10 +486,10 @@ def _task_gamma_limit(cfg: dict) -> tuple[dict, tuple, list]:
         },
         "verdict": "pass" if passed else "fail",
     }
-    return summary, (labels, values), ["matrix_row_major", "local_density"]
+    return summary, _csv_table(["matrix_row_major", "local_density"], (labels, values))
 
 
-def _task_recoverability(cfg: dict) -> tuple[dict, tuple, list]:
+def _task_recoverability(cfg: dict) -> tuple[dict, Iterator[str]]:
     density = build_model("density", cfg["density"])
     dim = cfg["density"]["dim"]
     rule = build_rule(dim, cfg["run"]["quad-order"])
@@ -510,32 +510,41 @@ def _task_recoverability(cfg: dict) -> tuple[dict, tuple, list]:
         ])
     summary = {"task": "recoverability", **asdict(report)}
     header = ["index", "matrix_row_major", "lhs", "rhs", "residual", "classification", "within_tol"]
-    return summary, tuple(zip(*rows)), header
+    return summary, _csv_table(header, zip(*rows))
 
 
-def _lattice_columns(coordinates, values, interior) -> Iterator[list]:
-    """The detail.csv columns of lattice ``values`` and their ``interior``
-    mask: point labels, values and 0/1 flags, one block per leading-axis
-    slab, in C order. Each coordinate is formatted once; a slab's labels
-    are its head coordinate followed by those of the trailing axes, which
-    are built once. Each distinct value is formatted once too, keyed on its
-    bits, which keeps -0.0 apart from 0.0."""
-    labels = [repr(float(c)) for c in coordinates]
+def _lattice_lines(coordinates, values, interior) -> Iterator[str]:
+    r"""The detail.csv text of lattice ``values`` and their ``interior``
+    mask: the header, then one record (point label, value, 0/1 flag) per
+    point in C order, one block per leading-axis slab.
+
+    Each coordinate label and each distinct value string is formatted and
+    checked (:func:`_unquoted`) once, a value keyed on its bits, which keeps
+    -0.0 apart from 0.0; every cell is made of them. A slab's labels are its
+    head coordinate followed by the trailing axes' labels, built once, and
+    the slab is one join over its records' pieces: head, tail + ",", value
+    and ",0\r\n" or ",1\r\n".
+    """
+    yield _csv_lines([name] for name in ("lattice_coordinates", "value", "interior"))
+    labels = _unquoted([repr(float(c)) for c in coordinates])
     tails = [""]
     for _ in range(values.ndim - 1):
         tails = [f"{tail} {label}" for tail in tails for label in labels]
     bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
-    cells = np.array(list(map(str, bits.view(float).tolist())), dtype=object)
-    flags = np.array(["0", "1"], dtype=object)
+    cells = np.array(_unquoted(list(map(str, bits.view(float).tolist()))), dtype=object)
+    ends = np.array([",0\r\n", ",1\r\n"], dtype=object)
+    pieces = np.empty((len(tails), 4), dtype=object)
+    pieces[:, 1] = [tail + "," for tail in tails]
     slabs = inverse.reshape(len(values), -1)
     insides = interior.astype(int).reshape(len(values), -1)
     for head, slab, inside in zip(labels, slabs, insides):
-        yield list(map(head.__add__, tails))
-        yield cells[slab].tolist()
-        yield flags[inside].tolist()
+        pieces[:, 0] = head
+        pieces[:, 2] = cells[slab]
+        pieces[:, 3] = ends[inside]
+        yield "".join(pieces.ravel().tolist())
 
 
-def _task_convexify(cfg: dict) -> tuple[dict, Iterator[list], list]:
+def _task_convexify(cfg: dict) -> tuple[dict, Iterator[str]]:
     density = build_model("density", cfg["density"])
     lat = _lattice(cfg["lattice"])
     result = cvx.rank_one_convexify(
@@ -562,12 +571,10 @@ def _task_convexify(cfg: dict) -> tuple[dict, Iterator[list], list]:
         "note": result.note,
         "verdict": "fixed-point" if fixed else "lowered",
     }
-    header = ["lattice_coordinates", "value", "interior"]
-    columns = _lattice_columns(lat.coordinates, result.values, result.interior_mask)
-    return summary, columns, header
+    return summary, _lattice_lines(lat.coordinates, result.values, result.interior_mask)
 
 
-def _task_converge(cfg: dict) -> tuple[dict, tuple, list]:
+def _task_converge(cfg: dict) -> tuple[dict, Iterator[str]]:
     pot = build_model("potential", cfg["potential"])
     sides = cfg["converge"]["box"]
     dim = len(sides)
@@ -589,10 +596,10 @@ def _task_converge(cfg: dict) -> tuple[dict, tuple, list]:
         "verdict": "pass" if passed else "fail",
     }
     header = ["delta", "I_delta", "I_local", "gap", "slope_running"]
-    return summary, tuple(zip(*study.rows)), header
+    return summary, _csv_table(header, zip(*study.rows))
 
 
-def _task_counterexamples(cfg: dict) -> tuple[dict, tuple, list]:
+def _task_counterexamples(cfg: dict) -> tuple[dict, Iterator[str]]:
     opts = cfg["counterexamples"]
     jensen = recoverability.jensen_counterexample_suite(3, build_rule(3, cfg["run"]["quad-order"]))
     lams = np.linspace(1.0, opts["lambda-max"], opts["lambda-count"])
@@ -622,7 +629,7 @@ def _task_counterexamples(cfg: dict) -> tuple[dict, tuple, list]:
         "verdict": "confirmed" if confirmed else "not-confirmed",
     }
     header = ["suite", "case", "value", "expected", "ok"]
-    return summary, tuple(zip(*rows)), header
+    return summary, _csv_table(header, zip(*rows))
 
 
 _TASK_RUNNERS = {
@@ -642,11 +649,11 @@ PASSING_VERDICTS = frozenset({"pass", "consistent", "fixed-point", "confirmed"})
 def run(cfg: dict) -> int:
     """Execute the configured task; returns the process exit code."""
     try:
-        summary, columns, header = _TASK_RUNNERS[cfg["run"]["task"]](cfg)
+        summary, lines = _TASK_RUNNERS[cfg["run"]["task"]](cfg)
     except Exception as exc:  # numerical divergence, bad geometry, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    _write_reports(cfg, summary, columns, header)
+    _write_reports(cfg, summary, lines)
     print(f"{cfg['run']['task']}: {summary['verdict']}")
     return EXIT_PASS if summary["verdict"] in PASSING_VERDICTS else EXIT_VIOLATED
 

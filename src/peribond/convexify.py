@@ -198,9 +198,28 @@ def _hull_envelope_1d(values: np.ndarray) -> np.ndarray:
     vertices; positions strictly between two vertices take the smaller of
     their own value and the chord of the nearest vertex on each side, and
     everything outside a row's finite range keeps its own value.
+
+    A row that is its own hull skips the chain walk: finite everywhere, it
+    passes the chain's keep test at every consecutive triple, the negation
+    of the pop test of :func:`_monotone_chain` with k - j = 1 and i - j = 2,
+    in the same float expression. The chain would pop no vertex and
+    interpolate nowhere, so the row comes out as it went in. Only
+    all-finite rows take the test, so no inf - inf warns.
     """
     values = np.asarray(values, dtype=float)
     rows = values.reshape(-1, values.shape[-1])
+    out = rows.copy()
+    own = np.isfinite(rows).all(axis=1)
+    v = rows[own]
+    own[own] = ((v[:, 2:] - v[:, :-2]) * 1 > (v[:, 1:-1] - v[:, :-2]) * 2).all(axis=1)
+    if not own.all():
+        out[~own] = _monotone_chain(rows[~own])
+    return out.reshape(values.shape)
+
+
+def _monotone_chain(rows: np.ndarray) -> np.ndarray:
+    """The hull of each row of a 2D array by the batched monotone chain of
+    :func:`_hull_envelope_1d`."""
     count, n = rows.shape
     finite = np.isfinite(rows)
     stack = np.zeros((count, n), dtype=np.intp)  # hull vertex columns per row
@@ -231,7 +250,7 @@ def _hull_envelope_1d(values: np.ndarray) -> np.ndarray:
     chord = rows[row, j] * (1 - t) + rows[row, k] * t
     out = rows.copy()
     out[row, pos] = np.minimum(chord, rows[row, pos])
-    return out.reshape(values.shape)
+    return out
 
 
 def _chains(shape: tuple[int, ...], step: np.ndarray) -> np.ndarray:

@@ -381,10 +381,12 @@ def _near_block_integral(w, field, dom, centers, rule, *, beta):
     above it on each axis, and u is evaluated only inside it. Centers with
     the same (lo, hi), all but the first and last cells of each axis on a
     grid, share one set of nodes, weights and reference-offset norms; an
-    affine field takes one integral per such class. ``rule``'s order sets
-    the face nodes (:func:`_face_nodes`), ``beta`` is the bond's degree.
-    Returns shape (C,); a NaN integrand raises. Chunks hold at most
-    ``_NEAR_CHUNK`` (center, node, axis) entries.
+    affine field takes one integral per such class. The classes are the
+    distinct (lo, hi) rows, each row read as one key of its bytes, which
+    sorts faster than rows compared column by column. ``rule``'s order
+    sets the face nodes (:func:`_face_nodes`), ``beta`` is the bond's
+    degree. Returns shape (C,); a NaN integrand raises. Chunks hold at
+    most ``_NEAR_CHUNK`` (center, node, axis) entries.
     """
     dim = dom.dim
     centers = np.asarray(centers, dtype=float)
@@ -393,9 +395,10 @@ def _near_block_integral(w, field, dom, centers, rule, *, beta):
     def reach(room):  # a wall 1.5 h away, up to rounding, only touches the block
         return np.where(room < (1.0 - 1e-9) * half, room, half)
 
-    lo, hi = reach(centers), reach(np.asarray(dom.sides) - centers)
-    boxes, which = np.unique(np.concatenate([lo, hi], axis=1), axis=0, return_inverse=True)
-    which = which.reshape(-1)
+    bounds = np.concatenate([reach(centers), reach(np.asarray(dom.sides) - centers)], axis=1)
+    rows = bounds.view(np.dtype((np.void, bounds.itemsize * 2 * dim))).ravel()
+    _, first, which = np.unique(rows, return_index=True, return_inverse=True)
+    boxes = bounds[first]
     n_face = _face_nodes(rule)
     out = np.empty(len(centers))
     for g, box in enumerate(boxes):
@@ -460,6 +463,14 @@ def nonlocal_energy(
     """Scaled pair energy (n+beta)/delta^(n+beta) * double integral of the
     bond density over interacting cell pairs.
 
+    Each stencil offset adds its ball coverage times the bond summed over
+    the cell pairs at that offset; the diagonal block of each outer cell is
+    :func:`_near_block_integral`. An affine field's pair terms depend on the
+    offset only: the bond is called once over all offsets, and each
+    offset's term is its coverage times its pair count times that value,
+    added in stencil order. Its near block takes one integral per clipping
+    class (:func:`_clipping_classes`).
+
     Parameters
     ----------
     w, beta
@@ -502,16 +513,21 @@ def nonlocal_energy(
         raise ValueError(f"rule lives on S^{rule.dim - 1} but the domain is {dim}D")
 
     far = 0.0
-    u_grid = None if field.matrix is not None else field.evaluate(dom.centers())  # (*res, m)
-    for k, xt, cov in stencil:
-        ranges = _pair_ranges(res, k, margins)
-        if ranges is None:
-            continue
-        if u_grid is None:
-            pairs = math.prod(hi - lo + 1 for lo, hi in ranges)
-            val = float(w(-xt, field.difference(np.zeros(dim), xt)))
-            far += cov * pairs * val
-        else:
+    if field.matrix is not None:
+        # an affine integrand depends on the offset only: one bond call
+        # over every offset, the terms summed in stencil order
+        xts = np.array([xt for _, xt, _ in stencil]).reshape(-1, dim)
+        vals = np.asarray(w(-xts, field.difference(np.zeros(dim), xts))).tolist()
+        for (k, _, cov), val in zip(stencil, vals):
+            ranges = _pair_ranges(res, k, margins)
+            if ranges is not None:
+                far += cov * math.prod(hi - lo + 1 for lo, hi in ranges) * val
+    else:
+        u_grid = field.evaluate(dom.centers())  # (*res, m)
+        for k, xt, cov in stencil:
+            ranges = _pair_ranges(res, k, margins)
+            if ranges is None:
+                continue
             sl_out = tuple(slice(lo, hi + 1) for lo, hi in ranges)
             sl_in = tuple(slice(lo + kj, hi + 1 + kj) for (lo, hi), kj in zip(ranges, k))
             diff = u_grid[sl_out] - u_grid[sl_in]

@@ -201,15 +201,15 @@ def _check_det_profile(kind: str, g: ScalarProfile) -> None:
         )
 
 
-def make_mooney_rivlin(alpha: float, beta: float, g: ScalarProfile) -> StoredEnergy:
-    """Stored energy alpha |A|^2 + beta |cof A|^2 + g(det A).
-
-    beta = 0 gives the Neo-Hookean family. A negative coefficient, or a
-    power profile g with a non-integer exponent, raises ValueError.
-    """
-    if alpha < 0 or beta < 0:
-        raise ValueError(f"alpha = {alpha!r}, beta = {beta!r}: need nonnegative coefficients")
-    _check_det_profile("mooney-rivlin", g)
+def _mooney_rivlin(kind: str, alpha: float, beta: float, g: ScalarProfile) -> Callable:
+    """alpha |A|^2 + beta |cof A|^2 + g(det A), the ``fn`` of density
+    ``kind``. A negative coefficient, or a power profile g with a
+    non-integer exponent, raises ValueError naming ``kind``."""
+    negative = [f"{name} = {value!r}" for name, value in (("alpha", alpha), ("beta", beta))
+                if value < 0]
+    if negative:
+        raise ValueError(f"density {kind!r}: {', '.join(negative)}: need nonnegative coefficients")
+    _check_det_profile(kind, g)
 
     def fn(a, al=float(alpha), be=float(beta), g=g):
         out = al * _squares(a)
@@ -218,15 +218,30 @@ def make_mooney_rivlin(alpha: float, beta: float, g: ScalarProfile) -> StoredEne
             out = out + be * _squares(cof)
         return out + g(determinant(a))
 
-    return StoredEnergy(
-        "mooney-rivlin", {"alpha": float(alpha), "beta": float(beta), "g": g}, fn
-    )
+    return fn
+
+
+def make_mooney_rivlin(alpha: float, beta: float, g: ScalarProfile) -> StoredEnergy:
+    """Stored energy alpha |A|^2 + beta |cof A|^2 + g(det A).
+
+    A negative coefficient, or a power profile g with a non-integer
+    exponent, raises ValueError.
+    """
+    fn = _mooney_rivlin("mooney-rivlin", alpha, beta, g)
+    return StoredEnergy("mooney-rivlin", {"alpha": float(alpha), "beta": float(beta), "g": g}, fn)
+
+
+def make_neo_hookean(alpha: float, g: ScalarProfile) -> StoredEnergy:
+    """alpha |A|^2 + g(det A): Mooney-Rivlin with beta = 0, refused as
+    ``make_mooney_rivlin`` refuses."""
+    fn = _mooney_rivlin("neo-hookean", alpha, 0.0, g)
+    return StoredEnergy("neo-hookean", {"alpha": float(alpha), "g": g}, fn)
 
 
 def make_incompressible_mr(alpha: float, beta: float) -> StoredEnergy:
     """alpha |A|^2 + beta |cof A|^2 where det A = 1 (within DET_TOL), else
     +inf: Mooney-Rivlin with the indicator as g."""
-    fn = make_mooney_rivlin(alpha, beta, ScalarProfile.indicator()).fn
+    fn = _mooney_rivlin("incompressible-mr", alpha, beta, ScalarProfile.indicator())
     return StoredEnergy(
         "incompressible-mr", {"alpha": float(alpha), "beta": float(beta)}, fn, dim=3
     )

@@ -12,16 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peribond import cli, horizon
 from peribond import convexify as cvx
-from peribond import horizon
 from peribond.cli import (
     _TASK_RUNNERS,
     MODELS,
     SCHEMA,
     TASKS,
     ConfigError,
+    _csv_table,
     _json_safe,
-    _lattice_columns,
+    _lattice_lines,
     _write_reports,
     build_model,
     list_zoo,
@@ -316,15 +317,36 @@ def csv_writer_bytes(header, rows):
     return buf.getvalue().encode()
 
 
+LATTICE_HEADER = ["lattice_coordinates", "value", "interior"]
+
+
+def lattice_rows(coords, values, mask):
+    """Reference rows of a lattice report: one per point, labels formatted anew."""
+    return [[" ".join(repr(float(coords[i])) for i in idx), float(values[idx]), int(mask[idx])]
+            for idx in np.ndindex(values.shape)]
+
+
 @pytest.mark.parametrize("task", TASKS)
-def test_detail_csv_matches_csv_writer(tmp_path, task):
+def test_detail_csv_matches_csv_writer(tmp_path, monkeypatch, task):
+    # reference rows: what the task hands the formatter of its columns, or
+    # of its lattice, transposed or enumerated point by point
+    tables = []
+
+    def table(header, columns):
+        columns = list(columns)
+        tables.append((header, list(zip(*columns))))
+        return _csv_table(header, columns)
+
+    def lattice(coords, values, mask):
+        tables.append((LATTICE_HEADER, lattice_rows(coords, values, mask)))
+        return _lattice_lines(coords, values, mask)
+
+    monkeypatch.setattr(cli, "_csv_table", table)
+    monkeypatch.setattr(cli, "_lattice_lines", lattice)
     cfg = load_config(None, overrides={"task": task, "out": str(tmp_path), "no-timestamp": True})
     cfg["lattice"].update(bound=1.5, step=0.5)  # 7^3 points, not 61^3
     assert run(cfg) in (0, 2)
-    # reference rows: the task's blocks of len(header) columns, transposed
-    _, columns, header = _TASK_RUNNERS[task](cfg)
-    columns = iter(columns)
-    rows = [row for block in zip(*[columns] * len(header)) for row in zip(*block)]
+    [(header, rows)] = tables
     assert rows
     assert (tmp_path / "detail.csv").read_bytes() == csv_writer_bytes(header, rows)
 
@@ -347,13 +369,10 @@ def test_lattice_detail_csv_matches_per_point_loop(tmp_path_factory, shape, boun
     flat[rng.integers(0, flat.size, len(specials))] = specials
     mask = rng.random(values.shape) < 0.5
     out = tmp_path_factory.mktemp("lattice")
-    header = ["lattice_coordinates", "value", "interior"]
     _write_reports({"run": {"out": str(out), "no-timestamp": True}}, {},
-                   _lattice_columns(lat.coordinates, values, mask), header)
-    coords = lat.coordinates
-    rows = [[" ".join(repr(float(coords[i])) for i in idx), float(values[idx]), int(mask[idx])]
-            for idx in np.ndindex(values.shape)]
-    assert (out / "detail.csv").read_bytes() == csv_writer_bytes(header, rows)
+                   _lattice_lines(lat.coordinates, values, mask))
+    rows = lattice_rows(lat.coordinates, values, mask)
+    assert (out / "detail.csv").read_bytes() == csv_writer_bytes(LATTICE_HEADER, rows)
 
 
 def test_lattice_detail_csv_formats_repeated_values_by_their_bits(tmp_path):
@@ -366,14 +385,11 @@ def test_lattice_detail_csv_formats_repeated_values_by_their_bits(tmp_path):
     values = pool[rng.integers(0, len(pool), (lat.points_per_axis,) * lat.axes)]
     values.reshape(-1)[:len(pool)] = pool  # the -0.0 after the 0.0 and every value present
     mask = rng.random(values.shape) < 0.5
-    header = ["lattice_coordinates", "value", "interior"]
     _write_reports({"run": {"out": str(tmp_path), "no-timestamp": True}}, {},
-                   _lattice_columns(lat.coordinates, values, mask), header)
-    coords = lat.coordinates
-    rows = [[" ".join(repr(float(coords[i])) for i in idx), float(values[idx]), int(mask[idx])]
-            for idx in np.ndindex(values.shape)]
+                   _lattice_lines(lat.coordinates, values, mask))
+    rows = lattice_rows(lat.coordinates, values, mask)
     written = (tmp_path / "detail.csv").read_bytes()
-    assert written == csv_writer_bytes(header, rows)
+    assert written == csv_writer_bytes(LATTICE_HEADER, rows)
     cells = [line.split(b",")[1] for line in written.split(b"\r\n")[1:-1]]
     assert {b"0.0", b"-0.0", b"nan"} <= set(cells) and len(cells) == values.size
 
@@ -387,15 +403,32 @@ def test_lattice_detail_csv_formats_repeated_values_by_their_bits(tmp_path):
 ], ids=["comma", "quote", "newline", "return", "header"])
 def test_detail_csv_refuses_cells_csv_would_quote(tmp_path, header, columns):
     with pytest.raises(ValueError, match="holds a comma, a quote or a line break"):
-        _write_reports({"run": {"out": str(tmp_path), "no-timestamp": True}}, {}, columns, header)
+        _write_reports({"run": {"out": str(tmp_path), "no-timestamp": True}}, {},
+                       _csv_table(header, columns))
+
+
+@pytest.mark.parametrize("name, fmt", [
+    ("repr", lambda x: repr(x).replace(".", ",")),  # the coordinate labels
+    ("str", lambda x: str(x).replace("5", '"5"')),  # the value strings
+], ids=["label", "value"])
+def test_lattice_detail_csv_refuses_cells_csv_would_quote(tmp_path, monkeypatch, name, fmt):
+    # no float formats with a comma or a quote, so the formatters are swapped
+    lat = cvx.MatrixLattice(dim=1, bound=1.0, step=0.5)
+    values = np.array([0.5, 1.5, 2.5, 3.5, 4.5])
+    monkeypatch.setattr(cli, name, fmt, raising=False)
+    with pytest.raises(ValueError, match="holds a comma, a quote or a line break"):
+        _write_reports({"run": {"out": str(tmp_path), "no-timestamp": True}}, {},
+                       _lattice_lines(lat.coordinates, values, values > 1.0))
 
 
 def test_detail_csv_refuses_uneven_blocks(tmp_path):
     cfg = {"run": {"out": str(tmp_path), "no-timestamp": True}}
     with pytest.raises(ValueError):  # a column one row short
-        _write_reports(cfg, {}, [[1, 2], [3]], ["a", "b"])
-    with pytest.raises(ValueError):  # a block one column short
-        _write_reports(cfg, {}, [[1], [2], [3]], ["a", "b"])
+        _write_reports(cfg, {}, _csv_table(["a", "b"], [[1, 2], [3]]))
+    with pytest.raises(ValueError):  # a column more than the header names
+        _write_reports(cfg, {}, _csv_table(["a", "b"], [[1], [2], [3]]))
+    with pytest.raises(ValueError):  # a column fewer
+        _write_reports(cfg, {}, _csv_table(["a", "b"], [[1]]))
 
 
 def test_list_zoo_is_the_registry():
@@ -442,6 +475,16 @@ def test_every_registry_model_describes_itself_in_plain_values():
             section[key] = kind
             described = build_model(group, section, key=key).describe()
             assert json.loads(json.dumps(described)) == described, (group, kind)
+
+
+@pytest.mark.parametrize("kind", MODELS["density"])
+def test_every_density_describes_itself_as_its_configured_kind(kind):
+    # the kind the config names, with exactly the keys its builder reads
+    section = dict(load_config(None, overrides={"task": "quadrature-check"})["density"])
+    section["kind"] = kind
+    described = build_model("density", section).describe()
+    assert described["kind"] == kind
+    assert set(described["params"]) == {name for name, _, _ in MODELS["density"][kind].keys}
 
 
 @pytest.mark.parametrize("kind", ["profile-frobenius", "profile-cof"])
@@ -573,7 +616,7 @@ def test_out_of_range_flag_exit_64(tmp_path, capsys, flag, value, named):
 ])
 def test_exit_code_follows_verdict(tmp_path, monkeypatch, verdict, code):
     def stub(cfg):
-        return {"task": "stub", "verdict": verdict}, [[1]], ["value"]
+        return {"task": "stub", "verdict": verdict}, _csv_table(["value"], [[1]])
 
     monkeypatch.setitem(_TASK_RUNNERS, "stub", stub)
     cfg = load_config(None, overrides={"task": "quadrature-check", "out": str(tmp_path),

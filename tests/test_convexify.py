@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -408,18 +409,28 @@ def test_hull_envelope_with_infinities():
 @st.composite
 def hull_rows(draw):
     """A (chains, length) array as the sweep stacks it: rows of rounded
-    values (ties, collinear runs), exact lines, +inf entries, rows with 0 or
-    1 finite entries and +inf-padded tails."""
+    values (ties, collinear runs), exact lines, strictly convex rows (a
+    rounded offset plus k i^2, k down to below the values' ulp), lines and
+    convex rows with one entry moved by one ulp, so that the keep test of a
+    row that is its own hull is drawn at its exact boundary, +inf entries,
+    rows with 0 or 1 finite entries and +inf-padded tails."""
     length = draw(st.integers(1, 24))
     rounded = st.integers(-8, 8).map(lambda k: k / 4)
     entry = st.one_of(rounded, st.floats(-1e3, 1e3), st.just(INF))
+    curvature = st.one_of(st.integers(1, 8).map(lambda k: k / 4),
+                          st.integers(40, 60).map(lambda e: 2.0**-e))
     rows = []
     for _ in range(draw(st.integers(0, 8))):
-        if draw(st.booleans()):
+        shape = draw(st.sampled_from(["entries", "line", "convex"]))
+        if shape == "entries":
             row = draw(st.lists(entry, min_size=length, max_size=length))
         else:
             offset, slope = draw(rounded), draw(rounded)
-            row = [offset + slope * i for i in range(length)]
+            k = draw(curvature) if shape == "convex" else 0.0
+            row = [offset + slope * i + k * i * i for i in range(length)]
+            if draw(st.booleans()):
+                j = draw(st.integers(0, length - 1))
+                row[j] = float(np.nextafter(row[j], draw(st.sampled_from([-INF, INF]))))
         end = draw(st.integers(0, length))  # padded from here on
         rows.append(row[:end] + [INF] * (length - end))
     return np.array(rows, dtype=float).reshape(len(rows), length)
@@ -431,6 +442,23 @@ def test_batched_hull_matches_per_chain_reference(values):
     got = _hull_envelope_1d(values)
     assert got.shape == values.shape
     for row, want in zip(got, values):
+        assert np.array_equal(row, reference_hull_1d(want))
+
+
+def test_rows_that_are_their_own_hull_skip_the_chain(monkeypatch):
+    i = np.arange(12.0)
+    convex = np.array([0.25 + 0.5 * i * i, -3.0 + i + 2.0**-40 * i * i, np.exp(i)])
+    monkeypatch.setattr(convexify, "_monotone_chain", None)  # a walk would fail
+    assert np.array_equal(_hull_envelope_1d(convex), convex)
+
+
+def test_hull_on_infinite_rows_raises_no_warning():
+    rows = np.array([[INF, INF, INF, INF], [1.0, INF, 0.0, 2.0], [INF, 0.0, 1.0, 4.0],
+                     [0.0, 1.0, 4.0, INF], [0.0, 1.0, 4.0, 9.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _hull_envelope_1d(rows)
+    for row, want in zip(got, rows):
         assert np.array_equal(row, reference_hull_1d(want))
 
 
@@ -506,6 +534,33 @@ def test_random_directions_keep_convex_fixed_point():
     )
     assert result.converged
     assert result.max_change_on_interior() < 1e-8
+
+
+def test_random_dyads_lower_an_off_axis_well_and_stay_above_its_envelope():
+    # W(A) = phi(u.Av) + 0.02 |A|^2 with phi(s) = (s^2 - 1)^2 has its well
+    # across the off-axis dyad u (x) v, which no lattice dyad follows. Its
+    # envelope is at least ((s^2 - 1)_+)^2 + 0.02 |A|^2, the sum of the
+    # convex envelopes of both terms, s being linear in A.
+    u = np.array([1.0, math.sqrt(2.0)]) / math.sqrt(3.0)
+    v = np.array([math.sqrt(3.0), -1.0]) / 2.0
+
+    def stretch(a):
+        return np.einsum("i,...ij,j->...", u, a, v)
+
+    def fn(a):
+        s = stretch(a)
+        return (s * s - 1.0) ** 2 + 0.02 * np.sum(a * a, axis=(-2, -1))
+
+    density = custom_energy(fn, "off-axis-well", dim=2)
+    lat = MatrixLattice(dim=2, bound=1.0, step=0.25, mode="full")
+    axes_only = rank_one_convexify(density, lat, directions=0)
+    dyads = rank_one_convexify(density, lat, directions=16, seed=5)
+    assert axes_only.converged and dyads.converged
+    assert np.max(axes_only.values - dyads.values) > 1e-3  # the pass is live
+    mats = lat.matrices()
+    s = stretch(mats)
+    floor = np.maximum(s * s - 1.0, 0.0) ** 2 + 0.02 * np.sum(mats * mats, axis=(-2, -1))
+    assert np.all(dyads.values >= floor)
 
 
 @pytest.mark.parametrize("lattice, directions", [

@@ -17,6 +17,7 @@ from peribond.potentials import (
     frobenius_squared,
     make_incompressible_mr,
     make_mooney_rivlin,
+    make_neo_hookean,
     make_power_bond,
     make_profile_energy,
 )
@@ -88,17 +89,27 @@ def test_mooney_rivlin_values():
 
 def test_neo_hookean_reduction():
     g = ScalarProfile.well()
-    nh = make_mooney_rivlin(2.0, 0.0, g)
+    nh = make_neo_hookean(2.0, g)
+    assert nh.describe() == {"kind": "neo-hookean", "params": {"alpha": 2.0, "g": g.describe()}}
     rng = np.random.default_rng(2)
-    for _ in range(10):
-        a = rng.standard_normal((3, 3))
+    mats = rng.standard_normal((10, 3, 3))
+    # Mooney-Rivlin with beta = 0, to the bit
+    assert nh(mats).tobytes() == make_mooney_rivlin(2.0, 0.0, g)(mats).tobytes()
+    for a in mats:
         expect = 2.0 * np.sum(a * a) + g(float(np.linalg.det(a)))
         assert nh(a) == pytest.approx(expect, rel=1e-12)
 
 
 def test_mooney_rivlin_rejects_negative_coefficients():
-    with pytest.raises(ValueError):
-        make_mooney_rivlin(-1.0, 0.0, ScalarProfile.well())
+    # each refusal names its kind and only the negative coefficients
+    for build, named in [
+        (lambda: make_mooney_rivlin(-1.0, 0.0, ScalarProfile.well()), "'mooney-rivlin': alpha = -1.0"),
+        (lambda: make_mooney_rivlin(1.0, -2.0, ScalarProfile.well()), "'mooney-rivlin': beta = -2.0"),
+        (lambda: make_neo_hookean(-1.0, ScalarProfile.well()), "'neo-hookean': alpha = -1.0"),
+        (lambda: make_incompressible_mr(1.0, -2.0), "'incompressible-mr': beta = -2.0"),
+    ]:
+        with pytest.raises(ValueError, match=f"{named}: need nonnegative coefficients"):
+            build()
 
 
 def test_incompressible_values():
@@ -218,12 +229,14 @@ def test_check_dim_names_both_sizes():
 
 @pytest.mark.parametrize("build", [
     lambda g: make_mooney_rivlin(1.0, 1.0, g),
-    lambda g: make_mooney_rivlin(1.0, 0.0, g),
+    lambda g: make_neo_hookean(1.0, g),
     lambda g: make_profile_energy("det", g),
 ], ids=["mooney-rivlin", "neo-hookean", "profile-det"])
-def test_det_profile_refuses_a_fractional_power(build):
+def test_det_profile_refuses_a_fractional_power(request, build):
     # (det A)^0.5 is NaN wherever det A < 0, so no battery or lattice could run
-    with pytest.raises(ValueError, match="exponent 0.5 is NaN wherever det A < 0"):
+    kind = request.node.callspec.id
+    with pytest.raises(ValueError, match=f"'{kind}' takes g.det A., and g = power with "
+                                         "exponent 0.5 is NaN wherever det A < 0"):
         build(ScalarProfile.power(1.0, 0.5))
     assert build(ScalarProfile.power(1.0, -1.0))(-np.eye(3)) == pytest.approx(
         build(ScalarProfile.power(0.0, 0.0))(-np.eye(3)) - 1.0)
