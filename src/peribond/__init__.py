@@ -12,7 +12,6 @@ direct horizon-to-zero convergence studies.
 from .convexify import (
     EnvelopeResult,
     MatrixLattice,
-    jensen_gap,
     rank_one_convexify,
     strict_polyconvexity_probe,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "frobenius_power",
     "frobenius_squared",
     "jensen_counterexample_suite",
-    "jensen_gap",
     "local_density",
     "make_incompressible_mr",
     "make_mooney_rivlin",

@@ -182,9 +182,21 @@ class EnvelopeResult:
         return mask
 
     def max_change_on_interior(self) -> float:
-        diff = np.abs(self.initial - self.values)[self.interior_mask]
-        diff = diff[np.isfinite(diff)]
-        return float(diff.max()) if diff.size else 0.0
+        """How far the envelope fell below the density on the interior, by
+        :func:`_largest_decrease`: +inf if a point left +inf there."""
+        mask = self.interior_mask
+        return _largest_decrease(self.initial[mask], self.values[mask])
+
+
+def _largest_decrease(before: np.ndarray, after: np.ndarray) -> float:
+    """The one decrease rule of the envelope, for ``after <= before``
+    pointwise: +inf if a point is +inf before and finite after, else the
+    largest ``before - after`` over the points finite in both, 0.0 if none.
+    No inf is ever subtracted from an inf."""
+    if np.any(np.isinf(before) & np.isfinite(after)):
+        return INF
+    both_finite = np.isfinite(before) & np.isfinite(after)
+    return float((before[both_finite] - after[both_finite]).max()) if both_finite.any() else 0.0
 
 
 def _hull_envelope_1d(values: np.ndarray) -> np.ndarray:
@@ -356,6 +368,11 @@ def rank_one_convexify(
 ) -> EnvelopeResult:
     """Iterated rank-one sweep until no lattice point decreases by more than tol.
 
+    A sweep's decrement and :meth:`EnvelopeResult.max_change_on_interior`
+    follow the one rule of :func:`_largest_decrease`: a point that leaves
+    +inf is an infinite change, so it keeps the sweeps going and its
+    density is no fixed point.
+
     Parameters
     ----------
     density : StoredEnergy
@@ -393,14 +410,7 @@ def rank_one_convexify(
             flat[table] = _hull_envelope_1d(flat[table])
         before = values
         values = _random_direction_pass(flat[:-1].reshape(values.shape), lattice, directions, rng)
-        both_finite = np.isfinite(before) & np.isfinite(values)
-        decrement = (
-            float((before[both_finite] - values[both_finite]).max())
-            if both_finite.any()
-            else 0.0
-        )
-        if np.any(np.isinf(before) & np.isfinite(values)):
-            decrement = INF  # a point left the infinite set; keep sweeping
+        decrement = _largest_decrease(before, values)
         if decrement <= tol:
             break
     converged = decrement <= tol
@@ -461,27 +471,3 @@ def strict_polyconvexity_probe(density: StoredEnergy, trials: int, seed: int) ->
         elif gap <= scale:
             strict += 1
     return ProbeReport(trials, conv, strict, min_gap, worst)
-
-
-def jensen_gap(density: StoredEnergy, a, measure) -> float:
-    """Integral of the density against a discrete measure minus the value at
-    its barycenter.
-
-    ``measure`` is a sequence of (weight, matrix) pairs with positive
-    weights summing to one; the weighted matrices must average back to ``a``
-    within 1e-10 or the call is rejected.
-    """
-    a = np.asarray(a, dtype=float)
-    weights = np.array([w for w, _ in measure], dtype=float)
-    mats = np.stack([np.asarray(m, dtype=float) for _, m in measure])
-    if np.any(weights <= 0.0):
-        raise ValueError("measure weights must be positive")
-    if abs(weights.sum() - 1.0) > 1e-12:
-        raise ValueError("measure weights must sum to one")
-    bary = np.tensordot(weights, mats, axes=(0, 0))
-    if np.max(np.abs(bary - a)) > 1e-10:
-        raise ValueError("barycenter mismatch between measure and matrix")
-    values = np.asarray(density(mats), dtype=float)
-    if np.any(np.isposinf(values)):
-        return INF
-    return float(np.dot(weights, values) - density(a))

@@ -275,6 +275,27 @@ def test_nan_density_exits_1_without_a_report(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("g", ["well", "indicator"])
+@pytest.mark.parametrize("kind", list(MODELS["density"]))
+def test_convexify_zoo_verdicts_on_a_small_lattice(tmp_path, kind, g):
+    # only the profile densities of |A|^2 and |cof A| are lowered; under the
+    # indicator some interior points leave +inf, an infinite change
+    cfg = tmp_path / "zoo.ini"
+    cfg.write_text(
+        f"[run]\ntask = convexify\n\n[density]\nkind = {kind}\ng = {g}\n\n"
+        "[lattice]\nmode = diagonal\ndim = 3\nbound = 1\nstep = 0.5\n"
+    )
+    out = tmp_path / "o"
+    proc = run_cli("--config", str(cfg), "--out", str(out), "--no-timestamp")
+    lowered = kind in ("profile-frobenius", "profile-cof")
+    assert proc.returncode == (2 if lowered else 0), proc.stderr
+    assert proc.stderr == ""
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["verdict"] == ("lowered" if lowered else "fixed-point")
+    if lowered and g == "indicator":
+        assert summary["max_change_on_interior"] == "inf"
+
+
 def test_converge_conflicting_potential_dim_exit_64(tmp_path):
     cfg = tmp_path / "conv.ini"
     cfg.write_text("[run]\ntask = converge\n\n[potential]\ndim = 3\n")

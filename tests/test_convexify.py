@@ -13,8 +13,8 @@ from peribond.convexify import (
     MatrixLattice,
     _chains,
     _hull_envelope_1d,
+    _largest_decrease,
     _random_direction_pass,
-    jensen_gap,
     rank_one_convexify,
     strict_polyconvexity_probe,
 )
@@ -614,6 +614,40 @@ def test_incompressible_density_on_lattice():
     assert result.values[finite_before] == pytest.approx(result.initial[finite_before])
 
 
+@st.composite
+def decreases(draw):
+    """A ``before`` row holding +inf and an ``after <= before`` row in which
+    some +inf entries may turn finite."""
+    finite = st.floats(-1e6, 1e6)
+    before = draw(st.lists(st.one_of(finite, st.just(INF)), min_size=1, max_size=30)
+                  .filter(lambda row: INF in row))
+    after = [draw(st.one_of(st.just(INF), finite)) if math.isinf(b)
+             else b - draw(st.floats(0.0, 1e6)) for b in before]
+    return np.array(before), np.array(after)
+
+
+@settings(max_examples=200)
+@given(decreases())
+def test_largest_decrease_is_infinite_exactly_when_a_point_leaves_inf(pair):
+    before, after = pair
+    left = any(math.isinf(b) and math.isfinite(a) for b, a in zip(before, after))
+    drops = [b - a for b, a in zip(before, after) if math.isfinite(b) and math.isfinite(a)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _largest_decrease(before, after)
+    assert got == (INF if left else max(drops, default=0.0))
+
+
+@pytest.mark.parametrize("kind, left", [("frobenius", 7), ("cof", 19)])
+def test_points_that_leave_inf_are_an_infinite_change(kind, left):
+    lat = MatrixLattice(3, 1.0, 0.5, "diagonal")
+    result = rank_one_convexify(make_profile_energy(kind, ScalarProfile.indicator()), lat)
+    inside = result.interior_mask
+    fell = np.isinf(result.initial[inside]) & np.isfinite(result.values[inside])
+    assert np.count_nonzero(fell) == left
+    assert result.max_change_on_interior() == INF
+
+
 def test_envelope_monotone_and_interior_mask():
     lat = MatrixLattice(dim=1, bound=2.0, step=0.5)
     dw = custom_energy(lambda m: np.cos(3 * m[..., 0, 0]), "wiggle")
@@ -648,41 +682,3 @@ def test_probe_mooney_rivlin_clean():
     density = make_mooney_rivlin(1.0, 1.0, ScalarProfile.well())
     report = strict_polyconvexity_probe(density, 10000, 3)
     assert report.clean
-
-
-def test_jensen_gap_dirac_is_zero():
-    a = np.diag([1.0, 2.0, 3.0])
-    assert jensen_gap(frobenius_squared(), a, [(1.0, a)]) == 0.0
-
-
-def test_jensen_gap_two_point_laminate():
-    # oracle: direct expansion of the quadratic gives lam*(1-lam)*|a|^2*|b|^2
-    a = np.diag([1.0, 2.0, 3.0])
-    u = np.array([2.0, 0.0, 0.0])
-    v = np.array([0.0, 1.5, 0.0])
-    b = np.outer(u, v)
-    lam = 0.3
-    measure = [(lam, a + (1 - lam) * b), (1 - lam, a - lam * b)]
-    expect = lam * (1 - lam) * np.dot(u, u) * np.dot(v, v)
-    assert jensen_gap(frobenius_squared(), a, measure) == pytest.approx(expect)
-
-
-def test_jensen_gap_linear_is_zero():
-    lin = custom_energy(lambda a: 2.0 * a[..., 0, 1] - a[..., 1, 1], "linear")
-    rng = np.random.default_rng(8)
-    a = rng.standard_normal((2, 2))
-    d1 = rng.standard_normal((2, 2))
-    d2 = rng.standard_normal((2, 2))
-    # three-point measure engineered to have barycenter a
-    measure = [(0.2, a + d1), (0.3, a + d2), (0.5, a - (0.2 * d1 + 0.3 * d2) / 0.5)]
-    assert jensen_gap(lin, a, measure) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_jensen_gap_validates_measure():
-    a = np.eye(2)
-    with pytest.raises(ValueError):
-        jensen_gap(frobenius_squared(), a, [(0.5, a), (0.4, a)])  # weights != 1
-    with pytest.raises(ValueError):
-        jensen_gap(frobenius_squared(), a, [(1.0, 2.0 * a)])  # barycenter off
-    with pytest.raises(ValueError):
-        jensen_gap(frobenius_squared(), a, [(-0.5, a), (1.5, a)])  # negative weight
