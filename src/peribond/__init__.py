@@ -23,7 +23,7 @@ from .horizon import (
     nonlocal_energy,
     two_grid_estimate,
 )
-from .linalg import INF, cofactor, determinant, frobenius, random_rotation
+from .linalg import INF, cofactor, determinant, frobenius
 from .pipeline import (
     BlowupError,
     BlowupResult,
@@ -98,7 +98,6 @@ __all__ = [
     "mean_over_sphere",
     "mooney_rivlin_inequality_check",
     "nonlocal_energy",
-    "random_rotation",
     "rank_one_convexify",
     "recoverability_residual",
     "roundtrip_check",

@@ -139,7 +139,7 @@ def _model_keys(common: dict, *groups: str) -> dict:
 SCHEMA = {
     "run": {
         "task": (str, None, None),
-        "seed": (int, 0, 0),
+        "seed": (int, 0, 0),  # read only by convexify's random dyads
         "threads": (int, 1, 1),
         "quad-order": (int, 32, 2),  # the order of the smallest sphere rule
         "out": (str, "out", None),
@@ -166,15 +166,8 @@ SCHEMA = {
         "matrix": ("floats", (1.0, 0.0, 0.0, 2.0), None),  # row-major affine gradient
         "slope-min": (float, 0.9, None),
     },
-    "counterexamples": {
-        "lambda-max": (float, 100.0, 1),  # the scan starts at stretch 1
-        "lambda-count": (int, 200, 1),
-        "a-value": (float, 1.0, 1),  # the growth scan's well profile rises from 1 on
-    },
     "recoverability": {
         "rel-tol": (float, recoverability.RESIDUAL_REL_TOL, 0),
-        "randoms": (int, 20, 0),
-        "trials": (int, 50, 1),
     },
 }
 
@@ -460,14 +453,13 @@ def _task_gamma_limit(cfg: dict) -> tuple[dict, Iterator[str]]:
     pot = build_model("potential", cfg["potential"])
     dim = cfg["potential"]["dim"]
     rule = build_rule(dim, cfg["run"]["quad-order"])
-    beta_est = pipeline.estimate_beta(pot, seed=cfg["run"]["seed"])
+    beta_est = pipeline.estimate_beta(pot)
     limit = pipeline.compute_blowup(pot)
-    mats = recoverability.default_test_matrices(dim, seed=cfg["run"]["seed"], randoms=5)
+    mats = recoverability.default_test_matrices(dim, randoms=5)
     labels = [" ".join(repr(float(x)) for x in a.ravel()) for a in mats]
     values = [float(pipeline.local_density(limit, a, rule)) for a in mats]
     check = pipeline.verify_limit_invariances(
-        limit, np.diag(np.arange(1.0, dim + 1.0)), trials=cfg["recoverability"]["trials"],
-        seed=cfg["run"]["seed"], rule=rule,
+        limit, np.diag(np.arange(1.0, dim + 1.0)), trials=50, rule=rule
     )
     beta_ok = pot.beta is None or abs(beta_est - pot.beta) <= 1e-6
     passed = check.passed and beta_ok
@@ -493,11 +485,8 @@ def _task_recoverability(cfg: dict) -> tuple[dict, Iterator[str]]:
     density = build_model("density", cfg["density"])
     dim = cfg["density"]["dim"]
     rule = build_rule(dim, cfg["run"]["quad-order"])
-    test_set = recoverability.default_test_matrices(
-        dim, seed=cfg["run"]["seed"], randoms=cfg["recoverability"]["randoms"]
-    )
     report = recoverability.roundtrip_check(
-        density, rule, test_set,
+        density, rule, recoverability.default_test_matrices(dim),
         rel_tol=cfg["recoverability"]["rel-tol"],
     )
     rows = []
@@ -600,15 +589,12 @@ def _task_converge(cfg: dict) -> tuple[dict, Iterator[str]]:
 
 
 def _task_counterexamples(cfg: dict) -> tuple[dict, Iterator[str]]:
-    opts = cfg["counterexamples"]
     jensen = recoverability.jensen_counterexample_suite(3, build_rule(3, cfg["run"]["quad-order"]))
-    lams = np.linspace(1.0, opts["lambda-max"], opts["lambda-count"])
-    scan_cof = recoverability.mooney_rivlin_inequality_check(
-        1.0, ScalarProfile.power(0.0, 0.0), lams, a_value=opts["a-value"]
-    )
-    scan_growth = recoverability.mooney_rivlin_inequality_check(
-        0.0, ScalarProfile.well(), lams, a_value=opts["a-value"]
-    )
+    # both scans conclude at their first stretch, lambda = 1
+    lams = np.linspace(1.0, 100.0, 200)
+    inequality = recoverability.mooney_rivlin_inequality_check
+    scan_cof = inequality(1.0, ScalarProfile.power(0.0, 0.0), lams)
+    scan_growth = inequality(0.0, ScalarProfile.well(), lams)
     confirmed = jensen.all_ok and scan_cof.found and scan_growth.found
     rows = []
     for r in jensen.rows:
@@ -672,7 +658,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="INI or JSON config file")
     parser.add_argument("--task", choices=TASKS, help="task to run")
     parser.add_argument("--out", help="output directory for summary.json / detail.csv")
-    parser.add_argument("--seed", type=int, help="seed for every randomized choice")
+    parser.add_argument("--seed", type=int, help="seed of convexify's random-dyad pass")
     parser.add_argument("--threads", type=int,
                         help="at least 1; echoed in the reports, every task runs serially")
     parser.add_argument("--quad-order", type=int, help="sphere rule order (circle gets 2x)")

@@ -184,11 +184,6 @@ def rotation_from_rng(dim: int, rng: random.Random) -> np.ndarray:
     raise ValueError(f"rotations supported for dim 2 and 3 only, got {dim}")
 
 
-def random_rotation(dim: int, seed: int) -> np.ndarray:
-    """Haar-distributed rotation, deterministic per seed."""
-    return rotation_from_rng(dim, seeded(seed))
-
-
 def is_rotation(r, tol: float = 1e-12) -> bool:
     """True if R R^T = I and det R = 1 within tol."""
     r = np.asarray(r, dtype=float)

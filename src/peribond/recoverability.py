@@ -43,9 +43,10 @@ def extract_candidate(density: StoredEnergy, dim: int):
     return candidate
 
 
-def default_test_matrices(dim: int, seed: int = 0, randoms: int = 20) -> list[np.ndarray]:
+def default_test_matrices(dim: int, randoms: int = 20) -> list[np.ndarray]:
     """Battery: identity multiples, volume-preserving stretches diag(l, 1/l, 1),
-    a distinct-diagonal matrix, and seeded random matrices."""
+    a distinct-diagonal matrix, and the first ``randoms`` of a fixed sequence
+    of random matrices, normals drawn from ``seeded(0)``."""
     if randoms < 0:
         raise ValueError(f"randoms must be at least 0, not {randoms!r}")
     mats = [t * np.eye(dim) for t in (0.5, 1.0, 2.0)]
@@ -53,7 +54,7 @@ def default_test_matrices(dim: int, seed: int = 0, randoms: int = 20) -> list[np
         stretch = np.diag([lam, 1.0 / lam, 1.0][:dim])
         mats.append(stretch)
     mats.append(np.diag(np.arange(1.0, dim + 1.0)))
-    rng = seeded(seed)
+    rng = seeded(0)
     for _ in range(randoms):
         mats.append(normals(rng, dim, dim))
     return mats
@@ -135,13 +136,16 @@ def roundtrip_check(
     The candidate's sphere integral at each test matrix (by default the
     battery ``default_test_matrices(rule.dim)``) is compared with the
     density value; residuals beyond rel_tol * (1 + |W(A)|) flip the verdict
-    to 'violated', any one-sided infinity to 'infinite-violation'.
+    to 'violated', any one-sided infinity to 'infinite-violation'. An empty
+    ``test_set`` raises ValueError.
     """
     if not rel_tol >= 0:  # a negative tolerance fails every finite row
         raise ValueError(f"rel_tol must be at least 0, not {rel_tol!r}")
     if test_set is None:
         test_set = default_test_matrices(rule.dim)
     rows = [_residual_row(density, a, rule, rel_tol) for a in test_set]
+    if not rows:  # with no row every density would be consistent
+        raise ValueError("test_set is empty: need at least one test matrix")
 
     finite = [abs(r.residual) for r in rows if r.classification == "finite"]
     max_abs = max(finite) if finite else 0.0

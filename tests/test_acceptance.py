@@ -237,9 +237,9 @@ def test_criterion_9_symmetry_inheritance():
     rng = np.random.default_rng(99)
     all_pass = True
     worst_ratio = 0.0
-    for k in range(10):  # 10 matrices x 5 rotation pairs = 50 triples
+    for _ in range(10):  # 10 matrices x the same 50 rotation pairs = 500 triples
         a = rng.standard_normal((3, 3))
-        rep = verify_limit_invariances(limit, a, trials=5, seed=k, rule=rule)
+        rep = verify_limit_invariances(limit, a, trials=50, rule=rule)
         all_pass &= rep.passed
         worst_ratio = max(worst_ratio, rep.max_abs_deviation / rep.tolerance)
 
@@ -248,13 +248,13 @@ def test_criterion_9_symmetry_inheritance():
 
     control = PairwisePotential("custom", {}, aniso, beta=4.0, ref_dim=3, def_dim=3)
     control_rep = verify_limit_invariances(
-        compute_blowup(control), np.diag([1.0, 2.0, 3.0]), trials=20, seed=0, rule=rule
+        compute_blowup(control), np.diag([1.0, 2.0, 3.0]), trials=20, rule=rule
     )
     ok = all_pass and not control_rep.passed
     assert report(
         9, ok,
-        f"rotation invariance holds over 50 random triples (worst dev / tol = "
-        f"{worst_ratio:.2e}); anisotropic control fails as required",
+        "rotation invariance holds over 50 rotation pairs on 10 random matrices "
+        f"(worst dev / tol = {worst_ratio:.2e}); anisotropic control fails as required",
     )
 
 

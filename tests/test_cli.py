@@ -573,16 +573,22 @@ def test_unparsable_value_exit_64(tmp_path, capsys, name, text, named):
     ("converge", "converge", "cells-per-horizon = 0", ["[converge] cells-per-horizon", "0"]),
     ("converge", "converge", "cells-per-horizon = 2", ["[converge] cells-per-horizon", "2"]),
     ("converge", "converge", "box = 1 0", ["[converge] box"]),
-    ("counterexamples", "counterexamples", "lambda-count = 0", ["[counterexamples] lambda-count"]),
-    ("counterexamples", "counterexamples", "a-value = 0", ["[counterexamples] a-value"]),
+    # the stretch scans and the screen's draws take no keys: both scans conclude
+    # at their first stretch, lambda = 1, and no verdict turns on the draws
+    ("counterexamples", "counterexamples", "lambda-count = 0",
+     ["unknown config section [counterexamples]"]),
+    ("counterexamples", "counterexamples", "a-value = 0",
+     ["unknown config section [counterexamples]"]),
     ("counterexamples", "counterexamples", "a-value = 0.5",
-     ["[counterexamples] a-value", "0.5", "at least 1"]),
+     ["unknown config section [counterexamples]"]),
     ("counterexamples", "counterexamples", "lambda-max = 0.5",
-     ["[counterexamples] lambda-max", "0.5", "at least 1"]),
+     ["unknown config section [counterexamples]"]),
     ("recoverability", "run", "seed = -1", ["[run] seed", "-1", "at least 0"]),
     ("recoverability", "recoverability", "rel-tol = -1", ["[recoverability] rel-tol", "-1"]),
-    ("recoverability", "recoverability", "randoms = -3", ["[recoverability] randoms", "-3"]),
-    ("gamma-limit", "recoverability", "trials = 0", ["[recoverability] trials", "0"]),
+    ("recoverability", "recoverability", "randoms = -3",
+     ["unknown key 'randoms' in section [recoverability]"]),
+    ("gamma-limit", "recoverability", "trials = 0",
+     ["unknown key 'trials' in section [recoverability]"]),
     ("convexify", "density", "kind = profile-cof\n\n[lattice]\ndim = 2\nmode = full",
      ["profile-cof", "[lattice] dim = 2"]),
     ("quadrature-check", "converge", "matrix = 1 2 3", ["[converge] matrix", "4"]),

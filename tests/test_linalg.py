@@ -13,10 +13,12 @@ from peribond.linalg import (
     determinant,
     frobenius,
     is_rotation,
-    random_rotation,
     matvec,
+    rotation_from_rng,
+    seeded,
     vector_norm,
 )
+from conftest import rotations
 
 
 def leibniz_det(a):
@@ -137,43 +139,48 @@ def test_cofactor_identity_property(entries):
     assert np.max(np.abs(lhs - leibniz_det(a) * np.eye(n))) <= 1e-12 * scale
 
 
-def test_cofactor_multiplicative_under_rotation():
-    rng = np.random.default_rng(11)
-    for k in range(100):
-        n = 2 + (k % 2)
-        r = random_rotation(n, 1000 + k)
-        a = rng.standard_normal((n, n))
-        assert np.max(np.abs(cofactor(r @ a) - cofactor(r) @ cofactor(a))) < 1e-10
-        assert abs(determinant(r @ a) - determinant(a)) < 1e-10 * (1 + abs(determinant(a)))
+def rotation_and_matrix(data, n):
+    """A rotation of R^n and an n x n matrix with entries in [-3, 3]."""
+    entries = hnp.arrays(float, (n, n), elements=st.floats(-3.0, 3.0))
+    return data.draw(rotations(n)), data.draw(entries)
 
 
-def test_rotation_preserves_frobenius():
-    rng = np.random.default_rng(13)
-    for k in range(50):
-        n = 2 + (k % 2)
-        a = rng.standard_normal((n, n))
-        r = random_rotation(n, k)
-        assert abs(frobenius(r @ a) - frobenius(a)) < 1e-12 * (1 + frobenius(a))
-        assert abs(frobenius(a @ r) - frobenius(a)) < 1e-12 * (1 + frobenius(a))
+@settings(max_examples=100)
+@given(data=st.data(), n=st.sampled_from([2, 3]))
+def test_cofactor_multiplicative_under_rotation(data, n):
+    r, a = rotation_and_matrix(data, n)
+    assert np.max(np.abs(cofactor(r @ a) - cofactor(r) @ cofactor(a))) < 1e-10
+    assert abs(determinant(r @ a) - determinant(a)) < 1e-10 * (1 + abs(determinant(a)))
+
+
+@settings(max_examples=50)
+@given(data=st.data(), n=st.sampled_from([2, 3]))
+def test_rotation_preserves_frobenius(data, n):
+    r, a = rotation_and_matrix(data, n)
+    assert abs(frobenius(r @ a) - frobenius(a)) < 1e-12 * (1 + frobenius(a))
+    assert abs(frobenius(a @ r) - frobenius(a)) < 1e-12 * (1 + frobenius(a))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_random_rotation_invariants(dim):
-    for seed in range(25):
-        r = random_rotation(dim, seed)
-        assert np.max(np.abs(r @ r.T - np.eye(dim))) < 1e-12
-        assert abs(determinant(r) - 1.0) < 1e-12
-        assert is_rotation(r)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_random_rotation_invariants(dim, data):
+    r = data.draw(rotations(dim))
+    assert np.max(np.abs(r @ r.T - np.eye(dim))) < 1e-12
+    assert abs(determinant(r) - 1.0) < 1e-12
+    assert is_rotation(r)
 
 
 def test_random_rotation_deterministic():
-    assert np.array_equal(random_rotation(3, 42), random_rotation(3, 42))
-    assert not np.array_equal(random_rotation(3, 42), random_rotation(3, 43))
+    # the Haar draw is a function of the generator's state
+    first = rotation_from_rng(3, seeded(42))
+    assert is_rotation(first) and np.array_equal(first, rotation_from_rng(3, seeded(42)))
+    assert not np.array_equal(first, rotation_from_rng(3, seeded(43)))
 
 
 def test_random_rotation_rejects_bad_dim():
     with pytest.raises(ValueError):
-        random_rotation(4, 0)
+        rotation_from_rng(4, seeded(0))
 
 
 def test_square_only_operations():

@@ -265,7 +265,7 @@ def test_local_density_quadrature_refinement():
 def test_invariance_check_passes_for_radial_bond():
     limit = compute_blowup(quadratic_bond(3))
     rule = build_sphere_rule(32)
-    report = verify_limit_invariances(limit, np.diag([1.0, 2.0, 3.0]), 20, 0, rule)
+    report = verify_limit_invariances(limit, np.diag([1.0, 2.0, 3.0]), 20, rule)
     assert report.passed
     assert report.max_abs_deviation <= report.tolerance
 
@@ -285,7 +285,7 @@ def test_invariance_check_fails_for_anisotropic_control():
     w = PairwisePotential("custom", {}, aniso, beta=4.0, ref_dim=3, def_dim=3)
     limit = compute_blowup(w)
     report = verify_limit_invariances(
-        limit, np.diag([1.0, 2.0, 3.0]), 20, 0, build_sphere_rule(32)
+        limit, np.diag([1.0, 2.0, 3.0]), 20, build_sphere_rule(32)
     )
     assert not report.passed
 
@@ -294,4 +294,4 @@ def test_invariance_check_refuses_zero_trials():
     # with no trial every density would pass, the anisotropic control above too
     limit = compute_blowup(quadratic_bond(3))
     with pytest.raises(ValueError, match="trials"):
-        verify_limit_invariances(limit, np.diag([1.0, 2.0, 3.0]), 0, 0, build_sphere_rule(32))
+        verify_limit_invariances(limit, np.diag([1.0, 2.0, 3.0]), 0, build_sphere_rule(32))

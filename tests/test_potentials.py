@@ -3,10 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peribond.linalg import INF, cofactor, determinant, random_rotation
+from peribond.linalg import INF, cofactor, determinant
 from peribond.potentials import (
     DET_TOL,
     PairwisePotential,
@@ -21,6 +21,7 @@ from peribond.potentials import (
     make_power_bond,
     make_profile_energy,
 )
+from conftest import rotations
 
 
 def sample_offsets(rng, n, m):
@@ -54,15 +55,14 @@ def test_power_bond_rejects_origin():
         w(np.zeros(2), np.ones(2))
 
 
-def test_bond_frame_indifference_and_isotropy():
+@settings(max_examples=50)
+@given(r=rotations(3), seed=st.integers(0, 2**16))
+def test_bond_frame_indifference_and_isotropy(r, seed):
     w = make_power_bond(1.0, 2.0, 1.0, dim=3)
-    rng = np.random.default_rng(5)
-    for k in range(50):
-        x, y = sample_offsets(rng, 3, 3)
-        r = random_rotation(3, k)
-        base = w(x, y)
-        assert abs(w(x, r @ y) - base) < 1e-10 * (1 + abs(base))
-        assert abs(w(r @ x, y) - base) < 1e-10 * (1 + abs(base))
+    x, y = sample_offsets(np.random.default_rng(seed), 3, 3)
+    base = w(x, y)
+    assert abs(w(x, r @ y) - base) < 1e-10 * (1 + abs(base))
+    assert abs(w(r @ x, y) - base) < 1e-10 * (1 + abs(base))
 
 
 def test_radial_profile_potential_vectorizes():
@@ -147,19 +147,17 @@ def test_profile_energies_dim_guard():
         make_incompressible_mr(1.0, 1.0),
     ],
 )
-def test_density_orthogonal_invariance(density):
+@settings(max_examples=50)
+@given(r1=rotations(3), r2=rotations(3), seed=st.integers(0, 2**16))
+def test_density_orthogonal_invariance(density, r1, r2, seed):
     # W(R1 A R2) = W(A) for 50 rotation pairs; exact on infinite values
-    rng = np.random.default_rng(9)
-    for k in range(50):
-        a = rng.standard_normal((3, 3))
-        r1 = random_rotation(3, 2 * k)
-        r2 = random_rotation(3, 2 * k + 1)
-        base = density(a)
-        rotated = density(r1 @ a @ r2)
-        if math.isinf(base) or math.isinf(rotated):
-            assert base == rotated
-        else:
-            assert abs(rotated - base) < 1e-10 * (1 + abs(base))
+    a = np.random.default_rng(seed).standard_normal((3, 3))
+    base = density(a)
+    rotated = density(r1 @ a @ r2)
+    if math.isinf(base) or math.isinf(rotated):
+        assert base == rotated
+    else:
+        assert abs(rotated - base) < 1e-10 * (1 + abs(base))
 
 
 def test_scalar_profiles():

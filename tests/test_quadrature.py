@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from peribond.linalg import INF, random_rotation
+from peribond.linalg import INF
 from peribond.potentials import ScalarProfile, make_mooney_rivlin
 from peribond.quadrature import (
     build_circle_rule,
@@ -12,6 +14,7 @@ from peribond.quadrature import (
     mean_over_sphere,
     sphere_measure,
 )
+from conftest import rotations
 
 
 def test_sphere_measure():
@@ -157,7 +160,9 @@ def test_mean_rejects_result_of_wrong_shape():
 
 
 @pytest.mark.parametrize("dim,order", [(2, 20), (3, 20)])
-def test_mean_rotation_invariance(dim, order):
+@settings(max_examples=5)
+@given(data=st.data())
+def test_mean_rotation_invariance(dim, order, data):
     rule = build_rule(dim, order)
     v = np.arange(1.0, dim + 1.0)
     v /= np.linalg.norm(v)
@@ -165,11 +170,10 @@ def test_mean_rotation_invariance(dim, order):
     def smooth(z):
         return np.exp(0.7 * z @ v)
 
+    r = data.draw(rotations(dim))
     base = mean_over_sphere(rule, smooth)
-    for seed in range(5):
-        r = random_rotation(dim, seed)
-        rotated = mean_over_sphere(rule, lambda z: smooth(z @ r.T))
-        assert abs(rotated - base) < 1e-8 * (1 + abs(base))
+    rotated = mean_over_sphere(rule, lambda z: smooth(z @ r.T))
+    assert abs(rotated - base) < 1e-8 * (1 + abs(base))
 
 
 def test_refinement_convergence_on_builtin_density():

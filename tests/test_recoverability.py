@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peribond.cli import MODELS, _json_safe, build_model, load_config
-from peribond.linalg import INF, random_rotation
+from peribond.linalg import INF
 from peribond.pipeline import compute_blowup, local_density
 from peribond.potentials import (
     ScalarProfile,
@@ -33,6 +33,7 @@ from peribond.recoverability import (
     recoverability_residual,
     roundtrip_check,
 )
+from conftest import rotations
 
 RULE3 = build_sphere_rule(32)
 RULE2 = build_circle_rule(64)
@@ -85,15 +86,14 @@ def test_residual_vanishes_on_identity_multiples():
         assert abs(res) < 5e-13 * (1.0 + abs(density(t * np.eye(3))))
 
 
-def test_residual_rotation_invariance():
+@settings(max_examples=10)
+@given(r1=rotations(3), r2=rotations(3))
+def test_residual_rotation_invariance(r1, r2):
     density = make_mooney_rivlin(1.0, 1.0, ScalarProfile.well())
     a = np.diag([1.0, 2.0, 0.5])
     base = recoverability_residual(density, a, RULE3)
-    for k in range(10):
-        r1 = random_rotation(3, 2 * k)
-        r2 = random_rotation(3, 2 * k + 1)
-        got = recoverability_residual(density, r1 @ a @ r2, RULE3)
-        assert abs(got - base) < 1e-8 * (1.0 + abs(base))
+    got = recoverability_residual(density, r1 @ a @ r2, RULE3)
+    assert abs(got - base) < 1e-8 * (1.0 + abs(base))
 
 
 def test_extract_candidate_formulas():
@@ -106,14 +106,14 @@ def test_extract_candidate_formulas():
 
 
 def test_default_battery_composition():
-    mats = default_test_matrices(3, seed=0)
+    mats = default_test_matrices(3)
     assert len(mats) == 27
     assert any(np.allclose(m, 2.0 * np.eye(3)) for m in mats)
     assert any(np.allclose(m, np.diag([2.0, 0.5, 1.0])) for m in mats)
     assert any(np.allclose(m, np.diag([1.0, 2.0, 3.0])) for m in mats)
-    # deterministic battery
-    again = default_test_matrices(3, seed=0)
-    assert all(np.array_equal(a, b) for a, b in zip(mats, again))
+    # a fixed battery: fewer randoms are the first of the same draws
+    again = default_test_matrices(3, randoms=5)
+    assert all(np.array_equal(a, b) for a, b in zip(again, mats))
 
 
 def test_library_rejects_negative_counts_and_tolerances():
@@ -261,13 +261,13 @@ def cubic_mean(a, rule=RULE3):
 @settings(max_examples=200)
 @given(
     st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
-    st.integers(0, 2**32 - 1),
+    rotations(3),
     st.floats(0.0, 1e-4),
 )
-def test_cubic_mean_constant_is_least_and_attained(entries, seed, eps):
+def test_cubic_mean_constant_is_least_and_attained(entries, r, eps):
     c = cubic_mean_lower_constant()
     b = np.array(entries).reshape(3, 3)
-    isotropic = random_rotation(3, seed) / math.sqrt(3.0)
+    isotropic = r / math.sqrt(3.0)
     # Jensen's floor holds for every unit-Frobenius matrix, also next to the minimizers
     for a in (b, isotropic + eps * b):
         norm = np.linalg.norm(a)
@@ -348,13 +348,13 @@ def _residual_or_none(density, a):
 @given(
     singular=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
     flip=st.booleans(),
-    seeds=st.lists(st.integers(0, 2**16), min_size=4, max_size=4),
+    turns=st.tuples(*[rotations(3)] * 4),
 )
-def test_residual_frame_indifferent_and_isotropic(kind, singular, flip, seeds):
+def test_residual_frame_indifferent_and_isotropic(kind, singular, flip, turns):
     # W(R1 A R2) = W(A) for every registry density, and the sphere mean is
     # rotation invariant, so the residual is too (up to quadrature error)
     density = build_model("density", dict(DENSITY_DEFAULTS, kind=kind))
-    u, v, r1, r2 = (random_rotation(3, seed) for seed in seeds)
+    u, v, r1, r2 = turns
     a = (-1.0 if flip else 1.0) * u @ np.diag(singular) @ v
     base = _residual_or_none(density, a)
     moved = _residual_or_none(density, r1 @ a @ r2)

@@ -17,9 +17,14 @@ from peribond.convexify import (
     strict_polyconvexity_probe,
 )
 from peribond.horizon import BoxDomain, DeformationField, nonlocal_energy, study_grids
-from peribond.linalg import random_rotation
-from peribond.pipeline import BlowupError, compute_blowup, estimate_beta, verify_limit_invariances
-from peribond.potentials import ScalarProfile, custom_energy, frobenius_squared, make_power_bond
+from peribond.pipeline import BlowupError, compute_blowup, verify_limit_invariances
+from peribond.potentials import (
+    ScalarProfile,
+    custom_energy,
+    frobenius_squared,
+    make_mooney_rivlin,
+    make_power_bond,
+)
 from peribond.quadrature import build_rule
 from peribond.recoverability import (
     default_test_matrices,
@@ -70,21 +75,24 @@ def scan(beta):
      "beta = -3.0, dim = 2"),
     (lambda: make_power_bond(-1, 2.0, 2.0), "c = -1"),
     (lambda: make_power_bond(math.nan, 2.0, 2.0), "c = nan"),
-    (lambda: default_test_matrices(3, seed=-1), "seed = -1"),
-    (lambda: random_rotation(3, seed=True), "seed = True"),
-    (lambda: estimate_beta(BOND, seed=1.5), "seed = 1.5"),
+    (lambda: strict_polyconvexity_probe(frobenius_squared(), trials=1, seed=True), "seed = True"),
+    (lambda: strict_polyconvexity_probe(frobenius_squared(), trials=1, seed=1.5), "seed = 1.5"),
     # refused although no dyad is drawn
     (lambda: convexify(directions=0, seed=-2), "seed = -2"),
     (lambda: compute_blowup(BOND, beta=1.0), "conflicts with the declared degree"),
     (lambda: energy(beta=0.5), "conflicts with the declared degree"),
+    # with no row every density would be consistent
+    (lambda: roundtrip_check(make_mooney_rivlin(1.0, 1.0, ScalarProfile.well()),
+                             build_rule(3, 8), []), "test_set"),
 ], ids=["energy-beta-nan", "energy-beta-inf", "energy-delta-nan", "energy-delta-negative",
         "energy-margin-nan", "energy-margin-negative", "grids-side-inf", "grids-side-nan",
         "grids-horizon-past-half-box", "convexify-tol-negative",
         "convexify-tol-nan", "convexify-no-sweeps", "probe-no-trials", "sphere-order-fraction",
         "circle-order-fraction", "scan-beta-negative", "scan-beta-nan", "scan-beta-inf",
         "energy-degree-minus-dim", "energy-degree-below-minus-dim", "bond-c-negative",
-        "bond-c-nan", "matrices-seed-negative", "rotation-seed-bool", "beta-seed-fraction",
-        "convexify-seed-negative", "blowup-degree-conflict", "energy-degree-conflict"])
+        "bond-c-nan", "probe-seed-bool", "probe-seed-fraction",
+        "convexify-seed-negative", "blowup-degree-conflict", "energy-degree-conflict",
+        "roundtrip-empty-battery"])
 def test_library_refuses_and_names_the_argument(call, named):
     with pytest.raises(ValueError, match=named):
         call()
@@ -124,7 +132,7 @@ def _bond_energy(evaluator):
 
 def _invariances(evaluator):  # the limit is built here, so its own samples count too
     limit = compute_blowup(dataclasses.replace(BOND3, fn=evaluator))
-    return verify_limit_invariances(limit, A3, 2, 0, build_rule(3, 4))
+    return verify_limit_invariances(limit, A3, 2, build_rule(3, 4))
 
 
 def _scan(beta):
