@@ -21,7 +21,6 @@ from .horizon import (
     DeformationField,
     convergence_study,
     nonlocal_energy,
-    two_grid_estimate,
 )
 from .linalg import INF, cofactor, determinant, frobenius
 from .pipeline import (
@@ -103,6 +102,5 @@ __all__ = [
     "roundtrip_check",
     "sphere_measure",
     "strict_polyconvexity_probe",
-    "two_grid_estimate",
     "verify_limit_invariances",
 ]

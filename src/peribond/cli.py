@@ -257,8 +257,10 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
     """Merge defaults, an optional config file, and CLI overrides into the
     resolved ``{section: {key: value}}`` configuration.
 
-    Unknown sections or keys raise :class:`ConfigError`; silent typos would
-    poison reports that claim to embed the exact configuration.
+    Unknown sections or keys raise :class:`ConfigError`, and so does a
+    ``[density]`` key that neither its kind nor the profile ``g`` names
+    reads; silent typos would poison reports that claim to embed the exact
+    configuration.
     """
     sections = _defaults()
     raw = _load_raw_config(Path(path)) if path else {}
@@ -305,6 +307,15 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
     _read_rule("potential", potential, ("dim",), sphere_measure, potential["dim"])
     build_model("profile", density, key="g")
     model = build_model("density", density)
+    # a given key the model does not read would sit in the report as if it did
+    reader = f"kind = {density['kind']!r}"
+    read = {"kind", "dim", *(name for name, _, _ in MODELS["density"][density["kind"]].keys)}
+    if "g" in read:
+        reader += f" with g = {density['g']!r}"
+        read.update(name for name, _, _ in MODELS["profile"][density["g"]].keys)
+    stray = sorted(set(raw.get("density", {})) - read)
+    if stray:
+        raise ConfigError(f"[density] {reader} does not read {', '.join(stray)}")
     for section in ("density", "lattice"):  # convexify evaluates it on lattice matrices
         _read_rule(section, sections[section], ("dim",), model.check_dim, sections[section]["dim"])
     pot = build_model("potential", potential)

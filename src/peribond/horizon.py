@@ -11,10 +11,12 @@ block, clipped to the box, splits into one pyramid per wall with its apex
 at the center (Duffy, SIAM J. Numer. Anal. 19, 1982); a Gauss-Jacobi rule
 along the apex-to-wall segment absorbs the r^(dim-1) volume factor and the
 bond's degree, and tensor Gauss-Legendre nodes cover each wall face, split
-at the foot of the perpendicular from the center. Affine deformations
-factor through cell offsets, which collapses the double sum to a single
-stencil pass and the diagonal blocks to one integral per way the box walls
-clip them.
+at the foot of the perpendicular from the center. Every field takes the
+same near-block path: it reads the pair differences from
+:meth:`DeformationField.difference`, which for an affine field is A times
+the offset whatever the point. So an affine field collapses the double sum
+to a single stencil pass and the diagonal blocks to one integral per way
+the box walls clip them.
 """
 
 import functools
@@ -99,7 +101,7 @@ class DeformationField:
 
     ``grad_fn`` gives the gradient, else central differences of ``fn`` with
     step 1e-6 do. An affine field also keeps its gradient ``matrix``, which
-    makes its pair differences A (x - x') exact.
+    makes its pair differences A times the offset exact.
     """
 
     def __init__(self, matrix=None, fn=None, grad_fn=None, out_dim=None):
@@ -148,11 +150,13 @@ class DeformationField:
             self.out_dim = out.shape[-1]
         return out
 
-    def difference(self, x_pts, y_pts) -> np.ndarray:
-        """u(x) - u(y); exact in the offset for affine fields."""
+    def difference(self, points, offsets) -> np.ndarray:
+        """u(x) - u(x - offset), broadcast over ``points`` and ``offsets``.
+        An affine field returns A times the offsets, whatever the points."""
         if self.matrix is not None:
-            return matvec(self.matrix, np.asarray(x_pts, dtype=float) - np.asarray(y_pts, dtype=float))
-        return self.evaluate(x_pts) - self.evaluate(y_pts)
+            return matvec(self.matrix, np.asarray(offsets, dtype=float))
+        points = np.asarray(points, dtype=float)
+        return self.evaluate(points) - self.evaluate(points - offsets)
 
     def gradient(self, points) -> np.ndarray:
         """Deformation gradient, shape (..., out_dim, dim)."""
@@ -380,13 +384,16 @@ def _near_block_integral(w, field, dom, centers, rule, *, beta):
     reaches lo = min(1.5 h, x0) below it and hi = min(1.5 h, side - x0)
     above it on each axis, and u is evaluated only inside it. Centers with
     the same (lo, hi), all but the first and last cells of each axis on a
-    grid, share one set of nodes, weights and reference-offset norms; an
-    affine field takes one integral per such class. The classes are the
-    distinct (lo, hi) rows, each row read as one key of its bytes, which
-    sorts faster than rows compared column by column. ``rule``'s order
+    grid, share one set of nodes, weights and reference-offset norms. The
+    classes are the distinct (lo, hi) rows, each row read as one key of its
+    bytes, which sorts faster than rows compared column by column. Every
+    field runs the same chunk loop over :meth:`DeformationField.difference`;
+    an affine field's differences do not depend on the center, so one
+    center per class suffices (:func:`_clipping_classes`). ``rule``'s order
     sets the face nodes (:func:`_face_nodes`), ``beta`` is the bond's
-    degree. Returns shape (C,); a NaN integrand raises. Chunks hold at
-    most ``_NEAR_CHUNK`` (center, node, axis) entries.
+    degree. Returns shape (C,), NaN for a center whose integrand is NaN at
+    a node. Chunks hold at most ``_NEAR_CHUNK`` (center, node, axis)
+    entries.
     """
     dim = dom.dim
     centers = np.asarray(centers, dtype=float)
@@ -404,26 +411,14 @@ def _near_block_integral(w, field, dom, centers, rule, *, beta):
     for g, box in enumerate(boxes):
         offs, wts = _pyramid_nodes(box[:dim], box[dim:], n_face, beta)
         mine = np.flatnonzero(which == g)
-        if field.matrix is not None:
-            # the integrand does not depend on the center, only the clipping does
-            out[mine] = _weighted_node_sum(w(offs, matvec(field.matrix, offs)), wts)
-            continue
         step = max(1, _NEAR_CHUNK // offs.size)
         for start in range(0, len(mine), step):
             idx = mine[start:start + step]
-            x0 = centers[idx]
-            diffs = field.evaluate(x0)[:, None, :] - field.evaluate(x0[:, None, :] - offs)
-            out[idx] = _weighted_node_sum(w(offs, diffs), wts)
+            values = np.asarray(w(offs, field.difference(centers[idx, None, :], offs)))
+            # a row's sum over the node axis is the same however many rows
+            # are stacked
+            out[idx] = np.sum(values * wts, axis=-1)
     return out
-
-
-def _weighted_node_sum(values, weights):
-    """Sum over the last (node) axis of values * weights; a row's sum is the
-    same however many rows are stacked. A NaN value raises."""
-    values = np.asarray(values, dtype=float)
-    if np.any(np.isnan(values)):
-        raise ValueError("near block: integrand returned NaN at a quadrature node")
-    return np.sum(values * weights, axis=-1)
 
 
 def _clipping_classes(dom: BoxDomain, margins):
@@ -469,7 +464,7 @@ def nonlocal_energy(
     offset only: the bond is called once over all offsets, and each
     offset's term is its coverage times its pair count times that value,
     added in stencil order. Its near block takes one integral per clipping
-    class (:func:`_clipping_classes`).
+    class (:func:`_clipping_classes`), on the path every field takes.
 
     Parameters
     ----------
@@ -496,7 +491,8 @@ def nonlocal_energy(
         positive, reaches half the shortest side or spans fewer than three
         cells; if ``outer_margin`` is negative or not finite, or leaves no
         cells; if ``rule`` lives on another sphere; or if the far-field sum
-        or the near block meets a NaN bond value.
+        or the near-block sum of the bond density is NaN, so a NaN bond
+        value never yields an energy.
     """
     check_degree(beta, dom.dim)
     w.degree(beta)
@@ -517,7 +513,7 @@ def nonlocal_energy(
         # an affine integrand depends on the offset only: one bond call
         # over every offset, the terms summed in stencil order
         xts = np.array([xt for _, xt, _ in stencil]).reshape(-1, dim)
-        vals = np.asarray(w(-xts, field.difference(np.zeros(dim), xts))).tolist()
+        vals = np.asarray(w(-xts, field.difference(np.zeros(dim), -xts))).tolist()
         for (k, _, cov), val in zip(stencil, vals):
             ranges = _pair_ranges(res, k, margins)
             if ranges is not None:
@@ -547,30 +543,12 @@ def nonlocal_energy(
         counts = np.ones(len(centers))
     values = _near_block_integral(w, field, dom, centers, rule, beta=beta)
     near = float(np.sum(counts * values))
+    if math.isnan(near):
+        raise ValueError("near-block sum of the bond density is NaN")
     near *= cellvol
 
     prefactor = (dim + beta) / delta ** (dim + beta)
     return prefactor * (far + near)
-
-
-def two_grid_estimate(
-    w: PairwisePotential,
-    beta: float,
-    delta: float,
-    field: DeformationField,
-    dom: BoxDomain,
-    **kwargs,
-) -> tuple[float, float]:
-    """Energy on the doubled grid plus a two-grid discretization estimate.
-
-    Re-evaluates at half the spacing and reports |I_h - I_(h/2)| as the
-    error estimate attached to the fine value; a further refinement moves
-    the energy by less than this bound.
-    """
-    coarse = nonlocal_energy(w, beta, delta, field, dom, **kwargs)
-    fine_dom = BoxDomain(dom.sides, tuple(2 * r for r in dom.resolution))
-    fine = nonlocal_energy(w, beta, delta, field, fine_dom, **kwargs)
-    return fine, abs(coarse - fine)
 
 
 @dataclass(frozen=True)

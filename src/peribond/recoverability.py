@@ -137,7 +137,8 @@ def roundtrip_check(
     battery ``default_test_matrices(rule.dim)``) is compared with the
     density value; residuals beyond rel_tol * (1 + |W(A)|) flip the verdict
     to 'violated', any one-sided infinity to 'infinite-violation'. An empty
-    ``test_set`` raises ValueError.
+    ``test_set`` raises ValueError; one whose every row is infinite on both
+    sides raises :class:`IndeterminateResidualError`, since no row decides.
     """
     if not rel_tol >= 0:  # a negative tolerance fails every finite row
         raise ValueError(f"rel_tol must be at least 0, not {rel_tol!r}")
@@ -146,6 +147,11 @@ def roundtrip_check(
     rows = [_residual_row(density, a, rule, rel_tol) for a in test_set]
     if not rows:  # with no row every density would be consistent
         raise ValueError("test_set is empty: need at least one test matrix")
+    if all(r.classification == "indeterminate" for r in rows):  # nor with no deciding row
+        raise IndeterminateResidualError(
+            f"density {density.kind!r} is infinite on both sides of the mean-value identity "
+            f"at all {len(rows)} test matrices: no row decides recoverability"
+        )
 
     finite = [abs(r.residual) for r in rows if r.classification == "finite"]
     max_abs = max(finite) if finite else 0.0

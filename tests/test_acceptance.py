@@ -39,6 +39,7 @@ from peribond.recoverability import (
     recoverability_residual,
     roundtrip_check,
 )
+from conftest import child_env
 
 MR_CONFIG = """\
 [run]
@@ -132,7 +133,7 @@ def test_criterion_4_recoverability_negative_controls(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "peribond.cli", "--config", str(cfg),
          "--out", str(tmp_path / "out"), "--no-timestamp"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     elapsed = time.time() - start
     mr_ok = abs(stretch_res) > 0.1 and rep.verdict == "violated" and proc.returncode == 2
@@ -280,10 +281,10 @@ def test_criterion_11_deterministic_reports(tmp_path):
     out = tmp_path / "out"
     args = [sys.executable, "-m", "peribond.cli", "--config", str(cfg),
             "--out", str(out), "--threads", "1", "--no-timestamp"]
-    first = subprocess.run(args, capture_output=True, text=True)
+    first = subprocess.run(args, capture_output=True, text=True, env=child_env())
     summary1 = (out / "summary.json").read_bytes()
     detail1 = (out / "detail.csv").read_bytes()
-    second = subprocess.run(args, capture_output=True, text=True)
+    second = subprocess.run(args, capture_output=True, text=True, env=child_env())
     same = (
         (out / "summary.json").read_bytes() == summary1
         and (out / "detail.csv").read_bytes() == detail1

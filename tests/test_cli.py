@@ -31,6 +31,7 @@ from peribond.cli import (
     run,
 )
 from peribond.quadrature import build_rule
+from conftest import child_env
 
 MR_CONFIG = """\
 [run]
@@ -59,7 +60,7 @@ def config_error(tmp_path, capsys, name, text):
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "peribond.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
 
 
@@ -141,6 +142,21 @@ def test_recoverability_mooney_rivlin_exit_two(tmp_path):
     assert proc.returncode == 2, proc.stderr
     summary = json.loads((out / "summary.json").read_text())
     assert summary["verdict"] == "violated"
+
+
+@pytest.mark.parametrize("kind, dim", [("profile-frobenius", 2), ("profile-frobenius", 3),
+                                       ("profile-cof", 3)])
+def test_recoverability_battery_no_row_decides_exit_1(tmp_path, kind, dim):
+    # every battery row is +inf on both sides: no verdict, an execution error
+    cfg = tmp_path / "indicator.ini"
+    cfg.write_text(f"[run]\ntask = recoverability\n\n"
+                   f"[density]\nkind = {kind}\ndim = {dim}\ng = indicator\n")
+    out = tmp_path / "o"
+    proc = run_cli("--config", str(cfg), "--out", str(out), "--no-timestamp")
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr.startswith(f"error: density {kind!r}"), proc.stderr
+    assert "all 27 test matrices" in proc.stderr
+    assert proc.stdout == "" and not out.exists()
 
 
 def test_invalid_config_exit_64(tmp_path):
@@ -275,18 +291,34 @@ def test_nan_density_exits_1_without_a_report(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
+def reads_g(kind):
+    return any(name == "g" for name, _, _ in MODELS["density"][kind].keys)
+
+
+def run_zoo(tmp_path, density):
+    """Convexify the ``[density]`` lines ``density`` on a small lattice;
+    returns the finished process and the output directory."""
+    cfg = tmp_path / "zoo.ini"
+    cfg.write_text(
+        f"[run]\ntask = convexify\n\n[density]\n{density}\n"
+        "[lattice]\nmode = diagonal\ndim = 3\nbound = 1\nstep = 0.5\n"
+    )
+    out = tmp_path / "o"
+    return run_cli("--config", str(cfg), "--out", str(out), "--no-timestamp"), out
+
+
 @pytest.mark.parametrize("g", ["well", "indicator"])
 @pytest.mark.parametrize("kind", list(MODELS["density"]))
 def test_convexify_zoo_verdicts_on_a_small_lattice(tmp_path, kind, g):
     # only the profile densities of |A|^2 and |cof A| are lowered; under the
-    # indicator some interior points leave +inf, an infinite change
-    cfg = tmp_path / "zoo.ini"
-    cfg.write_text(
-        f"[run]\ntask = convexify\n\n[density]\nkind = {kind}\ng = {g}\n\n"
-        "[lattice]\nmode = diagonal\ndim = 3\nbound = 1\nstep = 0.5\n"
-    )
-    out = tmp_path / "o"
-    proc = run_cli("--config", str(cfg), "--out", str(out), "--no-timestamp")
+    # indicator some interior points leave +inf, an infinite change. A kind
+    # that reads no g refuses one at load and writes no report
+    proc, out = run_zoo(tmp_path, f"kind = {kind}\ng = {g}\n")
+    if not reads_g(kind):
+        assert proc.returncode == 64
+        assert f"kind = {kind!r} does not read g" in proc.stderr, proc.stderr
+        assert not out.exists()
+        return
     lowered = kind in ("profile-frobenius", "profile-cof")
     assert proc.returncode == (2 if lowered else 0), proc.stderr
     assert proc.stderr == ""
@@ -294,6 +326,14 @@ def test_convexify_zoo_verdicts_on_a_small_lattice(tmp_path, kind, g):
     assert summary["verdict"] == ("lowered" if lowered else "fixed-point")
     if lowered and g == "indicator":
         assert summary["max_change_on_interior"] == "inf"
+
+
+@pytest.mark.parametrize("kind", [kind for kind in MODELS["density"] if not reads_g(kind)])
+def test_convexify_zoo_kinds_without_g_reach_a_fixed_point(tmp_path, kind):
+    proc, out = run_zoo(tmp_path, f"kind = {kind}\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads((out / "summary.json").read_text())["verdict"] == "fixed-point"
 
 
 def test_converge_conflicting_potential_dim_exit_64(tmp_path):
@@ -531,10 +571,22 @@ def test_fractional_power_of_a_nonnegative_invariant_loads(tmp_path, kind):
      ["neo-hookean", "exponent 0.5", "det A < 0"]),
     ("density", ["kind = profile-det", "g = power", "g-exponent = 0.5"],
      ["profile-det", "exponent 0.5", "det A < 0"]),
+    # a key the kind, or the profile g names, does not read is refused, not
+    # embedded in the report as if it had been read
+    ("density", ["kind = frobenius-squared", "alpha = 7", "p = 9", "g-coeff = 3"],
+     ["kind = 'frobenius-squared' does not read alpha, g-coeff, p"]),
+    ("density", ["kind = frobenius-power", "g = indicator"],
+     ["kind = 'frobenius-power' does not read g"]),
+    ("density", ["kind = mooney-rivlin", "g = power", "g-a = 1"],
+     ["kind = 'mooney-rivlin' with g = 'power' does not read g-a"]),
+    ("density", ["kind = profile-frobenius", "g-exponent = 3"],
+     ["kind = 'profile-frobenius' with g = 'well' does not read g-exponent"]),
 ], ids=["density-kind", "profile", "potential-kind", "incompressible-mr-2d",
         "profile-cof-2d", "profile-det-2d", "profile-cof-2d-lattice",
         "mooney-rivlin-fractional-det-power", "neo-hookean-fractional-det-power",
-        "profile-det-fractional-det-power"])
+        "profile-det-fractional-det-power", "keys-the-kind-does-not-read",
+        "g-the-kind-does-not-read", "key-the-profile-does-not-read",
+        "key-the-default-profile-does-not-read"])
 def test_invalid_model_value_exit_64(tmp_path, capsys, section, lines, named):
     body = "\n".join(lines)
     err = config_error(tmp_path, capsys, "bad.ini",

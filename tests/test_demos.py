@@ -1,12 +1,13 @@
 """Every script in demos/ runs to the end as the README shows it, against the
 package in src/."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -18,9 +19,8 @@ def test_demos_found():
 
 @pytest.mark.parametrize("script", DEMOS, ids=[path.stem for path in DEMOS])
 def test_demo_runs(script, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env,
+        [sys.executable, str(script)], cwd=tmp_path, env=child_env(),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from peribond.cli import TASKS
+from conftest import child_env
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -97,7 +98,8 @@ def test_src_never_imports_scipy():
 
 @functools.cache
 def run_probe():
-    proc = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True,
+                          env=child_env())
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
 

@@ -37,6 +37,7 @@ from conftest import rotations
 
 RULE3 = build_sphere_rule(32)
 RULE2 = build_circle_rule(64)
+DENSITY_DEFAULTS = load_config(None, overrides={"task": "recoverability"})["density"]
 
 # Frozen from the closed-form angular integral (1 + 3 sin^2)^2 -> 59/8:
 # lhs = 25, rhs = 4 * 59/8 = 29.5 for W = |A|^4 at diag(1, 2).
@@ -157,6 +158,17 @@ def test_roundtrip_infinite_violation_verdict():
     kinds = {r.classification for r in report.rows}
     assert "infinite-violation" in kinds
     assert any("det A - 1" in note for note in report.notes)
+
+
+@pytest.mark.parametrize("kind", ["mooney-rivlin", "neo-hookean", "profile-det",
+                                  "incompressible-mr"])
+def test_indicator_densities_with_deciding_rows_keep_their_verdict(kind):
+    # three rows of the battery are finite on one side and infinite on the
+    # other, which decides; compare test_refusals, where no row does
+    density = build_model("density", dict(DENSITY_DEFAULTS, kind=kind, g="indicator"))
+    report = roundtrip_check(density, RULE3)
+    assert report.verdict == "infinite-violation"
+    assert sum(r.classification == "infinite-violation" for r in report.rows) == 3
 
 
 def test_report_serialization():
@@ -331,9 +343,6 @@ def test_stretch_scan_rejects_bad_input(kwargs, lams, named):
     for beta, g in ((1.0, ScalarProfile.power(0.0, 0.0)), (0.0, ScalarProfile.well())):
         with pytest.raises(ValueError, match=named):
             mooney_rivlin_inequality_check(beta, g, lams, **kwargs)
-
-
-DENSITY_DEFAULTS = load_config(None, overrides={"task": "recoverability"})["density"]
 
 
 def _residual_or_none(density, a):

@@ -1,6 +1,7 @@
 """Library entry points refuse out-of-range arguments with a ValueError that
 names the argument, instead of running on and returning a vacuous result,
-and refuse a model that is NaN at a single evaluation."""
+refuse a recoverability battery that no row decides, and refuse a model
+that is NaN at a single evaluation."""
 
 import dataclasses
 import functools
@@ -24,9 +25,11 @@ from peribond.potentials import (
     frobenius_squared,
     make_mooney_rivlin,
     make_power_bond,
+    make_profile_energy,
 )
 from peribond.quadrature import build_rule
 from peribond.recoverability import (
+    IndeterminateResidualError,
     default_test_matrices,
     mooney_rivlin_inequality_check,
     roundtrip_check,
@@ -96,6 +99,19 @@ def scan(beta):
 def test_library_refuses_and_names_the_argument(call, named):
     with pytest.raises(ValueError, match=named):
         call()
+
+
+@pytest.mark.parametrize("invariant, dim", [("frobenius", 2), ("frobenius", 3), ("cof", 3)])
+def test_roundtrip_refuses_a_battery_no_row_decides(invariant, dim):
+    # g = indicator: W(A) and the mean of W(|Az| I) are +inf on all 27 rows,
+    # which like an empty battery would read a vacuous 'consistent'. Yet the
+    # density is not recoverable: W(A) = 0 at A = diag(1, 0, ...) for |A|^2
+    # and at diag(1, 1, 0) for |cof A|, where W(|Az| I) is +inf for almost
+    # every z
+    density = make_profile_energy(invariant, ScalarProfile.indicator())
+    with pytest.raises(IndeterminateResidualError,
+                       match=f"'profile-{invariant}' .* all 27 test matrices"):
+        roundtrip_check(density, build_rule(dim, 32))
 
 
 def test_a_degree_within_1e_9_of_the_declared_one_passes():
