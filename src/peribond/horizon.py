@@ -22,6 +22,7 @@ the box walls clip them.
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -99,6 +100,8 @@ class DeformationField:
     """Deformation u mapping the box into R^m, evaluated through one
     vectorized callable ``fn`` (points (..., dim) -> values (..., m)).
 
+    Build one with :meth:`affine` or :meth:`analytic`; gridded data enter
+    as the caller's own interpolant, passed to :meth:`analytic`.
     ``grad_fn`` gives the gradient, else central differences of ``fn`` with
     step 1e-6 do. An affine field also keeps its gradient ``matrix``, which
     makes its pair differences A times the offset exact.
@@ -126,24 +129,6 @@ class DeformationField:
         only the domain knows the dimension of the points ``fn`` accepts."""
         return DeformationField(fn=fn, grad_fn=grad_fn, out_dim=out_dim)
 
-    @staticmethod
-    def sampled(values, domain: BoxDomain) -> "DeformationField":
-        """Multilinear interpolant of grid values (*resolution, m) at the
-        cell centers; its gradient takes central differences a quarter of
-        the shortest cell side wide."""
-        values = np.asarray(values, dtype=float)
-        if values.shape[:-1] != tuple(domain.resolution):
-            raise ValueError("sampled values must cover the domain grid")
-        spacing, dim, m = domain.spacing, domain.dim, values.shape[-1]
-
-        def fn(points):
-            idx = (points / spacing - 0.5).reshape(-1, dim)
-            return _multilinear(values, idx).reshape(points.shape[:-1] + (m,))
-
-        eps = float(np.min(spacing)) / 4.0
-        return DeformationField(fn=fn, out_dim=m,
-                                grad_fn=lambda p: _central_differences(fn, p, eps))
-
     def evaluate(self, points) -> np.ndarray:
         out = np.asarray(self.fn(np.asarray(points, dtype=float)), dtype=float)
         if self.out_dim is None:
@@ -163,37 +148,13 @@ class DeformationField:
         points = np.asarray(points, dtype=float)
         if self.grad_fn is not None:
             return np.asarray(self.grad_fn(points), dtype=float)
-        return _central_differences(self.evaluate, points, 1e-6)
-
-
-def _central_differences(fn, points: np.ndarray, eps: float) -> np.ndarray:
-    """Central differences of ``fn`` at ``points`` with step ``eps`` along
-    each axis, shape (..., m, dim)."""
-    dim = points.shape[-1]
-    cols = []
-    for j in range(dim):
-        step = np.zeros(dim)
-        step[j] = eps
-        cols.append((fn(points + step) - fn(points - step)) / (2 * eps))
-    return np.stack(cols, axis=-1)
-
-
-def _multilinear(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Multilinear interpolant of ``values`` (*grid, m) at fractional grid
-    indices ``idx`` (P, dim), all m components and 2^dim corners at once.
-
-    Each corner index is clamped to the grid on its own, so a point past the
-    grid reads the edge value; a NaN corner gives NaN even at weight 0.
-    """
-    grid = values.shape[:-1]
-    corners = np.indices((2,) * len(grid)).reshape(len(grid), -1, 1)  # (dim, 2^dim, 1)
-    base = np.floor(idx).astype(int)
-    frac = idx - base
-    pos = np.ravel_multi_index(tuple(base.T[:, None] + corners), grid, mode="clip")
-    terms = values.reshape(-1, values.shape[-1])[pos]  # (2^dim, P, m)
-    for k, upper in enumerate(corners):
-        terms = terms * np.where(upper, frac[:, k], 1.0 - frac[:, k])[..., None]
-    return sum(terms)  # corners in C order, one after the other
+        eps, dim = 1e-6, points.shape[-1]
+        cols = []
+        for j in range(dim):
+            step = np.zeros(dim)
+            step[j] = eps
+            cols.append((self.evaluate(points + step) - self.evaluate(points - step)) / (2 * eps))
+        return np.stack(cols, axis=-1)
 
 
 def _disk_quadrant(a, b, r):
@@ -293,8 +254,9 @@ def check_degree(beta: float, dim: int) -> None:
     """Refuse a bond degree the horizon scaling cannot carry: in ``dim``
     dimensions a bond of degree ``beta`` is integrable at the diagonal, and
     the prefactor (dim + beta) / delta^(dim + beta) positive, only if
-    dim + beta > 0."""
-    if not (math.isfinite(beta) and dim + beta > 0):
+    dim + beta > 0. A ``beta`` that is not a real number, None say, is
+    refused too."""
+    if not (isinstance(beta, numbers.Real) and math.isfinite(beta) and dim + beta > 0):
         raise ValueError(f"beta = {beta!r}, dim = {dim!r}: need a finite degree with "
                          "dim + beta > 0, else the pair energy diverges at the diagonal")
 
@@ -486,13 +448,13 @@ def nonlocal_energy(
     Raises
     ------
     ValueError
-        If ``beta`` is not finite, has dim + beta <= 0 or conflicts with
-        the degree declared on ``w``; if ``delta`` is not finite and
-        positive, reaches half the shortest side or spans fewer than three
-        cells; if ``outer_margin`` is negative or not finite, or leaves no
-        cells; if ``rule`` lives on another sphere; or if the far-field sum
-        or the near-block sum of the bond density is NaN, so a NaN bond
-        value never yields an energy.
+        If ``beta`` is not a finite real number, has dim + beta <= 0 or
+        conflicts with the degree declared on ``w``; if ``delta`` is not
+        finite and positive, reaches half the shortest side or spans fewer
+        than three cells; if ``outer_margin`` is negative or not finite, or
+        leaves no cells; if ``rule`` lives on another sphere; or if the
+        far-field sum or the near-block sum of the bond density is NaN, so
+        a NaN bond value never yields an energy.
     """
     check_degree(beta, dom.dim)
     w.degree(beta)
@@ -591,18 +553,21 @@ def study_grids(sides, deltas, cells_per_horizon: int) -> list[tuple[float, BoxD
     Raises
     ------
     ValueError
-        If ``deltas`` is empty or holds a horizon that is not positive; if
-        ``cells_per_horizon`` is not an integer of at least 3; if ``sides``
-        are not 2 or 3 finite positive lengths; or if a horizon reaches
-        half the shortest side or spans fewer than three cells of its
-        rounded grid, as :func:`nonlocal_energy` would refuse it. One
-        horizon is a study without a slope; the CLI, whose verdict reads
-        the slope, asks for two.
+        If ``deltas`` is empty, holds a horizon that is not positive or
+        repeats one; if ``cells_per_horizon`` is not an integer of at least
+        3; if ``sides`` are not 2 or 3 finite positive lengths; or if a
+        horizon reaches half the shortest side or spans fewer than three
+        cells of its rounded grid, as :func:`nonlocal_energy` would refuse
+        it. One horizon is a study without a slope; the CLI, whose verdict
+        reads the slope, asks for two.
     """
     sides = tuple(float(s) for s in sides)
     deltas = [float(d) for d in deltas]
-    if not deltas or not all(d > 0 for d in deltas):
-        raise ValueError(f"deltas = {deltas!r}: need one horizon or more, each positive")
+    # a repeated horizon repeats a row of the study; with two equal
+    # horizons the slope fit is singular
+    if not deltas or not all(d > 0 for d in deltas) or len(set(deltas)) < len(deltas):
+        raise ValueError(f"deltas = {deltas!r}: need one horizon or more, each positive "
+                         "and none repeated")
     if not is_integer(cells_per_horizon) or cells_per_horizon < 3:
         raise ValueError(f"cells_per_horizon = {cells_per_horizon!r}: need an integer of at least 3")
     grids = []

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib
 import io
 import json
 import re
@@ -647,6 +648,9 @@ def test_unparsable_value_exit_64(tmp_path, capsys, name, text, named):
     ("gamma-limit", "potential", "dim = 4\nc = 1.0", ["[potential] dim", "4"]),
     ("converge", "converge", "deltas = 0.8 0.4", ["[converge]", "delta = 0.8", "half"]),
     ("quadrature-check", "converge", "deltas = 0.8 0.4", ["[converge]", "delta = 0.8", "half"]),
+    ("converge", "converge", "deltas = 0.2 0.2", ["[converge]", "deltas = [0.2, 0.2]", "repeated"]),
+    ("quadrature-check", "converge", "deltas = 0.2 0.1 0.1",
+     ["[converge]", "deltas = [0.2, 0.1, 0.1]", "repeated"]),
     ("converge", "converge", "deltas = 0.29 0.2\ncells-per-horizon = 3",
      ["[converge]", "delta = 0.29", "fewer than 3"]),
     ("quadrature-check", "converge", "deltas = 0.29 0.2\ncells-per-horizon = 3",
@@ -666,7 +670,8 @@ def test_unparsable_value_exit_64(tmp_path, capsys, name, text, named):
         "lambda-max-below-1", "negative-seed",
         "negative-rel-tol", "negative-randoms", "no-symmetry-trials", "3x3-density-2x2-lattice",
         "matrix-entries-off-box", "potential-dim-4", "horizon-past-half-box",
-        "horizon-past-half-box-other-task", "horizon-under-3-cells",
+        "horizon-past-half-box-other-task", "horizon-repeated", "horizon-repeated-other-task",
+        "horizon-under-3-cells",
         "horizon-under-3-cells-other-task", "bond-degree-minus-dim",
         "bond-degree-minus-dim-converge", "bond-degree-below-minus-dim", "bond-c-negative"])
 def test_out_of_range_value_exit_64(tmp_path, capsys, task, section, line, named):
@@ -703,6 +708,15 @@ def test_exit_code_follows_verdict(tmp_path, monkeypatch, verdict, code):
     cfg["run"]["task"] = "stub"
     assert run(cfg) == code
     assert json.loads((tmp_path / "summary.json").read_text())["verdict"] == verdict
+
+
+def test_console_script_is_cli_main():
+    # the `peribond` command the README documents is the [project.scripts] entry
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    script = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    module, _, name = script["peribond"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 def test_readme_config_keys_match_schema():

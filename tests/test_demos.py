@@ -1,5 +1,6 @@
 """Every script in demos/ runs to the end as the README shows it, against the
-package in src/."""
+package in src/, under the suite's warning rule: a RuntimeWarning is an error,
+and nothing reaches stderr."""
 
 import subprocess
 import sys
@@ -20,7 +21,8 @@ def test_demos_found():
 @pytest.mark.parametrize("script", DEMOS, ids=[path.stem for path in DEMOS])
 def test_demo_runs(script, tmp_path):
     proc = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=child_env(),
-        capture_output=True, text=True, timeout=120,
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)], cwd=tmp_path,
+        env=child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

@@ -17,7 +17,6 @@ from peribond.horizon import (
     _clipping_classes,
     _disk_quadrant,
     _margin_cells,
-    _multilinear,
     _near_block_integral,
     _offset_coverage,
     _offset_stencil,
@@ -255,79 +254,6 @@ def test_analytic_3d_field_without_out_dim():
     assert local_reference(limit, fresh, dom, build_rule(3, 16)) == pytest.approx(3.0, rel=1e-8)
 
 
-def test_sampled_field_interpolates_grid_values():
-    dom = BoxDomain((1.0, 1.0), (8, 8))
-    values = np.sin(dom.centers())  # shape (8, 8, 2)
-    u = DeformationField.sampled(values, dom)
-    centers = dom.centers().reshape(-1, 2)
-    got = u.evaluate(centers).reshape(8, 8, 2)
-    assert np.max(np.abs(got - values)) < 1e-12
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_multilinear_matches_map_coordinates(dim):
-    map_coordinates = pytest.importorskip("scipy.ndimage").map_coordinates
-    rng = np.random.default_rng(dim)
-    grid = (5, 7, 4)[:dim]
-    values = rng.standard_normal(grid + (3,))
-    values[rng.uniform(size=values.shape) < 0.05] = np.nan
-    top = np.array(grid) - 1
-    coords = {
-        "integer": rng.integers(-2, top + 3, (4000, dim)).astype(float),
-        "half-integer": rng.integers(-2, top + 2, (4000, dim)) + 0.5,
-        "random": rng.uniform(0.0, top, (4000, dim)),
-        "past-the-grid": rng.uniform(-3.0, top + 3.0, (4000, dim)),
-    }
-    scale = np.nanmax(np.abs(values))
-    for name, idx in coords.items():
-        got = _multilinear(values, idx)
-        for j in range(values.shape[-1]):
-            want = map_coordinates(values[..., j], idx.T, order=1, mode="nearest")
-            assert np.array_equal(np.isnan(got[:, j]), np.isnan(want)), name
-            ok = ~np.isnan(want)
-            assert np.all(np.abs(got[ok, j] - want[ok]) <= 1e-14 * scale), name
-
-
-def test_multilinear_nan_corner_and_edge():
-    values = np.arange(12.0).reshape(3, 4, 1)
-    values[1, 2, 0] = np.nan
-
-    def at(*point):
-        return _multilinear(values, np.array([point], dtype=float))[0, 0]
-
-    # on the grid point (1, 1) the NaN at (1, 2) is a corner of weight 0
-    assert np.isnan(at(1.0, 1.0))
-    assert at(0.0, 3.0) == values[0, 3, 0]  # no NaN corner: the grid value
-    # past the grid each corner index clamps to the edge
-    assert at(5.5, -2.0) == values[2, 0, 0]
-    assert at(-0.5, 3.5) == values[0, 3, 0]
-
-
-@pytest.mark.parametrize("sides, res", [((1.0, 1.3), (8, 10)), ((1.0, 0.7, 1.2), (5, 4, 6))],
-                         ids=["2d", "3d"])
-def test_sampled_gradient_is_quarter_cell_central_differences(sides, res):
-    dom = BoxDomain(sides, res)
-    u = DeformationField.sampled(np.sin(3.0 * dom.centers()), dom)
-    pts = np.random.default_rng(1).uniform(0.0, 1.0, (40, dom.dim)) * sides
-    eps = float(np.min(dom.spacing)) / 4.0
-    cols = []
-    for j in range(dom.dim):
-        step = np.zeros(dom.dim)
-        step[j] = eps
-        cols.append((u.evaluate(pts + step) - u.evaluate(pts - step)) / (2 * eps))
-    grad = u.gradient(pts)
-    assert grad.shape == (40, dom.dim, dom.dim)
-    assert np.array_equal(grad, np.stack(cols, axis=-1))
-
-
-def test_sampled_difference_broadcasts_like_two_evaluations():
-    dom = BoxDomain((1.0, 1.0), (8, 8))
-    u = DeformationField.sampled(np.sin(3.0 * dom.centers()), dom)
-    x0 = np.array([0.3, 0.6])
-    offsets = x0 - np.random.default_rng(0).uniform(0.0, 1.0, (50, 2))
-    assert np.array_equal(u.difference(x0, offsets), u.evaluate(x0) - u.evaluate(x0 - offsets))
-
-
 def test_zero_field_energy_is_zero():
     dom = BoxDomain((1.0, 1.0), (40, 40))
     w = quadratic_bond(2)
@@ -352,22 +278,25 @@ def test_energy_linear_in_potential(sides, res, delta, a):
     assert type(one) is float and type(double) is float
 
 
-def test_translation_invariance():
-    # affine pair differences drop any constant shift identically; sampled
-    # fields pick up only rounding from the shifted samples
+@settings(max_examples=10)
+@given(r=rotations(2), stretch=st.lists(st.floats(0.5, 2.0), min_size=2, max_size=2),
+       bend=st.floats(-0.1, 0.1), wave=st.floats(1.0, 3.0),
+       c=st.lists(st.floats(-20.0, 20.0), min_size=2, max_size=2).filter(
+           lambda c: math.hypot(*c) <= 20.0))
+def test_translation_invariance(r, stretch, bend, wave, c):
+    # a shift c drops out of every pair difference u(x) - u(x'), up to the
+    # rounding of the shifted values
     dom = BoxDomain((1.0, 1.0), (40, 40))
     w = quadratic_bond(2)
-    u = DeformationField.affine(A2)
-    base = nonlocal_energy(w, 0.0, 0.1, u, dom)
-    values = dom.centers() @ A2.T
-    shifted = DeformationField.sampled(values + 17.0, dom)
-    plain = DeformationField.sampled(values, dom)
-    e_plain = nonlocal_energy(w, 0.0, 0.1, plain, dom)
-    e_shift = nonlocal_energy(w, 0.0, 0.1, shifted, dom)
-    # the interpolant clamps beyond the outermost centers, so the sampled
-    # field only approximates the affine one near the walls
-    assert e_plain == pytest.approx(base, rel=1e-2)
-    assert e_shift == pytest.approx(e_plain, rel=1e-12)
+    a = r @ np.diag(stretch)
+
+    def field(shift):
+        return DeformationField.analytic(
+            lambda p: p @ a.T + bend * np.sin(wave * p[..., ::-1]) + shift)
+
+    plain = nonlocal_energy(w, 0.0, 0.1, field(0.0), dom)
+    shifted = nonlocal_energy(w, 0.0, 0.1, field(np.array(c)), dom)
+    assert shifted == pytest.approx(plain, rel=1e-12)
 
 
 @settings(max_examples=3)
@@ -583,23 +512,14 @@ def test_general_near_block_chunks_match_per_center_loop():
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
-def sampled_field(dom, seed):
-    rng = np.random.default_rng(seed)
-    centers = dom.centers()
-    return DeformationField.sampled(centers + 0.05 * rng.standard_normal(centers.shape), dom)
-
-
-@pytest.mark.parametrize("case", ["sampled-2d", "analytic-3d", "sampled-3d"])
+@pytest.mark.parametrize("case", ["analytic-2d", "analytic-3d"])
 def test_near_block_matches_per_node_difference(case):
     # u(x0) evaluated once per chunk against u(x0) - u(x') per node
     if case.endswith("2d"):
-        dom = BoxDomain((1.0, 1.0), (20, 24))
+        dom, u = BoxDomain((1.0, 1.0), (20, 24)), analytic_2d()
     else:
         dom = BoxDomain((1.0, 1.0, 1.0), (6, 5, 7))
-    if case == "analytic-3d":
         u = DeformationField.analytic(lambda p: p + 0.1 * np.sin(p[..., ::-1]) ** 2)
-    else:
-        u = sampled_field(dom, 4)
     w, rule = quadratic_bond(dom.dim), build_rule(dom.dim, 8)
     centers = outer_centers(dom, [0] * dom.dim)
     got = _near_block_integral(w, u, dom, centers, rule, beta=0.0)
@@ -646,17 +566,15 @@ def recording(field):
     return DeformationField(fn=fn, out_dim=field.out_dim), seen
 
 
-@pytest.mark.parametrize("case", ["analytic-2d", "sampled-2d", "analytic-3d", "sampled-3d"])
+@pytest.mark.parametrize("case", ["analytic-2d", "analytic-3d"])
 def test_near_block_evaluates_u_inside_the_box(case):
     # a clipped block's points lie on the side of the center the box holds,
-    # never mirrored past the wall, where a sampled field clamps
+    # never mirrored past the wall, outside the domain u is given on
     if case.endswith("2d"):
-        dom = BoxDomain((1.0, 1.3), (9, 11))
-        u = analytic_2d() if case.startswith("analytic") else sampled_field(dom, 2)
+        dom, u = BoxDomain((1.0, 1.3), (9, 11)), analytic_2d()
     else:
         dom = BoxDomain((1.0, 1.2, 0.9), (5, 6, 7))
-        u = (DeformationField.analytic(lambda p: p + 0.1 * np.sin(p[..., ::-1]) ** 2, out_dim=3)
-             if case.startswith("analytic") else sampled_field(dom, 2))
+        u = DeformationField.analytic(lambda p: p + 0.1 * np.sin(p[..., ::-1]) ** 2, out_dim=3)
     recorded, seen = recording(u)
     centers = outer_centers(dom, [0] * dom.dim)
     _near_block_integral(quadratic_bond(dom.dim), recorded, dom, centers, build_rule(dom.dim, 32),
@@ -666,23 +584,19 @@ def test_near_block_evaluates_u_inside_the_box(case):
     assert np.all(points >= 0.0) and np.all(points <= np.asarray(dom.sides))
 
 
-@pytest.mark.parametrize("field", ["analytic", "sampled"])
-def test_near_block_first_and_last_cells_match_midpoint_sum(field):
+def test_near_block_first_and_last_cells_match_midpoint_sum():
     # u = (x + 0.1 sin 2y, y + 0.1 x^2) on 40^2 cells: at (h/2, 0.5) the
     # clipped block integrates to 1.19993e-3 and its mirror image past the
-    # wall to 1.20326e-3; the sampled field clamps outside its centers
+    # wall to 1.20326e-3
     dom = BoxDomain((1.0, 1.0), (40, 40))
     u = DeformationField.analytic(lambda p: np.stack(
         [p[..., 0] + 0.1 * np.sin(2 * p[..., 1]), p[..., 1] + 0.1 * p[..., 0] ** 2], axis=-1))
-    if field == "sampled":
-        u = DeformationField.sampled(u.evaluate(dom.centers()), dom)
     h, w = dom.spacing, quadratic_bond(2)
     centers = np.array([[h[0] / 2, 0.5], [1.0 - h[0] / 2, 0.5], [0.5, h[1] / 2],
                         [0.5, 1.0 - h[1] / 2], h / 2, [1.0 - h[0] / 2, h[1] / 2]])
     got = _near_block_integral(w, u, dom, centers, build_rule(2, 32), beta=0.0)
     want = np.array([midpoint_near_block(w, u, dom, x0, 40) for x0 in centers])
-    if field == "analytic":
-        assert got[0] == pytest.approx(1.19993e-3, rel=1e-5)
+    assert got[0] == pytest.approx(1.19993e-3, rel=1e-5)
     assert np.all(np.abs(got - want) <= 2e-4 * want)
 
 
@@ -727,35 +641,6 @@ def test_near_block_accuracy_against_converged_reference(dim, field, p, q):
     if (p, q) == (2.0, 2.0):
         assert np.all(pyramid <= polar / 10.0)
         assert np.all(pyramid <= (1.1e-4 if dim == 2 else 3.3e-5))
-
-
-def test_sampled_near_block_accuracy():
-    # the sampled interpolant kinks along the cell-center lines, which the
-    # face pieces follow through the center but cross one cell out; its
-    # gradient drops to 0 past the first and last centers, the largest kink
-    dom = BoxDomain((1.0, 1.0), (40, 40))
-    u = DeformationField.sampled(analytic_2d().evaluate(dom.centers()), dom)
-    w, rule = quadratic_bond(2), build_rule(2, 32)
-    cells = outer_centers(dom, [0, 0])
-    idx = np.rint(cells / dom.spacing - 0.5).astype(int)
-    ring = np.minimum(idx, 39 - idx)  # cells from the nearest wall, per axis
-    first_last = np.any(ring == 0, axis=1)
-    one_in = np.any(ring == 1, axis=1)  # the kink past the first center crosses them
-    rng = np.random.default_rng(3)
-    pick = np.concatenate([np.flatnonzero(first_last | one_in),
-                           rng.choice(np.flatnonzero(~first_last & ~one_in), 40)])
-    exact = reference_near_block_integral(w, u, dom, cells[pick], 48, 16, 0.0)
-    err = np.abs(_near_block_integral(w, u, dom, cells[pick], rule, beta=0.0) / exact - 1.0)
-    first_last, one_in = first_last[pick], one_in[pick]
-    assert np.all(err[first_last & ~one_in] <= 2e-4)
-    assert np.all(err[first_last & one_in] <= 1e-3)
-    assert np.all(err[~first_last] <= 2e-2)
-    # random samples kink hard in every cell
-    small = BoxDomain((1.0, 1.3), (12, 10))
-    noisy, cells = sampled_field(small, 4), outer_centers(small, [0, 0])
-    exact = reference_near_block_integral(w, noisy, small, cells, 48, 16, 0.0)
-    err = np.abs(_near_block_integral(w, noisy, small, cells, rule, beta=0.0) / exact - 1.0)
-    assert np.all(err <= 2e-2)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.5, 0.5, 1.5, -0.9])

@@ -1,5 +1,5 @@
 """peribond runs on numpy alone: no module under src/ imports SciPy, and no
-path loads it, the full-lattice random-dyad pass and sampled fields included.
+path loads it, the full-lattice random-dyad pass and non-affine fields included.
 Every seeded draw comes from Python's random module, so numpy.random never
 loads either: no module under src/ names it, and no entry point that draws
 imports it."""
@@ -45,8 +45,8 @@ w = make_power_bond(2.0 / (2.0 * np.pi), 2.0, 2.0, dim=2)
 dom = BoxDomain((1.0, 1.0), (30, 30))
 nonlocal_energy(w, 0.0, 0.1, DeformationField.affine(np.diag([1.0, 2.0])), dom)
 after("affine energy")
-nonlocal_energy(w, 0.0, 0.1, DeformationField.sampled(dom.centers() ** 2, dom), dom)
-after("sampled energy")
+nonlocal_energy(w, 0.0, 0.1, DeformationField.analytic(lambda p: p ** 2), dom)
+after("analytic energy")
 rank_one_convexify(frobenius_squared(), MatrixLattice(2, 1.0, 0.5, "full"), directions=2)
 after("full convexify")
 estimate_beta(w)
@@ -112,7 +112,7 @@ def test_no_scipy_at_startup():
 def test_numpy_random_never_loads():
     _, drew = run_probe()
     assert drew == dict.fromkeys([
-        "import", "diagonal convexify", "affine energy", "sampled energy", "full convexify",
+        "import", "diagonal convexify", "affine energy", "analytic energy", "full convexify",
         "estimate_beta", "verify_limit_invariances", "default_test_matrices",
         "strict_polyconvexity_probe", *(f"cli {task}" for task in TASKS),
     ], False)

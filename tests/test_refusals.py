@@ -56,6 +56,7 @@ def scan(beta):
 @pytest.mark.parametrize("call, named", [
     (lambda: energy(beta=math.nan), "beta = nan"),
     (lambda: energy(beta=math.inf), "beta = inf"),
+    (lambda: energy(beta=None), "beta = None, dim = 2"),
     (lambda: energy(delta=math.nan), "delta = nan"),
     (lambda: energy(delta=-0.1), "delta = -0.1"),
     (lambda: energy(outer_margin=math.nan), "outer_margin = nan"),
@@ -63,6 +64,7 @@ def scan(beta):
     (lambda: study_grids((1.0, math.inf), [0.2, 0.1], 8), r"sides = \(1.0, inf\)"),
     (lambda: study_grids((1.0, math.nan), [0.2, 0.1], 8), r"sides = \(1.0, nan\)"),
     (lambda: study_grids((1.0, 1.0), [0.8, 0.4], 8), "delta = 0.8"),
+    (lambda: study_grids((1.0, 1.0), [0.2, 0.1, 0.2], 8), r"deltas = \[0.2, 0.1, 0.2\]"),
     (lambda: convexify(tol=-1.0), "tol = -1.0"),
     (lambda: convexify(tol=math.nan), "tol = nan"),
     (lambda: convexify(max_sweeps=0), "max_sweeps = 0"),
@@ -87,9 +89,10 @@ def scan(beta):
     # with no row every density would be consistent
     (lambda: roundtrip_check(make_mooney_rivlin(1.0, 1.0, ScalarProfile.well()),
                              build_rule(3, 8), []), "test_set"),
-], ids=["energy-beta-nan", "energy-beta-inf", "energy-delta-nan", "energy-delta-negative",
-        "energy-margin-nan", "energy-margin-negative", "grids-side-inf", "grids-side-nan",
-        "grids-horizon-past-half-box", "convexify-tol-negative",
+], ids=["energy-beta-nan", "energy-beta-inf", "energy-beta-none", "energy-delta-nan",
+        "energy-delta-negative", "energy-margin-nan", "energy-margin-negative",
+        "grids-side-inf", "grids-side-nan", "grids-horizon-past-half-box",
+        "grids-horizon-repeated", "convexify-tol-negative",
         "convexify-tol-nan", "convexify-no-sweeps", "probe-no-trials", "sphere-order-fraction",
         "circle-order-fraction", "scan-beta-negative", "scan-beta-nan", "scan-beta-inf",
         "energy-degree-minus-dim", "energy-degree-below-minus-dim", "bond-c-negative",
