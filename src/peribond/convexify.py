@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import INF, normals, seeded
+from .linalg import INF, is_integer, normals, seeded
 from .potentials import StoredEnergy
 
 #: Caveat attached to every envelope report: agreement of the rank-one
@@ -388,15 +388,16 @@ def rank_one_convexify(
     ------
     ValueError
         If ``directions`` is one :func:`check_directions` refuses, ``tol``
-        is negative or NaN, ``max_sweeps`` is below 1, or ``seed`` is one
-        :func:`peribond.linalg.seeded` refuses, also when no dyad is drawn;
-        and if the density is NaN or -inf at a lattice matrix.
+        is negative or NaN, ``max_sweeps`` is not an integer of at least 1,
+        or ``seed`` is one :func:`peribond.linalg.seeded` refuses, also when
+        no dyad is drawn; and if the density is NaN or -inf at a lattice
+        matrix.
     """
     check_directions(lattice, directions)
     if not tol >= 0:  # a negative or NaN tolerance never stops the sweeps
         raise ValueError(f"tol = {tol!r}: need a number of at least 0")
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps = {max_sweeps!r}: need at least 1")
+    if not is_integer(max_sweeps) or max_sweeps < 1:
+        raise ValueError(f"max_sweeps = {max_sweeps!r}: need an integer of at least 1")
     rng = seeded(seed)
     initial = lattice.fill(density)
     values = initial.copy()
@@ -439,12 +440,12 @@ def strict_polyconvexity_probe(density: StoredEnergy, trials: int, seed: int) ->
     Pairs differing by a rank-one matrix have midpoints whose minors are the
     exact average of the endpoint minors, so strict polyconvexity forces a
     strictly convex midpoint inequality there. This is a refutation sampler,
-    not a decision procedure: a clean report is evidence only. Fewer than
-    one trial raises ValueError, since it would report clean having tested
-    nothing.
+    not a decision procedure: a clean report is evidence only. ``trials``
+    that is not an integer of at least 1 raises ValueError, since no trial
+    would report clean having tested nothing.
     """
-    if trials < 1:
-        raise ValueError(f"trials = {trials!r}: need at least 1")
+    if not is_integer(trials) or trials < 1:
+        raise ValueError(f"trials = {trials!r}: need an integer of at least 1")
     rng = seeded(seed)
     conv = 0
     strict = 0

@@ -101,33 +101,27 @@ class DeformationField:
     vectorized callable ``fn`` (points (..., dim) -> values (..., m)).
 
     Build one with :meth:`affine` or :meth:`analytic`; gridded data enter
-    as the caller's own interpolant, passed to :meth:`analytic`.
-    ``grad_fn`` gives the gradient, else central differences of ``fn`` with
-    step 1e-6 do. An affine field also keeps its gradient ``matrix``, which
-    makes its pair differences A times the offset exact.
+    as the caller's own interpolant, passed to :meth:`analytic`. An affine
+    field keeps its gradient ``matrix``, which makes its gradient and its
+    pair differences exact; any other field's gradient is central
+    differences of ``fn`` with step 1e-6.
     """
 
-    def __init__(self, matrix=None, fn=None, grad_fn=None, out_dim=None):
+    def __init__(self, matrix=None, fn=None, out_dim=None):
         self.matrix = None if matrix is None else np.asarray(matrix, dtype=float)
         self.fn = fn
-        self.grad_fn = grad_fn
         self.out_dim = out_dim
 
     @staticmethod
     def affine(matrix) -> "DeformationField":
         a = np.asarray(matrix, dtype=float)
-        return DeformationField(
-            matrix=a, fn=lambda p: matvec(a, p),
-            grad_fn=lambda p: np.broadcast_to(a, p.shape[:-1] + a.shape).copy(),
-            out_dim=a.shape[0],
-        )
+        return DeformationField(matrix=a, fn=lambda p: matvec(a, p), out_dim=a.shape[0])
 
     @staticmethod
-    def analytic(fn: Callable, grad_fn: Callable | None = None,
-                 out_dim: int | None = None) -> "DeformationField":
+    def analytic(fn: Callable, out_dim: int | None = None) -> "DeformationField":
         """Without ``out_dim``, it is read off the first evaluation, since
         only the domain knows the dimension of the points ``fn`` accepts."""
-        return DeformationField(fn=fn, grad_fn=grad_fn, out_dim=out_dim)
+        return DeformationField(fn=fn, out_dim=out_dim)
 
     def evaluate(self, points) -> np.ndarray:
         out = np.asarray(self.fn(np.asarray(points, dtype=float)), dtype=float)
@@ -146,8 +140,8 @@ class DeformationField:
     def gradient(self, points) -> np.ndarray:
         """Deformation gradient, shape (..., out_dim, dim)."""
         points = np.asarray(points, dtype=float)
-        if self.grad_fn is not None:
-            return np.asarray(self.grad_fn(points), dtype=float)
+        if self.matrix is not None:
+            return np.broadcast_to(self.matrix, points.shape[:-1] + self.matrix.shape).copy()
         eps, dim = 1e-6, points.shape[-1]
         cols = []
         for j in range(dim):
@@ -606,6 +600,7 @@ def convergence_study(
     """
     grids = study_grids(sides, deltas, cells_per_horizon)
     rule = rule if rule is not None else build_rule(len(sides), 32)
+    check_degree(beta, len(sides))  # the blow-up would refuse a NaN without naming beta
     limit = compute_blowup(w, beta)
     rows = []
     log_d, log_g = [], []

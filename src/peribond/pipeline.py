@@ -14,12 +14,12 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import normals, rotation_from_rng, seeded
+from .linalg import is_integer, normals, rotation_from_rng, seeded
 from .potentials import PairwisePotential
 from .quadrature import SphereQuadrature
 
-#: geometric grid t_k = 2^-k for the small-scale limit; depth is a tunable,
-#: not a derived quantity.
+#: geometric grid t_k = 2^-k for the small-scale limit: the degree fit and
+#: the diagnostics read every level, :func:`blowup` the three finest.
 DEFAULT_K_RANGE = (4, 12)
 
 #: relative Cauchy tolerance for accepting the limit.
@@ -41,17 +41,11 @@ def _scaled_values(w: PairwisePotential, beta: float, x_ref, y_def, k_range):
     return np.stack(out, axis=0)  # (levels, ...)
 
 
-def blowup(
-    w: PairwisePotential,
-    beta: float,
-    x_ref,
-    y_def,
-    k_range: tuple[int, int] = DEFAULT_K_RANGE,
-):
+def blowup(w: PairwisePotential, beta: float, x_ref, y_def):
     """Numerical limit of w(t*x, t*y) / t^beta as t -> 0.
 
-    Evaluates on the three finest levels t_k = 2^-k of the geometric grid
-    ``k_range``, the only ones the Cauchy test and the Aitken step read.
+    Evaluates on the three finest levels t_k = 2^-k of ``DEFAULT_K_RANGE``,
+    the only ones the Cauchy test and the Aitken step read.
     Inputs may be stacked arrays of offsets; the limit is taken elementwise.
 
     Raises
@@ -61,9 +55,7 @@ def blowup(
         within ``BLOWUP_REL_TOL`` (relative), which is what a wrong homogeneity
         degree produces.
     """
-    k_min, k_max = k_range
-    if k_max - k_min < 2:
-        raise ValueError(f"k_range {k_range!r} spans fewer than the three levels Aitken reads")
+    k_max = DEFAULT_K_RANGE[1]
     v = _scaled_values(w, beta, x_ref, y_def, (k_max - 2, k_max))
     if not np.all(np.isfinite(v)):
         raise BlowupError(
@@ -231,8 +223,8 @@ def verify_limit_invariances(
     from ``seeded(0)``; passes when the worst deviation stays below
     1e-7 * (1 + |density(A)|).
     """
-    if trials < 1:  # with no trial every density would pass
-        raise ValueError(f"trials must be at least 1, not {trials!r}")
+    if not is_integer(trials) or trials < 1:  # with no trial every density would pass
+        raise ValueError(f"trials = {trials!r}: need an integer of at least 1")
     rng = seeded(0)
     a = np.asarray(a, dtype=float)
     m, n = a.shape

@@ -83,8 +83,8 @@ def build_circle_rule(points: int) -> SphereQuadrature:
     points : int
         Number of nodes, at least 4. All weights equal 2*pi/points.
     """
-    if points < 4:
-        raise ValueError(f"circle rule needs at least 4 points, got {points}")
+    if not is_integer(points) or points < 4:
+        raise ValueError(f"points = {points!r}: need an integer of at least 4")
     angles = 2.0 * math.pi * (np.arange(points) + 0.5) / points
     nodes = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     weights = np.full(points, 2.0 * math.pi / points)
@@ -101,8 +101,8 @@ def build_sphere_rule(order: int) -> SphereQuadrature:
         Spherical polynomials of total degree <= 2*order - 1 are integrated
         exactly.
     """
-    if order < 2:
-        raise ValueError(f"sphere rule needs order >= 2, got {order}")
+    if not is_integer(order) or order < 2:
+        raise ValueError(f"order = {order!r}: need an integer of at least 2")
     t, wt = leggauss(order)  # t = cos(polar angle) on [-1, 1]
     nphi = 2 * order
     phi = 2.0 * math.pi * (np.arange(nphi) + 0.5) / nphi

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import normals, seeded, vector_norm
+from .linalg import is_integer, normals, seeded, vector_norm
 from .potentials import DET_TOL, ScalarProfile, StoredEnergy, make_profile_energy
 from .quadrature import SphereQuadrature, sphere_measure
 
@@ -47,8 +47,8 @@ def default_test_matrices(dim: int, randoms: int = 20) -> list[np.ndarray]:
     """Battery: identity multiples, volume-preserving stretches diag(l, 1/l, 1),
     a distinct-diagonal matrix, and the first ``randoms`` of a fixed sequence
     of random matrices, normals drawn from ``seeded(0)``."""
-    if randoms < 0:
-        raise ValueError(f"randoms must be at least 0, not {randoms!r}")
+    if not is_integer(randoms) or randoms < 0:
+        raise ValueError(f"randoms = {randoms!r}: need an integer of at least 0")
     mats = [t * np.eye(dim) for t in (0.5, 1.0, 2.0)]
     for lam in (1.5, 2.0, 4.0):
         stretch = np.diag([lam, 1.0 / lam, 1.0][:dim])
@@ -245,11 +245,6 @@ def cubic_mean_lower_constant() -> float:
     return 3.0**-1.5
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} = {value!r}: need a finite positive number")
-
-
 @dataclass(frozen=True)
 class StretchScanReport:
     """Outcome of the large-stretch necessary-inequality scan."""
@@ -267,13 +262,7 @@ class StretchScanReport:
         return self.lambda_star is not None
 
 
-def mooney_rivlin_inequality_check(
-    beta: float,
-    g: ScalarProfile,
-    lambda_list,
-    a_value: float = 1.0,
-    c_value: float | None = None,
-) -> StretchScanReport:
+def mooney_rivlin_inequality_check(beta: float, g: ScalarProfile, lambda_list) -> StretchScanReport:
     """Scan the stretch family diag(l, 1/l, (a/c)^(1/3)) for the inequality
     every recoverable Mooney-Rivlin-type density
     alpha |A|^2 + beta |cof A|^2 + g(det A) would have to satisfy.
@@ -283,28 +272,27 @@ def mooney_rivlin_inequality_check(
     cofactor term must dominate a quartic in |A|, which fails at a finite
     stretch; with beta = 0 the scan looks for growth of g beyond its value at
     the reference point (g must not be eventually constant for this branch
-    to conclude). ``a_value`` is a point past which g is nondecreasing; 1.0
-    covers every profile in the zoo. The constant c is the least sphere mean
-    of |Az|^3 on the unit Frobenius sphere, 3^(-3/2), capped at 1/a^2.
+    to conclude). The point a = 1 past which g is nondecreasing covers every
+    profile in the zoo; the constant c is the least sphere mean of |Az|^3 on
+    the unit Frobenius sphere, 3^(-3/2). The report keeps both.
 
     Raises
     ------
     ValueError
-        If ``beta`` is negative or not finite, if ``a_value``, a given
-        ``c_value`` or a stretch is not finite and positive, or if either
-        side of the inequality is NaN at a stretch.
+        If ``beta`` is negative or not finite, if ``lambda_list`` is empty or
+        holds a stretch that is not finite and positive, or if either side of
+        the inequality is NaN at a stretch.
     """
     if not (math.isfinite(beta) and beta >= 0):  # the branch reads beta > 0
         raise ValueError(f"beta = {beta!r}: need a finite number of at least 0")
-    _require_positive("a_value", a_value)
-    if c_value is not None:
-        _require_positive("c_value", c_value)
     lambda_list = [float(lam) for lam in lambda_list]
+    if not lambda_list:  # with nothing scanned every g would be inconclusive
+        raise ValueError("lambda_list is empty: need at least one stretch")
     for lam in lambda_list:
-        _require_positive("stretch", lam)
-    if c_value is None:
-        c_value = min(cubic_mean_lower_constant(), 1.0 / (a_value * a_value))
-    ac = a_value / c_value
+        if not (math.isfinite(lam) and lam > 0):
+            raise ValueError(f"stretch = {lam!r}: need a finite positive number")
+    c_value = cubic_mean_lower_constant()
+    ac = 1.0 / c_value
     lam_star = None
     lhs_fail = rhs_fail = None
     branch = "cof-term" if beta > 0 else "growth"
@@ -321,6 +309,6 @@ def mooney_rivlin_inequality_check(
         if lam_star is None and lhs < rhs:
             lam_star, lhs_fail, rhs_fail = lam, lhs, rhs
     return StretchScanReport(
-        branch, c_value, a_value, lam_star, lhs_fail, rhs_fail,
+        branch, c_value, 1.0, lam_star, lhs_fail, rhs_fail,
         inconclusive=lam_star is None,
     )

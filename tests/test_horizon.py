@@ -438,15 +438,7 @@ def test_fitted_slope_reads_last_running_slope(gaps, slope):
 def test_convergence_study_smooth_field_gaps_shrink():
     # quadratic map: gaps must decrease monotonically as the horizon shrinks
     u = DeformationField.analytic(
-        lambda p: np.stack([p[..., 0] ** 2, p[..., 1] ** 2 + p[..., 0]], axis=-1),
-        grad_fn=lambda p: np.stack(
-            [
-                np.stack([2 * p[..., 0], np.zeros_like(p[..., 0])], axis=-1),
-                np.stack([np.ones_like(p[..., 0]), 2 * p[..., 1]], axis=-1),
-            ],
-            axis=-2,
-        ),
-    )
+        lambda p: np.stack([p[..., 0] ** 2, p[..., 1] ** 2 + p[..., 0]], axis=-1))
     study = convergence_study(
         quadratic_bond(2), 0.0, u, (1.0, 1.0), [0.25, 0.125], cells_per_horizon=6,
         rule=build_rule(2, 16),
@@ -695,7 +687,12 @@ def test_local_reference_raises_on_nan_after_inf_cell():
         flat[0, 0, 0], flat[1000, 0, 0] = math.inf, math.nan
         return g
 
-    u = DeformationField.analytic(lambda p: p, grad_fn=grad, out_dim=2)
+    def field_with_gradient(gradient):
+        u = DeformationField.analytic(lambda p: p, out_dim=2)
+        u.gradient = gradient  # inject non-finite gradients on the instance
+        return u
+
+    u = field_with_gradient(grad)
     rule = build_rule(2, 32)
     def bare_limit(x, y):  # the limit without the blow-up's finiteness check
         with np.errstate(over="ignore", invalid="ignore"):
@@ -709,8 +706,7 @@ def test_local_reference_raises_on_nan_after_inf_cell():
         with pytest.raises(error):
             local_reference(limit, u, dom, rule)
     # without the NaN both sum the +inf cell to +inf
-    nan_free = DeformationField.analytic(
-        lambda p: p, grad_fn=lambda p: np.nan_to_num(grad(p), nan=1.0), out_dim=2)
+    nan_free = field_with_gradient(lambda p: np.nan_to_num(grad(p), nan=1.0))
     assert local_reference(unchecked, nan_free, dom, rule) == math.inf
     assert reference_local_reference(unchecked, nan_free, dom, rule) == math.inf
 

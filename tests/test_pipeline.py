@@ -25,11 +25,11 @@ def quadratic_bond(dim):
 LIMITS = {dim: compute_blowup(quadratic_bond(dim)) for dim in (2, 3)}
 
 
-def reference_blowup(w, beta, x_ref, y_def, k_range=(4, 12), rel_tol=1e-7):
-    """The blow-up limit evaluated on every level of ``k_range``, of which
+def reference_blowup(w, beta, x_ref, y_def, rel_tol=1e-7):
+    """The blow-up limit evaluated on every level k = 4, ..., 12, of which
     the Cauchy test and the Aitken step read the finest three."""
     v = np.stack([np.asarray(w(2.0**-k * x_ref, 2.0**-k * y_def), dtype=float) / (2.0**-k) ** beta
-                  for k in range(k_range[0], k_range[1] + 1)])
+                  for k in range(4, 13)])
     assert np.all(np.isfinite(v))
     assert np.all(np.abs(v[-1] - v[-2]) <= rel_tol * (1.0 + np.abs(v[-1])))
     d2 = v[-1] - 2.0 * v[-2] + v[-3]
@@ -58,24 +58,21 @@ def test_blowup_wrong_degree_diverges():
 
 def test_blowup_slow_tail_needs_depth():
     # w(t x, t y) = t^2 |y|^2 (1 + t |x|): degree 2 with an O(t) correction.
-    # The default grid still moves by ~2^-12 at its finest t and is rejected;
-    # a deeper grid converges and the Aitken step removes the remaining tail.
+    # The grid still moves by ~2^-12 at its finest t and is rejected.
     w = PairwisePotential.from_radial_profile(
         lambda r, s: s * s * (1.0 + r), beta=2.0, ref_dim=2, def_dim=2
     )
     x, y = np.array([1.0, 0.0]), np.array([2.0, 0.0])
     with pytest.raises(BlowupError):
         blowup(w, 2.0, x, y)
-    assert blowup(w, 2.0, x, y, k_range=(20, 44)) == pytest.approx(4.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("profile, beta, k_range", [
-    (lambda r, s: s * s / (r * r), 0.0, (4, 12)),
-    (lambda r, s: s**4 / r**3, 1.0, (4, 12)),
-    (lambda r, s: s * s / (r * r) * (1.0 + 1e-4 * r), 0.0, (4, 12)),  # Aitken corrects
-    (lambda r, s: s * s * (1.0 + r), 2.0, (20, 44)),
-], ids=["p2q2", "p4q3", "tail", "slow-tail-deep"])
-def test_blowup_reads_three_finest_levels(profile, beta, k_range):
+@pytest.mark.parametrize("profile, beta", [
+    (lambda r, s: s * s / (r * r), 0.0),
+    (lambda r, s: s**4 / r**3, 1.0),
+    (lambda r, s: s * s / (r * r) * (1.0 + 1e-4 * r), 0.0),  # Aitken corrects
+], ids=["p2q2", "p4q3", "tail"])
+def test_blowup_reads_three_finest_levels(profile, beta):
     w = PairwisePotential.from_radial_profile(profile, ref_dim=2, def_dim=3)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((40, 2))
@@ -86,11 +83,9 @@ def test_blowup_reads_three_finest_levels(profile, beta, k_range):
         levels.append(round(-math.log2(np.max(np.abs(x_ref)) / np.max(np.abs(x)))))
         return w(x_ref, y_def)
 
-    got = blowup(counted, beta, x, y, k_range=k_range)
-    assert levels == [k_range[1] - 2, k_range[1] - 1, k_range[1]]
-    assert np.array_equal(got, reference_blowup(w, beta, x, y, k_range))
-    with pytest.raises(ValueError, match="three levels"):
-        blowup(w, beta, x, y, k_range=(k_range[1] - 1, k_range[1]))
+    got = blowup(counted, beta, x, y)
+    assert levels == [10, 11, 12]
+    assert np.array_equal(got, reference_blowup(w, beta, x, y))
 
 
 def test_compute_blowup_checks_every_level_at_reference_pair():

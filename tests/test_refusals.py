@@ -17,7 +17,13 @@ from peribond.convexify import (
     rank_one_convexify,
     strict_polyconvexity_probe,
 )
-from peribond.horizon import BoxDomain, DeformationField, nonlocal_energy, study_grids
+from peribond.horizon import (
+    BoxDomain,
+    DeformationField,
+    convergence_study,
+    nonlocal_energy,
+    study_grids,
+)
 from peribond.pipeline import BlowupError, compute_blowup, verify_limit_invariances
 from peribond.potentials import (
     ScalarProfile,
@@ -27,7 +33,7 @@ from peribond.potentials import (
     make_power_bond,
     make_profile_energy,
 )
-from peribond.quadrature import build_rule
+from peribond.quadrature import build_circle_rule, build_rule, build_sphere_rule
 from peribond.recoverability import (
     IndeterminateResidualError,
     default_test_matrices,
@@ -43,6 +49,14 @@ LATTICE = MatrixLattice(dim=1, bound=1.0, step=0.5)
 
 def energy(beta=0.0, delta=0.1, outer_margin=0.0):
     return nonlocal_energy(BOND, beta, delta, FIELD, DOM, outer_margin=outer_margin)
+
+
+def study(beta):
+    return convergence_study(BOND, beta, FIELD, (1.0, 1.0), [0.2, 0.1], 8)
+
+
+def invariances(trials):
+    return verify_limit_invariances(compute_blowup(BOND), np.eye(2), trials, build_rule(2, 8))
 
 
 def convexify(**kwargs):
@@ -89,6 +103,22 @@ def scan(beta):
     # with no row every density would be consistent
     (lambda: roundtrip_check(make_mooney_rivlin(1.0, 1.0, ScalarProfile.well()),
                              build_rule(3, 8), []), "test_set"),
+    # the degree is checked before the blow-up, which would raise BlowupError
+    (lambda: study(math.nan), "beta = nan"),
+    (lambda: study(None), "beta = None, dim = 2"),
+    # a bool or a fraction is no count: True would run once, 2.5 fail in range
+    (lambda: invariances(True), "trials = True"),
+    (lambda: invariances(2.5), "trials = 2.5"),
+    (lambda: default_test_matrices(2, randoms=True), "randoms = True"),
+    (lambda: default_test_matrices(2, randoms=1.5), "randoms = 1.5"),
+    (lambda: convexify(max_sweeps=True), "max_sweeps = True"),
+    (lambda: convexify(max_sweeps=2.5), "max_sweeps = 2.5"),
+    (lambda: strict_polyconvexity_probe(frobenius_squared(), trials=True, seed=0),
+     "trials = True"),
+    (lambda: strict_polyconvexity_probe(frobenius_squared(), trials=2.5, seed=0),
+     "trials = 2.5"),
+    (lambda: build_sphere_rule(3.0), "order = 3.0"),
+    (lambda: build_circle_rule(6.5), "points = 6.5"),
 ], ids=["energy-beta-nan", "energy-beta-inf", "energy-beta-none", "energy-delta-nan",
         "energy-delta-negative", "energy-margin-nan", "energy-margin-negative",
         "grids-side-inf", "grids-side-nan", "grids-horizon-past-half-box",
@@ -98,7 +128,11 @@ def scan(beta):
         "energy-degree-minus-dim", "energy-degree-below-minus-dim", "bond-c-negative",
         "bond-c-nan", "probe-seed-bool", "probe-seed-fraction",
         "convexify-seed-negative", "blowup-degree-conflict", "energy-degree-conflict",
-        "roundtrip-empty-battery"])
+        "roundtrip-empty-battery", "study-beta-nan", "study-beta-none",
+        "invariances-trials-bool", "invariances-trials-fraction", "battery-randoms-bool",
+        "battery-randoms-fraction", "convexify-sweeps-bool", "convexify-sweeps-fraction",
+        "probe-trials-bool", "probe-trials-fraction", "sphere-rule-float-order",
+        "circle-rule-fraction"])
 def test_library_refuses_and_names_the_argument(call, named):
     with pytest.raises(ValueError, match=named):
         call()
