@@ -8,7 +8,7 @@ integrals by nothing that matters.
 
 import numpy as np
 
-from peribond import build_circle_rule, build_sphere_rule, mean_over_sphere
+from peribond import build_circle_rule, build_sphere_rule
 
 circle = build_circle_rule(64)
 sphere = build_sphere_rule(32)
@@ -20,20 +20,21 @@ for rule, name in ((circle, "S^1"), (sphere, "S^2")):
 
 # second moments: mean z_j z_k = delta_jk / n
 for rule, name in ((circle, "S^1"), (sphere, "S^2")):
-    n = rule.dim
+    n, z = rule.dim, rule.nodes
     moments = np.array(
         [
-            [mean_over_sphere(rule, lambda z: z[:, j] * z[:, k]) for k in range(n)]
+            [rule.integrate(z[:, j] * z[:, k]) / rule.measure for k in range(n)]
             for j in range(n)
         ]
     )
     print(f"{name}: worst second-moment error {np.max(np.abs(moments - np.eye(n) / n)):.2e}")
 
 # quartic moments against closed forms
-print("circle mean cos^4:", mean_over_sphere(circle, lambda z: z[:, 0] ** 4), "(exact 3/8)")
-print("sphere mean z3^4 :", mean_over_sphere(sphere, lambda z: z[:, 2] ** 4), "(exact 1/5)")
+print("circle mean cos^4:", circle.integrate(circle.nodes[:, 0] ** 4) / circle.measure, "(exact 3/8)")
+print("sphere mean z3^4 :", sphere.integrate(sphere.nodes[:, 2] ** 4) / sphere.measure, "(exact 1/5)")
 
 # refinement: a smooth non-polynomial integrand converges fast
-f = lambda z: np.exp(z @ np.array([0.3, 0.5, 0.2]))
 for order in (8, 16, 32):
-    print(f"order {order:2d}: mean exp =", mean_over_sphere(build_sphere_rule(order), f))
+    rule = build_sphere_rule(order)
+    mean = rule.integrate(np.exp(rule.nodes @ np.array([0.3, 0.5, 0.2]))) / rule.measure
+    print(f"order {order:2d}: mean exp =", mean)

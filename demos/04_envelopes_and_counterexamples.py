@@ -44,7 +44,7 @@ print("polyconvexity probe on Mooney-Rivlin:",
 
 # Jensen margins: convex profiles of |A|^2 overshoot the identity
 rule = build_sphere_rule(32)
-suite = jensen_counterexample_suite(3, rule)
+suite = jensen_counterexample_suite(rule)
 for row in suite.rows:
     diag = tuple(float(x) for x in np.diag(row.matrix))
     print(f"jensen {row.case:9s} {row.profile:5s} at diag{diag}: "

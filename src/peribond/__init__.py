@@ -44,7 +44,7 @@ from .potentials import (
     make_power_bond,
     make_profile_energy,
 )
-from .quadrature import SphereQuadrature, build_circle_rule, build_rule, build_sphere_rule, mean_over_sphere, sphere_measure
+from .quadrature import SphereQuadrature, build_circle_rule, build_rule, build_sphere_rule, sphere_measure
 from .recoverability import (
     IndeterminateResidualError,
     RecoverabilityReport,
@@ -94,7 +94,6 @@ __all__ = [
     "make_neo_hookean",
     "make_power_bond",
     "make_profile_energy",
-    "mean_over_sphere",
     "mooney_rivlin_inequality_check",
     "nonlocal_energy",
     "rank_one_convexify",

@@ -472,8 +472,7 @@ def _task_gamma_limit(cfg: dict) -> tuple[dict, Iterator[str]]:
     check = pipeline.verify_limit_invariances(
         limit, np.diag(np.arange(1.0, dim + 1.0)), trials=50, rule=rule
     )
-    beta_ok = pot.beta is None or abs(beta_est - pot.beta) <= 1e-6
-    passed = check.passed and beta_ok
+    passed = check.passed and abs(beta_est - pot.beta) <= 1e-6
     summary = {
         "task": "gamma-limit",
         "potential": pot.describe(),
@@ -600,7 +599,7 @@ def _task_converge(cfg: dict) -> tuple[dict, Iterator[str]]:
 
 
 def _task_counterexamples(cfg: dict) -> tuple[dict, Iterator[str]]:
-    jensen = recoverability.jensen_counterexample_suite(3, build_rule(3, cfg["run"]["quad-order"]))
+    jensen = recoverability.jensen_counterexample_suite(build_rule(3, cfg["run"]["quad-order"]))
     # both scans conclude at their first stretch, lambda = 1
     lams = np.linspace(1.0, 100.0, 200)
     inequality = recoverability.mooney_rivlin_inequality_check

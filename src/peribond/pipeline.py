@@ -1,10 +1,10 @@
 """From a bond potential to the local zero-horizon energy density.
 
-The pipeline has three numerical stages: estimate (or accept) the
-homogeneity degree of the potential near zero separation, evaluate the
-small-scale limit w(t*x, t*y)/t^beta as t -> 0 on a geometric grid with
-extrapolation, and integrate that limit against directions on the unit
-sphere to obtain the local density. The quasiconvexification stage lives
+The pipeline has three numerical stages: take the homogeneity degree of
+the potential near zero separation (declared, passed, or estimated by
+:func:`estimate_beta`), evaluate the small-scale limit w(t*x, t*y)/t^beta
+as t -> 0 on a geometric grid with extrapolation, and integrate that limit
+against directions on the unit sphere to obtain the local density. The quasiconvexification stage lives
 in :mod:`peribond.convexify`.
 """
 
@@ -51,9 +51,10 @@ def blowup(w: PairwisePotential, beta: float, x_ref, y_def):
     Raises
     ------
     BlowupError
-        If the scaled values are not finite on those levels, or not Cauchy
-        within ``BLOWUP_REL_TOL`` (relative), which is what a wrong homogeneity
-        degree produces.
+        If the scaled values are not finite on those levels, or their last
+        step exceeds ``BLOWUP_REL_TOL * (1 + |v|)`` at the finest value v,
+        which is what a degree above the true one produces. A degree far
+        enough below it sends v to 0 and can pass.
     """
     k_max = DEFAULT_K_RANGE[1]
     v = _scaled_values(w, beta, x_ref, y_def, (k_max - 2, k_max))
@@ -136,11 +137,14 @@ class BlowupResult:
 
 
 def compute_blowup(w: PairwisePotential, beta: float | None = None) -> BlowupResult:
-    """Resolve the homogeneity degree and package the small-scale limit.
+    """Package the small-scale limit at the degree the potential declares or
+    ``beta`` passes.
 
-    The degree must be declared on the potential, passed explicitly, or
-    estimated here; a silent mismatch between a declared and a passed value
-    is an error because the horizon-scaling prefactor depends on it.
+    :meth:`PairwisePotential.degree` resolves the degree and refuses a
+    ``beta`` that is not a finite real number or conflicts with the declared
+    one, since the horizon-scaling prefactor depends on it. A potential that
+    declares no degree needs a ``beta``: pass :func:`estimate_beta`'s, else
+    ValueError.
 
     ``diagnostics`` samples every level of ``DEFAULT_K_RANGE`` at one reference
     offset pair; :class:`BlowupError` is raised here when one of those
@@ -148,7 +152,8 @@ def compute_blowup(w: PairwisePotential, beta: float | None = None) -> BlowupRes
     """
     beta_hat = w.degree(beta)
     if beta_hat is None:
-        beta_hat = estimate_beta(w)
+        raise ValueError(f"beta = None: the {w.kind!r} potential declares no degree; "
+                         "pass one, for instance estimate_beta(w)")
     beta_hat = float(beta_hat)
 
     def evaluate(x_ref, y_def):

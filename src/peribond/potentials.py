@@ -11,6 +11,7 @@ tests and probes, at the price of not being serializable.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -103,10 +104,13 @@ class PairwisePotential(_Model):
 
     def degree(self, beta: float | None = None) -> float | None:
         """The homogeneity degree: ``beta`` if given, else the declared one
-        (None when neither is). A ``beta`` more than 1e-9 from the declared
-        degree raises ValueError: the horizon scaling depends on it."""
+        (None when neither is). A ``beta`` that is a bool or not a finite
+        real number raises ValueError, and so does one more than 1e-9 from
+        the declared degree: the horizon scaling depends on it."""
         if beta is None:
             return self.beta
+        if isinstance(beta, bool) or not (isinstance(beta, numbers.Real) and math.isfinite(beta)):
+            raise ValueError(f"beta = {beta!r}: need a finite real degree")
         if self.beta is not None and abs(beta - self.beta) > 1e-9:
             raise ValueError(f"degree {beta!r} conflicts with the declared degree {self.beta!r}")
         return beta

@@ -127,24 +127,3 @@ def build_rule(dim: int, order: int) -> SphereQuadrature:
         return build_sphere_rule(order)
     raise ValueError(f"supported dimensions are 2 and 3, got {dim}")
 
-
-def mean_over_sphere(rule: SphereQuadrature, f) -> float:
-    """Mean integral of f over the sphere: sum(w_i f(z_i)) / sigma_{n-1}.
-
-    ``f`` is called once, on the (N, dim) node array, and its result must
-    broadcast to shape (N,): one value per node, or one constant. Any other
-    shape raises ValueError; whatever ``f`` raises propagates. Any +inf node
-    value makes the mean +inf; NaN raises.
-    """
-    values = np.asarray(f(rule.nodes), dtype=float)
-    try:
-        values = np.broadcast_to(values, (len(rule),))
-    except ValueError:
-        raise ValueError(
-            f"integrand returned shape {values.shape}; expected ({len(rule)},) "
-            "or a value that broadcasts to it"
-        ) from None
-    total = rule.integrate(values)
-    if math.isinf(total):
-        return total
-    return total / rule.measure

@@ -194,8 +194,9 @@ class JensenReport:
     all_ok: bool
 
 
-def jensen_counterexample_suite(dim: int, rule: SphereQuadrature) -> JensenReport:
-    """Counterexample margins that block whole families of densities.
+def jensen_counterexample_suite(rule: SphereQuadrature) -> JensenReport:
+    """Counterexample margins that block whole families of densities, on
+    ``rule.dim`` x ``rule.dim`` matrices.
 
     Each margin is the stretch mean of a density (the right side of the
     mean-value identity) minus a value at A. For W = g(|A|^2) that value is
@@ -206,8 +207,7 @@ def jensen_counterexample_suite(dim: int, rule: SphereQuadrature) -> JensenRepor
     dominates g(|A|^2 / sqrt(3)) on the volume-preserving stretches. A
     margin expected to be zero passes within 1e-10.
     """
-    if dim != rule.dim:
-        raise ValueError("suite dimension must match the quadrature rule")
+    dim = rule.dim
     rows = []
     stretch = np.diag([1.0, 2.0, 1.0][:dim])
     eye = np.eye(dim)

@@ -167,7 +167,7 @@ def test_criterion_5_incompressible_infinite_violation():
 
 def test_criterion_6_jensen_margins():
     rule = build_sphere_rule(32)
-    rep = jensen_counterexample_suite(3, rule)
+    rep = jensen_counterexample_suite(rule)
     by_key = {(r.profile, tuple(np.diag(r.matrix))): r for r in rep.rows if r.case == "frobenius"}
     strict = by_key[("t^2", (1.0, 2.0, 1.0))].margin
     flat = by_key[("t^2", (1.0, 1.0, 1.0))].margin

@@ -14,7 +14,7 @@ from peribond.pipeline import (
     verify_limit_invariances,
 )
 from peribond.potentials import PairwisePotential, make_power_bond
-from peribond.quadrature import build_circle_rule, build_rule, build_sphere_rule, mean_over_sphere
+from peribond.quadrature import build_circle_rule, build_rule, build_sphere_rule
 
 
 def quadratic_bond(dim):
@@ -122,7 +122,7 @@ def test_compute_blowup_estimates_when_unknown():
     w = PairwisePotential.from_radial_profile(
         lambda r, s: s**4 / r**2, ref_dim=2, def_dim=2
     )
-    limit = compute_blowup(w)
+    limit = compute_blowup(w, estimate_beta(w))
     assert limit.beta_hat == pytest.approx(2.0, abs=1e-6)
     assert limit.diagnostics["extrapolation_residual"] < 1e-10
 
@@ -193,10 +193,10 @@ def test_local_density_rectangular_gradient():
     )
     limit = compute_blowup(w)
     a = np.array([[1.0, 0.0], [0.0, 2.0], [0.5, 0.5]])
-    got = local_density(limit, a, build_circle_rule(64))
-    assert got == pytest.approx(2 * math.pi * mean_over_sphere(
-        build_circle_rule(64), lambda z: np.sum((z @ a.T) ** 2, axis=-1)
-    ), rel=1e-12)
+    rule = build_circle_rule(64)
+    got = local_density(limit, a, rule)
+    mean = rule.integrate(np.sum((rule.nodes @ a.T) ** 2, axis=-1)) / rule.measure
+    assert got == pytest.approx(2 * math.pi * mean, rel=1e-12)
 
 
 def test_local_density_quartic_profile():
@@ -229,9 +229,7 @@ def test_local_density_matches_sigma_times_mean():
     rule = build_sphere_rule(32)
     a = np.diag([1.0, 2.0, 0.5])
     integral = local_density(limit, a, rule)
-    mean = mean_over_sphere(
-        rule, lambda z: np.linalg.norm(z @ a.T, axis=-1) ** 4
-    )
+    mean = rule.integrate(np.linalg.norm(rule.nodes @ a.T, axis=-1) ** 4) / rule.measure
     assert integral == pytest.approx(rule.measure * mean, rel=1e-12)
 
 

@@ -11,7 +11,6 @@ from peribond.quadrature import (
     build_circle_rule,
     build_rule,
     build_sphere_rule,
-    mean_over_sphere,
     sphere_measure,
 )
 from conftest import rotations
@@ -110,16 +109,11 @@ def test_build_rule_dispatch():
         build_rule(4, 32)
 
 
-def test_mean_constant():
-    rule = build_circle_rule(16)
-    assert mean_over_sphere(rule, lambda z: 3.25) == pytest.approx(3.25)
-
-
 def test_mean_quadratic_identity():
     # oracle: mean |Az|^2 = |A|^2 / n by degree-2 exactness
     a = np.diag([1.0, 2.0])
     rule = build_circle_rule(64)
-    got = mean_over_sphere(rule, lambda z: np.sum((z @ a.T) ** 2, axis=-1))
+    got = rule.integrate(np.sum((rule.nodes @ a.T) ** 2, axis=-1)) / rule.measure
     assert got == pytest.approx(2.5, abs=1e-12)
 
 
@@ -127,36 +121,13 @@ def test_mean_infinity_absorbs():
     rule = build_circle_rule(8)
     values = np.zeros(8)
     values[3] = INF
-
-    def f(z):
-        return values
-
-    assert mean_over_sphere(rule, f) == INF
+    assert rule.integrate(values) / rule.measure == INF
 
 
 def test_mean_nan_is_error():
     rule = build_circle_rule(8)
     with pytest.raises(ValueError):
-        mean_over_sphere(rule, lambda z: np.full(len(rule), math.nan))
-
-
-def test_mean_error_propagates_from_single_call():
-    rule = build_sphere_rule(8)
-    calls = []
-
-    def f(z):
-        calls.append(z.shape)
-        raise ValueError("integrand failed")
-
-    with pytest.raises(ValueError, match="integrand failed"):
-        mean_over_sphere(rule, f)
-    assert calls == [(len(rule), 3)]
-
-
-def test_mean_rejects_result_of_wrong_shape():
-    rule = build_sphere_rule(8)
-    with pytest.raises(ValueError, match=r"\(128, 1\)"):
-        mean_over_sphere(rule, lambda z: z[:, 2:] ** 2)
+        rule.integrate(np.full(len(rule), math.nan))
 
 
 @pytest.mark.parametrize("dim,order", [(2, 20), (3, 20)])
@@ -171,8 +142,8 @@ def test_mean_rotation_invariance(dim, order, data):
         return np.exp(0.7 * z @ v)
 
     r = data.draw(rotations(dim))
-    base = mean_over_sphere(rule, smooth)
-    rotated = mean_over_sphere(rule, lambda z: smooth(z @ r.T))
+    base = rule.integrate(smooth(rule.nodes)) / rule.measure
+    rotated = rule.integrate(smooth(rule.nodes @ r.T)) / rule.measure
     assert abs(rotated - base) < 1e-8 * (1 + abs(base))
 
 
@@ -185,7 +156,7 @@ def test_refinement_convergence_on_builtin_density():
     def f(rule):
         t = np.linalg.norm(rule.nodes @ a.T, axis=-1)
         mats = t[:, None, None] * np.eye(3)
-        return mean_over_sphere(rule, lambda z: density(mats))
+        return rule.integrate(density(mats)) / rule.measure
 
     coarse, fine = f(build_sphere_rule(32)), f(build_sphere_rule(64))
     assert abs(coarse - fine) < 1e-8

@@ -189,7 +189,7 @@ def test_incompressibility_note_follows_the_model_not_its_label():
 
 
 def test_jensen_suite_margins():
-    report = jensen_counterexample_suite(3, RULE3)
+    report = jensen_counterexample_suite(RULE3)
     assert report.all_ok
     by_key = {(r.case, r.profile, tuple(np.diag(r.matrix))): r for r in report.rows}
     strict = by_key[("frobenius", "t^2", (1.0, 2.0, 1.0))]
@@ -204,7 +204,7 @@ def test_jensen_suite_margins():
 
 
 def test_jensen_suite_two_dimensional():
-    report = jensen_counterexample_suite(2, RULE2)
+    report = jensen_counterexample_suite(RULE2)
     assert report.all_ok
     assert all(r.case == "frobenius" for r in report.rows)
 
@@ -213,7 +213,7 @@ def test_jensen_suite_two_dimensional():
 @pytest.mark.parametrize("order", [16, 32, 64])
 def test_jensen_frobenius_margins_are_minus_the_residual(dim, order):
     rule = build_rule(dim, order)
-    rows = [r for r in jensen_counterexample_suite(dim, rule).rows if r.case == "frobenius"]
+    rows = [r for r in jensen_counterexample_suite(rule).rows if r.case == "frobenius"]
     assert len(rows) == 4
     for r in rows:
         sign = {"t^2": 1.0, "-t^2": -1.0}[r.profile]
@@ -224,7 +224,7 @@ def test_jensen_frobenius_margins_are_minus_the_residual(dim, order):
 @pytest.mark.parametrize("order", [16, 32, 64])
 def test_jensen_cofactor_margin_is_the_stretch_mean_less_a_quartic(order):
     rule = build_sphere_rule(order)
-    (row,) = [r for r in jensen_counterexample_suite(3, rule).rows if r.case == "cofactor"]
+    (row,) = [r for r in jensen_counterexample_suite(rule).rows if r.case == "cofactor"]
     cof2 = make_profile_energy("cof", ScalarProfile.power(1.0, 2.0))
     quartic = float(np.sum(row.matrix**2)) ** 2 / 3.0
     assert row.margin == pytest.approx(_stretch_mean(cof2, row.matrix, rule) - quartic, rel=1e-15)

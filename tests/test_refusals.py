@@ -6,6 +6,7 @@ that is NaN at a single evaluation."""
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from peribond.horizon import (
 )
 from peribond.pipeline import BlowupError, compute_blowup, verify_limit_invariances
 from peribond.potentials import (
+    PairwisePotential,
     ScalarProfile,
     custom_energy,
     frobenius_squared,
@@ -42,6 +44,7 @@ from peribond.recoverability import (
 )
 
 BOND = make_power_bond(1.0 / math.pi, 2.0, 2.0, dim=2)  # declares degree 0
+UNDECLARED = PairwisePotential.from_radial_profile(lambda r, s: s * s / (r * r), ref_dim=2, def_dim=2)
 FIELD = DeformationField.affine([[1.0, 0.0], [0.0, 2.0]])
 DOM = BoxDomain((1.0, 1.0), (40, 40))
 LATTICE = MatrixLattice(dim=1, bound=1.0, step=0.5)
@@ -119,6 +122,12 @@ def scan(beta):
      "trials = 2.5"),
     (lambda: build_sphere_rule(3.0), "order = 3.0"),
     (lambda: build_circle_rule(6.5), "points = 6.5"),
+    # refused before the blow-up, which would raise BlowupError or take False as 0
+    (lambda: compute_blowup(BOND, beta=math.nan), "beta = nan"),
+    (lambda: compute_blowup(UNDECLARED, beta=math.inf), "beta = inf"),
+    (lambda: compute_blowup(UNDECLARED, beta=False), "beta = False"),
+    # no degree is estimated unseen
+    (lambda: compute_blowup(UNDECLARED), "beta = None: .*'custom-radial'.*estimate_beta"),
 ], ids=["energy-beta-nan", "energy-beta-inf", "energy-beta-none", "energy-delta-nan",
         "energy-delta-negative", "energy-margin-nan", "energy-margin-negative",
         "grids-side-inf", "grids-side-nan", "grids-horizon-past-half-box",
@@ -132,7 +141,8 @@ def scan(beta):
         "invariances-trials-bool", "invariances-trials-fraction", "battery-randoms-bool",
         "battery-randoms-fraction", "convexify-sweeps-bool", "convexify-sweeps-fraction",
         "probe-trials-bool", "probe-trials-fraction", "sphere-rule-float-order",
-        "circle-rule-fraction"])
+        "circle-rule-fraction", "blowup-beta-nan", "undeclared-beta-inf",
+        "undeclared-beta-bool", "blowup-degree-unknown"])
 def test_library_refuses_and_names_the_argument(call, named):
     with pytest.raises(ValueError, match=named):
         call()
@@ -154,6 +164,22 @@ def test_roundtrip_refuses_a_battery_no_row_decides(invariant, dim):
 def test_a_degree_within_1e_9_of_the_declared_one_passes():
     assert compute_blowup(BOND, beta=5e-10).beta_hat == 5e-10
     assert energy(beta=-5e-10) == pytest.approx(energy(beta=0.0), rel=1e-8)
+
+
+@settings(max_examples=300)
+@given(declared=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+       passed=st.none() | st.booleans() | st.floats())
+def test_degree_is_the_passed_finite_float_or_the_declared_one(declared, passed):
+    bond = dataclasses.replace(UNDECLARED, beta=declared)
+    finite = passed is not None and not isinstance(passed, bool) and math.isfinite(passed)
+    if passed is None:
+        assert bond.degree(passed) is declared
+    elif finite and (declared is None or abs(passed - declared) <= 1e-9):
+        assert bond.degree(passed) is passed
+    else:
+        named = "conflicts with the declared degree" if finite else f"beta = {passed!r}"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            bond.degree(passed)
 
 
 class NaNAt:
