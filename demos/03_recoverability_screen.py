@@ -14,7 +14,6 @@ from peribond import (
     extract_candidate,
     make_incompressible_mr,
     make_mooney_rivlin,
-    recoverability_residual,
     roundtrip_check,
 )
 from peribond.potentials import affine_frobenius_squared, frobenius_power
@@ -44,4 +43,4 @@ inc = make_incompressible_mr(1.0, 1.0)
 a = np.diag([2.0, 0.5, 1.0])
 print("\nincompressible density at diag(2, 1/2, 1):", inc(a))
 print("residual (value minus sphere mean):",
-      recoverability_residual(inc, a, rule))
+      roundtrip_check(inc, rule, [a]).rows[0].residual)

@@ -22,7 +22,7 @@ from .horizon import (
     convergence_study,
     nonlocal_energy,
 )
-from .linalg import INF, cofactor, determinant, frobenius
+from .linalg import INF, cofactor, determinant
 from .pipeline import (
     BlowupError,
     BlowupResult,
@@ -52,7 +52,6 @@ from .recoverability import (
     extract_candidate,
     jensen_counterexample_suite,
     mooney_rivlin_inequality_check,
-    recoverability_residual,
     roundtrip_check,
 )
 
@@ -84,7 +83,6 @@ __all__ = [
     "determinant",
     "estimate_beta",
     "extract_candidate",
-    "frobenius",
     "frobenius_power",
     "frobenius_squared",
     "jensen_counterexample_suite",
@@ -97,7 +95,6 @@ __all__ = [
     "mooney_rivlin_inequality_check",
     "nonlocal_energy",
     "rank_one_convexify",
-    "recoverability_residual",
     "roundtrip_check",
     "sphere_measure",
     "strict_polyconvexity_probe",

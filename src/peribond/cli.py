@@ -480,12 +480,7 @@ def _task_gamma_limit(cfg: dict) -> tuple[dict, Iterator[str]]:
         "beta_estimated": beta_est,
         "limit": {"diagnostics": limit.diagnostics},
         "quadrature": rule.describe(),
-        "symmetry": {
-            "max_abs_deviation": check.max_abs_deviation,
-            "tolerance": check.tolerance,
-            "passed": check.passed,
-            "trials": check.trials,
-        },
+        "symmetry": asdict(check),
         "verdict": "pass" if passed else "fail",
     }
     return summary, _csv_table(["matrix_row_major", "local_density"], (labels, values))
@@ -563,7 +558,7 @@ def _task_convexify(cfg: dict) -> tuple[dict, Iterator[str]]:
     summary = {
         "task": "convexify",
         "density": density.describe(),
-        "lattice": {"dim": lat.dim, "mode": lat.mode, "bound": lat.bound, "step": lat.step},
+        "lattice": asdict(lat),
         "sweeps": result.sweeps,
         "last_decrement": result.last_decrement,
         "max_change_on_interior": change,
@@ -601,10 +596,8 @@ def _task_converge(cfg: dict) -> tuple[dict, Iterator[str]]:
 def _task_counterexamples(cfg: dict) -> tuple[dict, Iterator[str]]:
     jensen = recoverability.jensen_counterexample_suite(build_rule(3, cfg["run"]["quad-order"]))
     # both scans conclude at their first stretch, lambda = 1
-    lams = np.linspace(1.0, 100.0, 200)
-    inequality = recoverability.mooney_rivlin_inequality_check
-    scan_cof = inequality(1.0, ScalarProfile.power(0.0, 0.0), lams)
-    scan_growth = inequality(0.0, ScalarProfile.well(), lams)
+    scan_cof = recoverability.mooney_rivlin_inequality_check(1.0, ScalarProfile.power(0.0, 0.0))
+    scan_growth = recoverability.mooney_rivlin_inequality_check(0.0, ScalarProfile.well())
     confirmed = jensen.all_ok and scan_cof.found and scan_growth.found
     rows = []
     for r in jensen.rows:

@@ -18,7 +18,7 @@ sweep takes one batched hull per direction over all its chains at once.
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -426,7 +426,6 @@ class ProbeReport:
     convexity_violations: int
     strictness_violations: int
     min_gap: float
-    worst_case: dict = field(default_factory=dict)
 
     @property
     def clean(self) -> bool:
@@ -450,7 +449,6 @@ def strict_polyconvexity_probe(density: StoredEnergy, trials: int, seed: int) ->
     conv = 0
     strict = 0
     min_gap = INF
-    worst: dict = {}
     for _ in range(trials):
         a = normals(rng, 3, 3)
         u = normals(rng, 3)
@@ -464,11 +462,9 @@ def strict_polyconvexity_probe(density: StoredEnergy, trials: int, seed: int) ->
             continue  # an infinite endpoint makes the combination vacuous
         gap = 0.5 * (f_lo + f_hi) - f_mid
         scale = 1e-10 * (1.0 + abs(f_lo) + abs(f_hi) + abs(f_mid))
-        if gap < min_gap:
-            min_gap = gap
-            worst = {"matrix": a.tolist(), "direction": d.tolist(), "gap": gap}
+        min_gap = min(min_gap, gap)
         if gap < -scale:
             conv += 1
         elif gap <= scale:
             strict += 1
-    return ProbeReport(trials, conv, strict, min_gap, worst)
+    return ProbeReport(trials, conv, strict, min_gap)

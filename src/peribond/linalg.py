@@ -71,13 +71,6 @@ def _require_square(a: np.ndarray) -> int:
     return a.shape[-1]
 
 
-def frobenius(a) -> float | np.ndarray:
-    """Frobenius norm sqrt(sum of squared entries)."""
-    a = _as_matrix(a)
-    out = np.sqrt(np.sum(a * a, axis=(-2, -1)))
-    return float(out) if out.ndim == 0 else out
-
-
 def vector_norm(v) -> np.ndarray:
     """Euclidean norm over the last axis, of length 1 to 3: the square root
     of the squared components summed one after the other, in order.
@@ -182,14 +175,3 @@ def rotation_from_rng(dim: int, rng: random.Random) -> np.ndarray:
         # normalized 4-gaussian = uniform quaternion = Haar on SO(3)
         return rotation_from_quaternion(normals(rng, 4))
     raise ValueError(f"rotations supported for dim 2 and 3 only, got {dim}")
-
-
-def is_rotation(r, tol: float = 1e-12) -> bool:
-    """True if R R^T = I and det R = 1 within tol."""
-    r = np.asarray(r, dtype=float)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        return False
-    eye = np.eye(r.shape[0])
-    return bool(
-        np.max(np.abs(r @ r.T - eye)) <= tol and abs(determinant(r) - 1.0) <= tol
-    )

@@ -130,7 +130,6 @@ class BlowupResult:
     the extrapolation residual at a reference offset pair.
     """
 
-    potential: PairwisePotential
     beta_hat: float
     evaluate: Callable = field(repr=False)
     diagnostics: dict = field(default_factory=dict)
@@ -146,9 +145,10 @@ def compute_blowup(w: PairwisePotential, beta: float | None = None) -> BlowupRes
     declares no degree needs a ``beta``: pass :func:`estimate_beta`'s, else
     ValueError.
 
-    ``diagnostics`` samples every level of ``DEFAULT_K_RANGE`` at one reference
-    offset pair; :class:`BlowupError` is raised here when one of those
-    samples is not finite, since ``evaluate`` reads only the finest three.
+    The result keeps the degree, not the potential. ``diagnostics`` samples
+    every level of ``DEFAULT_K_RANGE`` at one reference offset pair;
+    :class:`BlowupError` is raised here when one of those samples is not
+    finite, since ``evaluate`` reads only the finest three.
     """
     beta_hat = w.degree(beta)
     if beta_hat is None:
@@ -173,7 +173,7 @@ def compute_blowup(w: PairwisePotential, beta: float | None = None) -> BlowupRes
         "scaled_samples": [float(s) for s in samples],
         "extrapolation_residual": float(abs(samples[-1] - samples[-2])),
     }
-    return BlowupResult(w, beta_hat, evaluate, diag)
+    return BlowupResult(beta_hat, evaluate, diag)
 
 
 def local_density(limit: BlowupResult, a, rule: SphereQuadrature):
@@ -208,7 +208,6 @@ def local_density(limit: BlowupResult, a, rule: SphereQuadrature):
 class SymmetryReport:
     """Outcome of the frame-indifference / isotropy check on the density."""
 
-    base_value: float
     max_abs_deviation: float
     tolerance: float
     passed: bool
@@ -226,7 +225,8 @@ def verify_limit_invariances(
     Compares the density at R1 A R2 against the density at A for the first
     ``trials`` of a fixed sequence of Haar rotation pairs (R1, R2), drawn
     from ``seeded(0)``; passes when the worst deviation stays below
-    1e-7 * (1 + |density(A)|).
+    1e-7 * (1 + |density(A)|). The report keeps the density at A only
+    through that tolerance.
     """
     if not is_integer(trials) or trials < 1:  # with no trial every density would pass
         raise ValueError(f"trials = {trials!r}: need an integer of at least 1")
@@ -240,4 +240,4 @@ def verify_limit_invariances(
         r2 = rotation_from_rng(n, rng)
         worst = max(worst, abs(local_density(limit, r1 @ a @ r2, rule) - base))
     tol = 1e-7 * (1.0 + abs(base))
-    return SymmetryReport(base, worst, tol, worst <= tol, trials)
+    return SymmetryReport(worst, tol, worst <= tol, trials)

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import INF, cofactor, determinant, frobenius, vector_norm
+from .linalg import INF, cofactor, determinant, vector_norm
 
 #: |det A - 1| tolerance for the incompressible branch; exact equality is
 #: meaningless in floating point. Reports quote this value.
@@ -266,7 +266,7 @@ def make_profile_energy(kind: str, g: ScalarProfile) -> StoredEnergy:
         )
     if kind == "cof":
         return StoredEnergy(
-            "profile-cof", {"g": g}, lambda a, g=g: g(frobenius(cofactor(a))), dim=3
+            "profile-cof", {"g": g}, lambda a, g=g: g(np.sqrt(_squares(cofactor(a)))), dim=3
         )
     if kind == "det":
         _check_det_profile("profile-det", g)

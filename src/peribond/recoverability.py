@@ -109,22 +109,6 @@ def _residual_row(density: StoredEnergy, a, rule: SphereQuadrature, rel_tol: flo
     return ResidualRow(a, lhs, rhs, residual, "finite", ok)
 
 
-def recoverability_residual(density: StoredEnergy, a, rule: SphereQuadrature) -> float:
-    """W(A) minus the sphere integral of the candidate profile at |Az|.
-
-    That integral is the sphere mean of W(|Az| I). Zero (up to quadrature
-    error) at every matrix characterizes densities that come from a radial
-    bond profile. A single infinite side returns an infinite residual; two
-    infinite sides raise :class:`IndeterminateResidualError`.
-    """
-    row = _residual_row(density, a, rule, RESIDUAL_REL_TOL)
-    if row.classification == "indeterminate":
-        raise IndeterminateResidualError(
-            "density is infinite at the matrix and on the scaled identities"
-        )
-    return row.residual
-
-
 def roundtrip_check(
     density: StoredEnergy,
     rule: SphereQuadrature,
@@ -139,6 +123,8 @@ def roundtrip_check(
     to 'violated', any one-sided infinity to 'infinite-violation'. An empty
     ``test_set`` raises ValueError; one whose every row is infinite on both
     sides raises :class:`IndeterminateResidualError`, since no row decides.
+    One matrix's residual W(A) minus the sphere mean of W(|Az| I) is a
+    one-row battery: ``roundtrip_check(density, rule, [a]).rows[0].residual``.
     """
     if not rel_tol >= 0:  # a negative tolerance fails every finite row
         raise ValueError(f"rel_tol must be at least 0, not {rel_tol!r}")
@@ -245,6 +231,10 @@ def cubic_mean_lower_constant() -> float:
     return 3.0**-1.5
 
 
+#: the stretches l of the large-stretch scan, 200 evenly spaced from 1 to 100
+STRETCH_GRID = tuple(np.linspace(1.0, 100.0, 200).tolist())
+
+
 @dataclass(frozen=True)
 class StretchScanReport:
     """Outcome of the large-stretch necessary-inequality scan."""
@@ -262,41 +252,37 @@ class StretchScanReport:
         return self.lambda_star is not None
 
 
-def mooney_rivlin_inequality_check(beta: float, g: ScalarProfile, lambda_list) -> StretchScanReport:
+def mooney_rivlin_inequality_check(beta: float, g: ScalarProfile) -> StretchScanReport:
     """Scan the stretch family diag(l, 1/l, (a/c)^(1/3)) for the inequality
     every recoverable Mooney-Rivlin-type density
     alpha |A|^2 + beta |cof A|^2 + g(det A) would have to satisfy.
 
-    The alpha |A|^2 term satisfies the mean-value identity on its own, so it
-    cancels from both sides and the scan takes no alpha. With beta > 0 the
-    cofactor term must dominate a quartic in |A|, which fails at a finite
-    stretch; with beta = 0 the scan looks for growth of g beyond its value at
-    the reference point (g must not be eventually constant for this branch
-    to conclude). The point a = 1 past which g is nondecreasing covers every
-    profile in the zoo; the constant c is the least sphere mean of |Az|^3 on
-    the unit Frobenius sphere, 3^(-3/2). The report keeps both.
+    The stretches l are ``STRETCH_GRID``; the first that violates the
+    inequality is ``lambda_star``. The alpha |A|^2 term satisfies the
+    mean-value identity on its own, so it cancels from both sides and the
+    scan takes no alpha. With beta > 0 the cofactor term must dominate a
+    quartic in |A|, which fails at a finite stretch; with beta = 0 the scan
+    looks for growth of g beyond its value at the reference point (g must
+    not be eventually constant for this branch to conclude). Both CLI scans,
+    beta = 1 with g = 0 and beta = 0 with the well profile, conclude at
+    l = 1. The point a = 1 past which g is nondecreasing covers every profile
+    in the zoo; the constant c is the least sphere mean of |Az|^3 on the unit
+    Frobenius sphere, 3^(-3/2). The report keeps both.
 
     Raises
     ------
     ValueError
-        If ``beta`` is negative or not finite, if ``lambda_list`` is empty or
-        holds a stretch that is not finite and positive, or if either side of
-        the inequality is NaN at a stretch.
+        If ``beta`` is negative or not finite, or if either side of the
+        inequality is NaN at a stretch.
     """
     if not (math.isfinite(beta) and beta >= 0):  # the branch reads beta > 0
         raise ValueError(f"beta = {beta!r}: need a finite number of at least 0")
-    lambda_list = [float(lam) for lam in lambda_list]
-    if not lambda_list:  # with nothing scanned every g would be inconclusive
-        raise ValueError("lambda_list is empty: need at least one stretch")
-    for lam in lambda_list:
-        if not (math.isfinite(lam) and lam > 0):
-            raise ValueError(f"stretch = {lam!r}: need a finite positive number")
     c_value = cubic_mean_lower_constant()
     ac = 1.0 / c_value
     lam_star = None
     lhs_fail = rhs_fail = None
     branch = "cof-term" if beta > 0 else "growth"
-    for lam in lambda_list:
+    for lam in STRETCH_GRID:
         if branch == "cof-term":
             lhs = beta * (1.0 + lam**2 * ac ** (2.0 / 3.0) + ac ** (2.0 / 3.0) / lam**2)
             lhs += float(g(ac ** (1.0 / 3.0)))

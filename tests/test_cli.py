@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peribond import cli, horizon
+from peribond import cli, horizon, pipeline
 from peribond import convexify as cvx
 from peribond.cli import (
     _TASK_RUNNERS,
@@ -526,6 +527,21 @@ def test_summary_describes_the_potential(tmp_path, task):
     summary = json.loads((out / "summary.json").read_text())
     described = build_model("potential", summary["config"]["potential"]).describe()
     assert summary["potential"] == described
+
+
+@pytest.mark.parametrize("task, section, result", [
+    ("gamma-limit", "symmetry", pipeline.SymmetryReport),
+    ("convexify", "lattice", cvx.MatrixLattice),
+])
+def test_report_sections_keep_every_result_field(tmp_path, task, section, result):
+    # a section built by hand can drop a field the computation filled in
+    cfg = tmp_path / f"{task}.ini"
+    cfg.write_text(f"[run]\ntask = {task}\nquad-order = 8\n\n"
+                   "[lattice]\nmode = diagonal\ndim = 3\nbound = 1\nstep = 0.5\n")
+    out = tmp_path / task
+    assert main(["--config", str(cfg), "--out", str(out), "--no-timestamp"]) in (0, 2)
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary[section]) == {f.name for f in dataclasses.fields(result)}
 
 
 def test_every_registry_model_describes_itself_in_plain_values():

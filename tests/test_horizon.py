@@ -698,7 +698,7 @@ def test_local_reference_raises_on_nan_after_inf_cell():
         with np.errstate(over="ignore", invalid="ignore"):
             return np.sum(y * y, -1) / np.sum(x * x, -1)
 
-    unchecked = BlowupResult(quadratic_bond(2), 0.0, bare_limit)
+    unchecked = BlowupResult(0.0, bare_limit)
     for limit, error in ((unchecked, ValueError),
                          (compute_blowup(quadratic_bond(2), 0.0), BlowupError)):
         with pytest.raises(error):

@@ -11,8 +11,6 @@ from peribond.linalg import (
     INF,
     cofactor,
     determinant,
-    frobenius,
-    is_rotation,
     matvec,
     rotation_from_rng,
     seeded,
@@ -36,19 +34,6 @@ def leibniz_det(a):
             prod *= a[i, perm[i]]
         total += sign * prod
     return total
-
-
-def test_frobenius_examples():
-    assert frobenius(np.diag([1.0, 2.0])) == pytest.approx(math.sqrt(5.0))
-    assert frobenius(np.zeros((3, 3))) == 0.0
-    assert frobenius(np.eye(3)) == pytest.approx(math.sqrt(3.0))
-
-
-def test_frobenius_zero_iff_zero():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        a = rng.standard_normal((3, 3))
-        assert (frobenius(a) == 0.0) == bool(np.all(a == 0.0))
 
 
 # values whose squares overflow to inf or underflow to (subnormal or) zero
@@ -157,8 +142,9 @@ def test_cofactor_multiplicative_under_rotation(data, n):
 @given(data=st.data(), n=st.sampled_from([2, 3]))
 def test_rotation_preserves_frobenius(data, n):
     r, a = rotation_and_matrix(data, n)
-    assert abs(frobenius(r @ a) - frobenius(a)) < 1e-12 * (1 + frobenius(a))
-    assert abs(frobenius(a @ r) - frobenius(a)) < 1e-12 * (1 + frobenius(a))
+    norm = np.linalg.norm(a)
+    assert abs(np.linalg.norm(r @ a) - norm) < 1e-12 * (1 + norm)
+    assert abs(np.linalg.norm(a @ r) - norm) < 1e-12 * (1 + norm)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -168,13 +154,12 @@ def test_random_rotation_invariants(dim, data):
     r = data.draw(rotations(dim))
     assert np.max(np.abs(r @ r.T - np.eye(dim))) < 1e-12
     assert abs(determinant(r) - 1.0) < 1e-12
-    assert is_rotation(r)
 
 
 def test_random_rotation_deterministic():
     # the Haar draw is a function of the generator's state
     first = rotation_from_rng(3, seeded(42))
-    assert is_rotation(first) and np.array_equal(first, rotation_from_rng(3, seeded(42)))
+    assert np.array_equal(first, rotation_from_rng(3, seeded(42)))
     assert not np.array_equal(first, rotation_from_rng(3, seeded(43)))
 
 
@@ -189,8 +174,6 @@ def test_square_only_operations():
         determinant(rect)
     with pytest.raises(ValueError):
         cofactor(rect)
-    with pytest.raises(ValueError):
-        frobenius(np.ones((4, 4)))
 
 
 def test_extended_real_absorption():
