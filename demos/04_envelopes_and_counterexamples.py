@@ -17,7 +17,6 @@ from peribond import (
     make_mooney_rivlin,
     mooney_rivlin_inequality_check,
     rank_one_convexify,
-    strict_polyconvexity_probe,
 )
 from peribond.potentials import custom_energy
 
@@ -36,11 +35,6 @@ env_mr = rank_one_convexify(mr, lattice_3d, tol=1e-6, max_sweeps=40)
 print("Mooney-Rivlin envelope change on the interior:",
       env_mr.max_change_on_interior(), f"({env_mr.sweeps} sweep(s))")
 print("note:", env_mr.note)
-
-# sampled necessary condition for strict polyconvexity
-probe = strict_polyconvexity_probe(mr, trials=5000, seed=0)
-print("polyconvexity probe on Mooney-Rivlin:",
-      "clean" if probe.clean else "violations", f"min gap {probe.min_gap:.3e}")
 
 # Jensen margins: convex profiles of |A|^2 overshoot the identity
 rule = build_sphere_rule(32)

@@ -9,12 +9,7 @@ Finite-horizon double-integral energies on box domains close the loop with
 direct horizon-to-zero convergence studies.
 """
 
-from .convexify import (
-    EnvelopeResult,
-    MatrixLattice,
-    rank_one_convexify,
-    strict_polyconvexity_probe,
-)
+from .convexify import EnvelopeResult, MatrixLattice, rank_one_convexify
 from .horizon import (
     BoxDomain,
     ConvergenceStudy,
@@ -26,7 +21,6 @@ from .linalg import INF, cofactor, determinant
 from .pipeline import (
     BlowupError,
     BlowupResult,
-    blowup,
     compute_blowup,
     estimate_beta,
     local_density,
@@ -72,7 +66,6 @@ __all__ = [
     "ScalarProfile",
     "SphereQuadrature",
     "StoredEnergy",
-    "blowup",
     "build_circle_rule",
     "build_rule",
     "build_sphere_rule",
@@ -97,6 +90,5 @@ __all__ = [
     "rank_one_convexify",
     "roundtrip_check",
     "sphere_measure",
-    "strict_polyconvexity_probe",
     "verify_limit_invariances",
 ]

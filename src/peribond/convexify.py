@@ -16,7 +16,6 @@ sweep takes one batched hull per direction over all its chains at once.
 """
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 
@@ -416,55 +415,3 @@ def rank_one_convexify(
             break
     converged = decrement <= tol
     return EnvelopeResult(lattice, values, initial, sweeps, decrement, converged)
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """Sampled necessary-condition check for strict polyconvexity."""
-
-    trials: int
-    convexity_violations: int
-    strictness_violations: int
-    min_gap: float
-
-    @property
-    def clean(self) -> bool:
-        return self.convexity_violations == 0 and self.strictness_violations == 0
-
-
-def strict_polyconvexity_probe(density: StoredEnergy, trials: int, seed: int) -> ProbeReport:
-    """Midpoint tests on 3x3 matrices along random segments whose minors
-    combine affinely.
-
-    Pairs differing by a rank-one matrix have midpoints whose minors are the
-    exact average of the endpoint minors, so strict polyconvexity forces a
-    strictly convex midpoint inequality there. This is a refutation sampler,
-    not a decision procedure: a clean report is evidence only. ``trials``
-    that is not an integer of at least 1 raises ValueError, since no trial
-    would report clean having tested nothing.
-    """
-    if not is_integer(trials) or trials < 1:
-        raise ValueError(f"trials = {trials!r}: need an integer of at least 1")
-    rng = seeded(seed)
-    conv = 0
-    strict = 0
-    min_gap = INF
-    for _ in range(trials):
-        a = normals(rng, 3, 3)
-        u = normals(rng, 3)
-        v = normals(rng, 3)
-        d = np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
-        d *= 0.2 + 0.8 * rng.random()
-        f_mid = density(a)
-        f_lo = density(a - d)
-        f_hi = density(a + d)
-        if math.isinf(f_lo) or math.isinf(f_hi) or math.isinf(f_mid):
-            continue  # an infinite endpoint makes the combination vacuous
-        gap = 0.5 * (f_lo + f_hi) - f_mid
-        scale = 1e-10 * (1.0 + abs(f_lo) + abs(f_hi) + abs(f_mid))
-        min_gap = min(min_gap, gap)
-        if gap < -scale:
-            conv += 1
-        elif gap <= scale:
-            strict += 1
-    return ProbeReport(trials, conv, strict, min_gap)

@@ -19,7 +19,8 @@ from .potentials import PairwisePotential
 from .quadrature import SphereQuadrature
 
 #: geometric grid t_k = 2^-k for the small-scale limit: the degree fit and
-#: the diagnostics read every level, :func:`blowup` the three finest.
+#: :func:`compute_blowup`'s diagnostics read every level, its ``evaluate``
+#: the three finest.
 DEFAULT_K_RANGE = (4, 12)
 
 #: relative Cauchy tolerance for accepting the limit.
@@ -41,8 +42,9 @@ def _scaled_values(w: PairwisePotential, beta: float, x_ref, y_def, k_range):
     return np.stack(out, axis=0)  # (levels, ...)
 
 
-def blowup(w: PairwisePotential, beta: float, x_ref, y_def):
-    """Numerical limit of w(t*x, t*y) / t^beta as t -> 0.
+def _blowup(w: PairwisePotential, beta: float, x_ref, y_def):
+    """Numerical limit of w(t*x, t*y) / t^beta as t -> 0, the kernel of
+    :func:`compute_blowup`'s ``evaluate``, which resolves ``beta`` first.
 
     Evaluates on the three finest levels t_k = 2^-k of ``DEFAULT_K_RANGE``,
     the only ones the Cauchy test and the Aitken step read.
@@ -137,7 +139,8 @@ class BlowupResult:
 
 def compute_blowup(w: PairwisePotential, beta: float | None = None) -> BlowupResult:
     """Package the small-scale limit at the degree the potential declares or
-    ``beta`` passes.
+    ``beta`` passes; the result's ``evaluate`` is the one public route to
+    that limit.
 
     :meth:`PairwisePotential.degree` resolves the degree and refuses a
     ``beta`` that is not a finite real number or conflicts with the declared
@@ -157,7 +160,7 @@ def compute_blowup(w: PairwisePotential, beta: float | None = None) -> BlowupRes
     beta_hat = float(beta_hat)
 
     def evaluate(x_ref, y_def):
-        return blowup(w, beta_hat, x_ref, y_def)
+        return _blowup(w, beta_hat, x_ref, y_def)
 
     x0 = np.zeros(w.ref_dim)
     x0[0] = 1.0

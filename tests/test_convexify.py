@@ -16,7 +16,6 @@ from peribond.convexify import (
     _largest_decrease,
     _random_direction_pass,
     rank_one_convexify,
-    strict_polyconvexity_probe,
 )
 from peribond.linalg import INF, normals, seeded
 from peribond.potentials import (
@@ -656,29 +655,3 @@ def test_envelope_monotone_and_interior_mask():
     mask = result.interior_mask
     assert mask.shape == result.values.shape
     assert not mask[0] and not mask[-1] and mask[1:-1].all()
-
-
-def test_probe_strictly_convex_clean():
-    report = strict_polyconvexity_probe(frobenius_squared(), 2000, 1)
-    assert report.clean
-    assert report.min_gap > 0.0
-
-
-def test_probe_concave_violations():
-    neg = custom_energy(lambda a: -np.sum(a * a, axis=(-2, -1)), "neg-frob2")
-    report = strict_polyconvexity_probe(neg, 2000, 1)
-    assert report.convexity_violations > 0
-    assert report.min_gap < 0.0
-
-
-def test_probe_linear_is_not_strict():
-    lin = custom_energy(lambda a: a[..., 0, 0], "linear")
-    report = strict_polyconvexity_probe(lin, 500, 1)
-    assert report.convexity_violations == 0
-    assert report.strictness_violations == 500
-
-
-def test_probe_mooney_rivlin_clean():
-    density = make_mooney_rivlin(1.0, 1.0, ScalarProfile.well())
-    report = strict_polyconvexity_probe(density, 10000, 3)
-    assert report.clean

@@ -24,7 +24,6 @@ import numpy as np
 import peribond, peribond.cli
 from peribond import DeformationField, BoxDomain, MatrixLattice, nonlocal_energy
 from peribond import frobenius_squared, make_power_bond, rank_one_convexify
-from peribond.convexify import strict_polyconvexity_probe
 from peribond.pipeline import compute_blowup, estimate_beta, verify_limit_invariances
 from peribond.quadrature import build_rule
 from peribond.recoverability import default_test_matrices
@@ -55,8 +54,6 @@ verify_limit_invariances(compute_blowup(w), np.eye(2), trials=2, rule=build_rule
 after("verify_limit_invariances")
 default_test_matrices(3)
 after("default_test_matrices")
-strict_polyconvexity_probe(frobenius_squared(), trials=2, seed=3)
-after("strict_polyconvexity_probe")
 SMALL = {  # every task, on the smallest config that still draws where the task draws
     "convexify": {"lattice": {"mode": "full", "dim": 2, "bound": 1.0, "step": 0.5,
                               "directions": 2}},
@@ -114,5 +111,5 @@ def test_numpy_random_never_loads():
     assert drew == dict.fromkeys([
         "import", "diagonal convexify", "affine energy", "analytic energy", "full convexify",
         "estimate_beta", "verify_limit_invariances", "default_test_matrices",
-        "strict_polyconvexity_probe", *(f"cli {task}" for task in TASKS),
+        *(f"cli {task}" for task in TASKS),
     ], False)

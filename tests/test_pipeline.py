@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peribond import pipeline
 from peribond.pipeline import (
     BlowupError,
-    blowup,
     compute_blowup,
     estimate_beta,
     local_density,
@@ -44,16 +44,16 @@ def test_blowup_homogeneous_is_identity():
     w = quadratic_bond(3)
     x = np.array([1.0, 0.5, -0.25])
     y = np.array([0.5, 2.0, 1.0])
-    assert blowup(w, 0.0, x, y) == pytest.approx(w(x, y), rel=1e-12)
+    assert pipeline._blowup(w, 0.0, x, y) == pytest.approx(w(x, y), rel=1e-12)
     w21 = make_power_bond(1.5, 2.0, 1.0, dim=2)
     x2, y2 = np.array([2.0, 0.0]), np.array([1.0, 1.0])
-    assert blowup(w21, 1.0, x2, y2) == pytest.approx(1.5 * 2.0 / 2.0, rel=1e-12)
+    assert pipeline._blowup(w21, 1.0, x2, y2) == pytest.approx(1.5 * 2.0 / 2.0, rel=1e-12)
 
 
 def test_blowup_wrong_degree_diverges():
     w = quadratic_bond(2)
     with pytest.raises(BlowupError):
-        blowup(w, 1.0, np.array([1.0, 0.0]), np.array([2.0, 0.0]))
+        pipeline._blowup(w, 1.0, np.array([1.0, 0.0]), np.array([2.0, 0.0]))
 
 
 def test_blowup_slow_tail_needs_depth():
@@ -64,7 +64,7 @@ def test_blowup_slow_tail_needs_depth():
     )
     x, y = np.array([1.0, 0.0]), np.array([2.0, 0.0])
     with pytest.raises(BlowupError):
-        blowup(w, 2.0, x, y)
+        pipeline._blowup(w, 2.0, x, y)
 
 
 @pytest.mark.parametrize("profile, beta", [
@@ -83,18 +83,18 @@ def test_blowup_reads_three_finest_levels(profile, beta):
         levels.append(round(-math.log2(np.max(np.abs(x_ref)) / np.max(np.abs(x)))))
         return w(x_ref, y_def)
 
-    got = blowup(counted, beta, x, y)
+    got = pipeline._blowup(counted, beta, x, y)
     assert levels == [10, 11, 12]
     assert np.array_equal(got, reference_blowup(w, beta, x, y))
 
 
 def test_compute_blowup_checks_every_level_at_reference_pair():
-    # not finite for |x| >= 2^-8: blowup reads t <= 2^-10 only and accepts
+    # not finite for |x| >= 2^-8: the kernel reads t <= 2^-10 only and accepts
     # the bond, compute_blowup samples every level and refuses it
     w = PairwisePotential.from_radial_profile(
         lambda r, s: np.where(r < 2.0**-8, s * s / (r * r), np.inf), ref_dim=2, def_dim=2
     )
-    assert blowup(w, 0.0, np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 4.0
+    assert pipeline._blowup(w, 0.0, np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 4.0
     with pytest.raises(BlowupError, match="reference offset pair"):
         compute_blowup(w, beta=0.0)
 

@@ -1,10 +1,12 @@
 """Library entry points refuse out-of-range arguments with a ValueError that
 names the argument, instead of running on and returning a vacuous result,
+refuse a degree that conflicts with the bond's on every public route,
 refuse a recoverability battery that no row decides, and refuse a model
 that is NaN at a single evaluation."""
 
 import dataclasses
 import functools
+import inspect
 import math
 import re
 
@@ -13,11 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peribond.convexify import (
-    MatrixLattice,
-    rank_one_convexify,
-    strict_polyconvexity_probe,
-)
+import peribond
+from peribond.convexify import MatrixLattice, rank_one_convexify
 from peribond.horizon import (
     BoxDomain,
     DeformationField,
@@ -85,7 +84,6 @@ def scan(beta):
     (lambda: convexify(tol=-1.0), "tol = -1.0"),
     (lambda: convexify(tol=math.nan), "tol = nan"),
     (lambda: convexify(max_sweeps=0), "max_sweeps = 0"),
-    (lambda: strict_polyconvexity_probe(frobenius_squared(), trials=0, seed=0), "trials = 0"),
     (lambda: build_rule(3, 2.5), "order = 2.5"),
     (lambda: build_rule(2, 2.5), "order = 2.5"),
     (lambda: scan(-1.0), "beta = -1.0"),
@@ -97,8 +95,6 @@ def scan(beta):
      "beta = -3.0, dim = 2"),
     (lambda: make_power_bond(-1, 2.0, 2.0), "c = -1"),
     (lambda: make_power_bond(math.nan, 2.0, 2.0), "c = nan"),
-    (lambda: strict_polyconvexity_probe(frobenius_squared(), trials=1, seed=True), "seed = True"),
-    (lambda: strict_polyconvexity_probe(frobenius_squared(), trials=1, seed=1.5), "seed = 1.5"),
     # refused although no dyad is drawn
     (lambda: convexify(directions=0, seed=-2), "seed = -2"),
     (lambda: compute_blowup(BOND, beta=1.0), "conflicts with the declared degree"),
@@ -116,10 +112,6 @@ def scan(beta):
     (lambda: default_test_matrices(2, randoms=1.5), "randoms = 1.5"),
     (lambda: convexify(max_sweeps=True), "max_sweeps = True"),
     (lambda: convexify(max_sweeps=2.5), "max_sweeps = 2.5"),
-    (lambda: strict_polyconvexity_probe(frobenius_squared(), trials=True, seed=0),
-     "trials = True"),
-    (lambda: strict_polyconvexity_probe(frobenius_squared(), trials=2.5, seed=0),
-     "trials = 2.5"),
     (lambda: build_sphere_rule(3.0), "order = 3.0"),
     (lambda: build_circle_rule(6.5), "points = 6.5"),
     # refused before the blow-up, which would raise BlowupError or take False as 0
@@ -132,20 +124,39 @@ def scan(beta):
         "energy-delta-negative", "energy-margin-nan", "energy-margin-negative",
         "grids-side-inf", "grids-side-nan", "grids-horizon-past-half-box",
         "grids-horizon-repeated", "convexify-tol-negative",
-        "convexify-tol-nan", "convexify-no-sweeps", "probe-no-trials", "sphere-order-fraction",
+        "convexify-tol-nan", "convexify-no-sweeps", "sphere-order-fraction",
         "circle-order-fraction", "scan-beta-negative", "scan-beta-nan", "scan-beta-inf",
         "energy-degree-minus-dim", "energy-degree-below-minus-dim", "bond-c-negative",
-        "bond-c-nan", "probe-seed-bool", "probe-seed-fraction",
-        "convexify-seed-negative", "blowup-degree-conflict", "energy-degree-conflict",
-        "roundtrip-empty-battery", "study-beta-nan", "study-beta-none",
+        "bond-c-nan", "convexify-seed-negative", "blowup-degree-conflict",
+        "energy-degree-conflict", "roundtrip-empty-battery", "study-beta-nan", "study-beta-none",
         "invariances-trials-bool", "invariances-trials-fraction", "battery-randoms-bool",
         "battery-randoms-fraction", "convexify-sweeps-bool", "convexify-sweeps-fraction",
-        "probe-trials-bool", "probe-trials-fraction", "sphere-rule-float-order",
-        "circle-rule-fraction", "blowup-beta-nan", "undeclared-beta-inf",
+        "sphere-rule-float-order", "circle-rule-fraction", "blowup-beta-nan", "undeclared-beta-inf",
         "undeclared-beta-bool", "blowup-degree-unknown"])
 def test_library_refuses_and_names_the_argument(call, named):
     with pytest.raises(ValueError, match=named):
         call()
+
+
+# every public function taking a bond w and a degree beta -> a minimal call
+DEGREE_ROUTES = {
+    "compute_blowup": lambda beta: compute_blowup(BOND, beta),
+    "nonlocal_energy": energy,
+    "convergence_study": study,
+}
+
+
+def test_no_public_route_skips_the_degree_contract():
+    # a route that takes beta unchecked returns a wrong value silently: at
+    # -2.5 the declared degree-0 bond's scaled limit is about 4e-25
+    routes = {name for name in peribond.__all__
+              if inspect.isfunction(getattr(peribond, name))
+              and {"w", "beta"} <= inspect.signature(getattr(peribond, name)).parameters.keys()}
+    assert routes == DEGREE_ROUTES.keys()
+    for call in DEGREE_ROUTES.values():
+        for beta in (1.0, -2.5):
+            with pytest.raises(ValueError, match="degree"):
+                call(beta)
 
 
 @pytest.mark.parametrize("invariant, dim", [("frobenius", 2), ("frobenius", 3), ("cof", 3)])
@@ -231,9 +242,6 @@ VERDICT_ENTRY_POINTS = {
     "verify_limit_invariances": (_invariances, BlowupError, BOND3.fn),
     "rank_one_convexify": (
         lambda f: rank_one_convexify(custom_energy(f), MatrixLattice(2, 1.0, 0.5, "full")),
-        ValueError, FROB2),
-    "strict_polyconvexity_probe": (
-        lambda f: strict_polyconvexity_probe(custom_energy(f), trials=5, seed=0),
         ValueError, FROB2),
     "mooney_rivlin_inequality_check-cof-term": (_scan(1.0), ValueError, ScalarProfile.well().fn),
     "mooney_rivlin_inequality_check-growth": (_scan(0.0), ValueError, ScalarProfile.well().fn),
