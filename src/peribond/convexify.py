@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import INF, is_integer, normals, seeded
+from .linalg import INF, is_integer, is_real, normals, seeded
 from .potentials import StoredEnergy
 
 #: Caveat attached to every envelope report: agreement of the rank-one
@@ -55,6 +55,8 @@ class MatrixLattice:
     def __post_init__(self):
         if self.mode not in ("full", "diagonal"):
             raise ValueError(f"unknown lattice mode {self.mode!r}")
+        if not (is_real(self.bound) and is_real(self.step)):
+            raise ValueError(f"bound = {self.bound!r}, step = {self.step!r}: need real numbers")
         if not (self.dim >= 1 and self.bound > 0 and self.step > 0):
             raise ValueError("dim, bound and step must be positive")
         if self.bound < 1:
@@ -275,9 +277,12 @@ def _chains(shape: tuple[int, ...], step: np.ndarray) -> np.ndarray:
     """
     shape = np.array(shape)
     step = np.asarray(step, dtype=int)
-    points = np.indices(shape).reshape(len(shape), -1).T
-    back = points - step
-    heads = points[np.any((back < 0) | (back >= shape), axis=1)]
+    # one boundary mask per axis, ORed by broadcasting: argwhere yields C order
+    is_head = np.zeros(tuple(shape), dtype=bool)
+    for axis, (n, s) in enumerate(zip(shape, step)):
+        back = np.arange(n) - s
+        is_head |= ((back < 0) | (back >= n)).reshape((n,) + (1,) * (len(shape) - 1 - axis))
+    heads = np.argwhere(is_head)
     moving = step != 0
     room = np.where(step > 0, shape - 1 - heads, heads)[:, moving] // np.abs(step[moving])
     lengths = room.min(axis=1) + 1
@@ -387,13 +392,13 @@ def rank_one_convexify(
     ------
     ValueError
         If ``directions`` is one :func:`check_directions` refuses, ``tol``
-        is negative or NaN, ``max_sweeps`` is not an integer of at least 1,
+        is a bool, negative or NaN, ``max_sweeps`` is not an integer of at least 1,
         or ``seed`` is one :func:`peribond.linalg.seeded` refuses, also when
         no dyad is drawn; and if the density is NaN or -inf at a lattice
         matrix.
     """
     check_directions(lattice, directions)
-    if not tol >= 0:  # a negative or NaN tolerance never stops the sweeps
+    if not (is_real(tol) and tol >= 0):  # a negative or NaN tolerance never stops the sweeps
         raise ValueError(f"tol = {tol!r}: need a number of at least 0")
     if not is_integer(max_sweeps) or max_sweeps < 1:
         raise ValueError(f"max_sweeps = {max_sweeps!r}: need an integer of at least 1")

@@ -16,20 +16,20 @@ same near-block path: it reads the pair differences from
 :meth:`DeformationField.difference`, which for an affine field is A times
 the offset whatever the point. So an affine field collapses the double sum
 to a single stencil pass and the diagonal blocks to one integral per way
-the box walls clip them.
+the box walls clip them. The local energy a convergence study compares
+against is one tensor Gauss-Legendre sum over the box per study.
 """
 
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .linalg import matvec, vector_norm
+from .linalg import is_real, matvec, vector_norm
 from .pipeline import BlowupResult, compute_blowup, local_density
 from .potentials import PairwisePotential
 from .quadrature import SphereQuadrature, build_rule, is_integer
@@ -49,10 +49,8 @@ _SLICE_Z, _SLICE_W = _slice_rule(24)
 # Gauss-Jacobi nodes along each near-block pyramid, from apex to wall
 _RADIAL_NODES = 4
 
-# chunk bounds of the batched horizon integrals: (center, node, axis)
-# entries per near-block chunk, (cell, node) pairs per local-density call
+# (center, node, axis) entries per near-block chunk
 _NEAR_CHUNK = 2**16
-_LOCAL_CHUNK = 2**15
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,7 @@ class BoxDomain:
         # a fractional cell count would skew every pair count of the grid
         if not all(is_integer(r) and r > 0 for r in self.resolution):
             raise ValueError(f"resolution = {self.resolution!r}: need positive integers")
-        if not all(math.isfinite(s) and s > 0 for s in self.sides):
+        if not all(is_real(s) and math.isfinite(s) and s > 0 for s in self.sides):
             raise ValueError(f"sides = {self.sides!r}: need finite positive lengths")
 
     @property
@@ -231,7 +229,7 @@ def _check_horizon(delta: float, dom: BoxDomain) -> None:
     """Refuse a horizon the grid of ``dom`` cannot carry: one that is not
     finite and positive, reaches half the shortest side or spans fewer than
     three cells of the widest spacing."""
-    if not (math.isfinite(delta) and delta > 0):
+    if not (is_real(delta) and math.isfinite(delta) and delta > 0):
         raise ValueError(f"delta = {delta!r}: need a finite positive horizon")
     if delta >= min(dom.sides) / 2.0:
         raise ValueError(
@@ -250,7 +248,7 @@ def check_degree(beta: float, dim: int) -> None:
     the prefactor (dim + beta) / delta^(dim + beta) positive, only if
     dim + beta > 0. A ``beta`` that is not a real number, None say, is
     refused too."""
-    if not (isinstance(beta, numbers.Real) and math.isfinite(beta) and dim + beta > 0):
+    if not (is_real(beta) and math.isfinite(beta) and dim + beta > 0):
         raise ValueError(f"beta = {beta!r}, dim = {dim!r}: need a finite degree with "
                          "dim + beta > 0, else the pair energy diverges at the diagonal")
 
@@ -444,7 +442,7 @@ def nonlocal_energy(
     ValueError
         If ``beta`` is not a finite real number, has dim + beta <= 0 or
         conflicts with the degree declared on ``w``; if ``delta`` is not
-        finite and positive, reaches half the shortest side or spans fewer
+        a finite positive real, reaches half the shortest side or spans fewer
         than three cells; if ``outer_margin`` is negative or not finite, or
         leaves no cells; if ``rule`` lives on another sphere; or if the
         far-field sum or the near-block sum of the bond density is NaN, so
@@ -522,21 +520,21 @@ class ConvergenceStudy:
         return self.rows[-1][4]
 
 
-def local_reference(
-    limit: BlowupResult, field: DeformationField, dom: BoxDomain, rule
-) -> float:
-    """Grid quadrature of the local density at the deformation gradient."""
+def local_reference(limit: BlowupResult, field: DeformationField, sides, rule) -> float:
+    """I_local: the local density at the deformation gradient, integrated
+    over the box [0, side_1] x ... An affine field gives the volume times
+    W(A); any other field a tensor Gauss-Legendre rule with quad-order // 4
+    nodes per axis, at least 2 (8 at the default order 32): ``rule.order //
+    8`` on the circle, ``rule.order // 4`` on the sphere. One local-density
+    call per node of the first axis bounds memory; every slab runs, so a NaN
+    raises even after a +inf slab."""
     if field.matrix is not None:
-        return float(np.prod(dom.sides)) * local_density(limit, field.matrix, rule)
-    grads = field.gradient(dom.centers())
-    grads = grads.reshape(-1, *grads.shape[-2:])
-    # stacked local densities, at most _LOCAL_CHUNK (cell, node) pairs per
-    # call; every chunk runs, so a NaN raises even after a +inf cell
-    step = max(1, _LOCAL_CHUNK // len(rule))
-    total = 0.0
-    for start in range(0, len(grads), step):
-        total += float(np.sum(local_density(limit, grads[start:start + step], rule)))
-    return total * dom.cell_volume
+        return float(np.prod(sides)) * local_density(limit, field.matrix, rule)
+    x, w = leggauss(max(2, rule.order // (8 if rule.dim == 2 else 4)))
+    points = np.stack(np.meshgrid(*[s * (x + 1.0) / 2.0 for s in sides], indexing="ij"), axis=-1)
+    weights = math.prod(np.meshgrid(*[s * w / 2.0 for s in sides], indexing="ij"))
+    return sum(float(np.sum(wts * local_density(limit, field.gradient(pts), rule)))
+               for pts, wts in zip(points, weights))
 
 
 def study_grids(sides, deltas, cells_per_horizon: int) -> list[tuple[float, BoxDomain]]:
@@ -588,9 +586,11 @@ def convergence_study(
 
     The grid is rebuilt for each horizon at ``cells_per_horizon`` cells per
     delta, so the discretization error stays a fixed small fraction of the
-    energy while the boundary-layer gap shrinks linearly. The one sphere
-    rule ``rule`` (default ``build_rule(dim, 32)``) serves both the near
-    block of each energy and the local reference.
+    energy while the boundary-layer gap shrinks linearly. The local energy
+    does not depend on the horizon: :func:`local_reference` computes it once
+    and every row reuses it. The one sphere rule ``rule`` (default
+    ``build_rule(dim, 32)``) serves the near block of each energy and the
+    local reference, and sizes the latter's Gauss rule over the box.
 
     Raises
     ------
@@ -601,12 +601,11 @@ def convergence_study(
     grids = study_grids(sides, deltas, cells_per_horizon)
     rule = rule if rule is not None else build_rule(len(sides), 32)
     check_degree(beta, len(sides))  # the blow-up would refuse a NaN without naming beta
-    limit = compute_blowup(w, beta)
+    reference = local_reference(compute_blowup(w, beta), field, grids[0][1].sides, rule)
     rows = []
     log_d, log_g = [], []
     for d, dom in grids:
         energy = nonlocal_energy(w, beta, d, field, dom, rule=rule)
-        reference = local_reference(limit, field, dom, rule)
         gap = abs(energy - reference)
         slope = math.nan
         if gap > 0:

@@ -15,6 +15,7 @@ imported.
 """
 
 import math
+import numbers
 import random
 
 import numpy as np
@@ -27,6 +28,11 @@ MAX_DIM = 3
 def is_integer(value) -> bool:
     """Whether ``value`` is an integer, Python's or numpy's, and not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number, Python's or numpy's, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def seeded(seed) -> random.Random:

@@ -11,13 +11,12 @@ tests and probes, at the price of not being serializable.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .linalg import INF, cofactor, determinant, vector_norm
+from .linalg import INF, cofactor, determinant, is_real, vector_norm
 
 #: |det A - 1| tolerance for the incompressible branch; exact equality is
 #: meaningless in floating point. Reports quote this value.
@@ -109,7 +108,7 @@ class PairwisePotential(_Model):
         the declared degree: the horizon scaling depends on it."""
         if beta is None:
             return self.beta
-        if isinstance(beta, bool) or not (isinstance(beta, numbers.Real) and math.isfinite(beta)):
+        if not (is_real(beta) and math.isfinite(beta)):
             raise ValueError(f"beta = {beta!r}: need a finite real degree")
         if self.beta is not None and abs(beta - self.beta) > 1e-9:
             raise ValueError(f"degree {beta!r} conflicts with the declared degree {self.beta!r}")
@@ -138,9 +137,10 @@ def make_power_bond(c: float, p: float, q: float, dim: int = 3) -> PairwisePoten
 
     Evaluation at a zero reference offset is an error: the bond density
     blows up at the origin and the diagonal never enters any integral here.
-    A coefficient ``c`` that is not finite and positive raises ValueError.
+    A coefficient ``c`` that is a bool or not finite and positive raises
+    ValueError.
     """
-    if not (math.isfinite(c) and c > 0):
+    if not (is_real(c) and math.isfinite(c) and c > 0):
         raise ValueError(f"c = {c!r}: need a finite positive coefficient")
 
     def profile(r, s, c=float(c), p=float(p), q=float(q)):

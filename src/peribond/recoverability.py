@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import is_integer, normals, seeded, vector_norm
+from .linalg import is_integer, is_real, normals, seeded, vector_norm
 from .potentials import DET_TOL, ScalarProfile, StoredEnergy, make_profile_energy
 from .quadrature import SphereQuadrature, sphere_measure
 
@@ -126,8 +126,8 @@ def roundtrip_check(
     One matrix's residual W(A) minus the sphere mean of W(|Az| I) is a
     one-row battery: ``roundtrip_check(density, rule, [a]).rows[0].residual``.
     """
-    if not rel_tol >= 0:  # a negative tolerance fails every finite row
-        raise ValueError(f"rel_tol must be at least 0, not {rel_tol!r}")
+    if not (is_real(rel_tol) and rel_tol >= 0):  # a negative tolerance fails every finite row
+        raise ValueError(f"rel_tol = {rel_tol!r}: need a real number of at least 0")
     if test_set is None:
         test_set = default_test_matrices(rule.dim)
     rows = [_residual_row(density, a, rule, rel_tol) for a in test_set]
@@ -272,10 +272,10 @@ def mooney_rivlin_inequality_check(beta: float, g: ScalarProfile) -> StretchScan
     Raises
     ------
     ValueError
-        If ``beta`` is negative or not finite, or if either side of the
+        If ``beta`` is a bool, negative or not finite, or if either side of the
         inequality is NaN at a stretch.
     """
-    if not (math.isfinite(beta) and beta >= 0):  # the branch reads beta > 0
+    if not (is_real(beta) and math.isfinite(beta) and beta >= 0):  # the branch reads beta > 0
         raise ValueError(f"beta = {beta!r}: need a finite number of at least 0")
     c_value = cubic_mean_lower_constant()
     ac = 1.0 / c_value

@@ -91,6 +91,26 @@ def reference_iter_lines(shape, step):
             yield chain
 
 
+def reference_chains(shape, step):
+    """The chain table with its heads found by testing all P lattice points
+    (``np.indices``), against which the per-axis boundary masks are checked."""
+    shape = np.array(shape)
+    step = np.asarray(step, dtype=int)
+    points = np.indices(shape).reshape(len(shape), -1).T
+    back = points - step
+    heads = points[np.any((back < 0) | (back >= shape), axis=1)]
+    moving = step != 0
+    room = np.where(step > 0, shape - 1 - heads, heads)[:, moving] // np.abs(step[moving])
+    lengths = room.min(axis=1) + 1
+    keep = lengths >= 2
+    heads, lengths = heads[keep], lengths[keep]
+    strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)
+    slots = np.arange(lengths.max())
+    table = (heads @ strides)[:, None] + (step @ strides) * slots
+    table[slots >= lengths[:, None]] = np.prod(shape)
+    return table
+
+
 def reference_sweep_step(values, step):
     """Reference hull pass in one direction: the per-chain hull on 1D slices
     for unit axis steps, on the point-by-point chain walk otherwise."""
@@ -227,6 +247,18 @@ def test_chain_tables_match_point_walk(lattice):
             for chain in reference_iter_lines(shape, step)
         ]
         assert got == want, step
+
+
+@pytest.mark.parametrize("lattice", [
+    MatrixLattice(dim=3, bound=1.5, step=0.05, mode="diagonal"),
+    MatrixLattice(dim=2, bound=1.0, step=0.25, mode="full"),
+], ids=["diagonal-61^3", "full-9^4"])
+def test_chain_heads_from_boundary_masks_match_all_points(lattice):
+    shape = (lattice.points_per_axis,) * lattice.axes
+    assert lattice.points_per_axis in (61, 9)
+    for step in lattice.directions():
+        got, want = _chains(shape, step), reference_chains(shape, step)
+        assert got.dtype == want.dtype and np.array_equal(got, want), step
 
 
 def well_with_inf_patch(m):

@@ -110,13 +110,16 @@ def midpoint_near_block(w, field, dom, x0, per_half_cell):
     return total * float(np.prod(step))
 
 
-def reference_local_reference(limit, field, dom, rule):
-    """The local reference of a non-affine field, one cell at a time."""
-    grads = field.gradient(dom.centers())
+def pointwise_local_reference(limit, field, sides, rule):
+    """The local reference of a non-affine field on its tensor Gauss rule
+    over the box, one node at a time."""
+    x, w = leggauss(max(2, rule.order // (8 if rule.dim == 2 else 4)))
     total = 0.0
-    for g in grads.reshape(-1, *grads.shape[-2:]):
-        total += local_density(limit, g, rule)
-    return total * dom.cell_volume
+    for index in itertools.product(range(len(x)), repeat=len(sides)):
+        point = np.array([[s * (x[i] + 1.0) / 2.0 for s, i in zip(sides, index)]])
+        weight = math.prod(s * w[i] / 2.0 for s, i in zip(sides, index))
+        total += weight * local_density(limit, field.gradient(point)[0], rule)
+    return total
 
 
 def reference_circle_box_area(a1, b1, a2, b2, radius):
@@ -246,12 +249,13 @@ def test_analytic_3d_field_without_out_dim():
     assert np.allclose(u.evaluate(pts), pts)
     assert u.out_dim == 3
     assert np.allclose(u.gradient(pts), np.eye(3), atol=1e-8)
-    # per-cell local reference on a fresh field; the central-difference
-    # gradients carry a rounding error of about 1e-10
+    # local reference on a fresh field; the central-difference gradients
+    # carry a rounding error of about 1e-10
     fresh = DeformationField.analytic(lambda p: p @ np.eye(3).T)
     limit = compute_blowup(quadratic_bond(3), 0.0)
     dom = BoxDomain((1.0, 1.0, 1.0), (2, 2, 2))
-    assert local_reference(limit, fresh, dom, build_rule(3, 16)) == pytest.approx(3.0, rel=1e-8)
+    got = local_reference(limit, fresh, dom.sides, build_rule(3, 16))
+    assert got == pytest.approx(3.0, rel=1e-8)
 
 
 def test_zero_field_energy_is_zero():
@@ -662,29 +666,81 @@ def test_pyramid_nodes_fill_the_block(lo, hi):
             assert float(np.sum(wts)) == pytest.approx(float(np.prod(lo + hi)), rel=1e-14)
 
 
+def sine_field(a, b, dim):
+    """u = (x + a sin 2y, y + b x^2, z): under the quadratic bond its local
+    density is |grad u|^2 = dim + 4 a^2 cos^2 2y + 4 b^2 x^2."""
+    return DeformationField.analytic(lambda p: np.concatenate([
+        np.stack([p[..., 0] + a * np.sin(2.0 * p[..., 1]), p[..., 1] + b * p[..., 0] ** 2], -1),
+        p[..., 2:]], axis=-1))
+
+
+def sine_field_local_energy(a, b, sides):
+    """Closed form of the integral of |grad u|^2 over the box: on the unit
+    square 2 + 4 a^2 (1/2 + sin 4 / 8) + 4 b^2 / 3."""
+    x, y, rest = sides[0], sides[1], math.prod(sides[2:])
+    return rest * (len(sides) * x * y + 4 * a * a * x * (y / 2 + math.sin(4 * y) / 8)
+                   + 4 * b * b * y * x ** 3 / 3)
+
+
+@pytest.mark.parametrize("dim, examples", [(2, 25), (3, 10)])
+def test_study_local_energy_matches_closed_form(dim, examples):
+    # 1e-9 leaves room for the central-difference gradient, about 5e-11 off;
+    # the one horizon keeps the grid small
+    @settings(max_examples=examples, deadline=None)
+    @given(a=st.floats(-0.2, 0.2), b=st.floats(-0.2, 0.2),
+           sides=st.lists(st.floats(0.5, 1.5), min_size=dim, max_size=dim))
+    def check(a, b, sides):
+        study = convergence_study(quadratic_bond(dim), 0.0, sine_field(a, b, dim), sides,
+                                  [min(sides) / 2.2], cells_per_horizon=4)
+        want = sine_field_local_energy(a, b, sides)
+        assert abs(study.rows[0][2] - want) <= 1e-9 * want
+
+    check()
+
+
 @pytest.mark.parametrize("dim", [2, 3])
-def test_local_reference_matches_per_cell_loop(dim):
-    # more cells than one chunk (512 cells in 2D, 16 in 3D), the last partial
-    if dim == 2:
-        dom, u = BoxDomain((1.0, 1.0), (40, 40)), analytic_2d()
-    else:
-        dom = BoxDomain((1.0, 1.0, 1.0), (6, 5, 7))
-        u = DeformationField.analytic(lambda p: p + 0.1 * np.sin(p[..., ::-1]) ** 2)
-    limit, rule = compute_blowup(quadratic_bond(dim), 0.0), build_rule(dim, 32)
-    got = local_reference(limit, u, dom, rule)
-    want = reference_local_reference(limit, u, dom, rule)
+def test_affine_local_reference_is_volume_times_density(dim):
+    a = np.diag([1.0, 2.0, 1.5][:dim]) + 0.1
+    limit, rule = compute_blowup(quadratic_bond(dim), 0.0), build_rule(dim, 16)
+    sides = (0.7, 1.3, 0.9)[:dim]
+    got = local_reference(limit, DeformationField.affine(a), sides, rule)
+    assert got == float(np.prod(sides)) * local_density(limit, a, rule)
+
+
+def test_study_computes_local_reference_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return local_reference(*args)
+
+    monkeypatch.setattr(horizon, "local_reference", counted)
+    study = convergence_study(quadratic_bond(2), 0.0, sine_field(0.1, 0.1, 2), (1.0, 1.0),
+                              [0.2, 0.15, 0.1], cells_per_horizon=4)
+    assert len(calls) == 1
+    assert len({row[2] for row in study.rows}) == 1
+
+
+@pytest.mark.parametrize("dim, order", [(2, 32), (3, 32), (2, 4), (3, 2)])
+def test_local_reference_slabs_match_pointwise_loop(dim, order):
+    # 8 nodes per axis at order 32, the floor of 2 at the lowest orders
+    u = DeformationField.analytic(lambda p: p + 0.1 * np.sin(p[..., ::-1]) ** 2)
+    limit, rule = compute_blowup(quadratic_bond(dim), 0.0), build_rule(dim, order)
+    sides = (1.0, 0.6, 1.4)[:dim]
+    got = local_reference(limit, u, sides, rule)
+    want = pointwise_local_reference(limit, u, sides, rule)
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def test_local_reference_raises_on_nan_after_inf_cell():
-    # cell 0 has an infinite gradient and cell 1000 (a later chunk) a NaN
-    # one: the loop sums +inf, then raises on the NaN, and so must the chunks
-    dom = BoxDomain((1.0, 1.0), (32, 32))
-
+def test_local_reference_raises_on_nan_after_inf_slab():
+    # 8 Gauss nodes per axis: the first slab, x = 0.020, holds one node with
+    # an infinite gradient and the last, x = 0.980, one with a NaN gradient.
+    # The slabs sum +inf, then raise on the NaN.
     def grad(p):
         g = np.broadcast_to(np.eye(2), p.shape[:-1] + (2, 2)).copy()
-        flat = g.reshape(-1, 2, 2)
-        flat[0, 0, 0], flat[1000, 0, 0] = math.inf, math.nan
+        x, y = p[..., 0], p[..., 1]
+        g[(x < 0.1) & (y < 0.1), 0, 0] = math.inf
+        g[(x > 0.9) & (y > 0.9), 0, 0] = math.nan
         return g
 
     def field_with_gradient(gradient):
@@ -693,7 +749,7 @@ def test_local_reference_raises_on_nan_after_inf_cell():
         return u
 
     u = field_with_gradient(grad)
-    rule = build_rule(2, 32)
+    rule, sides = build_rule(2, 32), (1.0, 1.0)
     def bare_limit(x, y):  # the limit without the blow-up's finiteness check
         with np.errstate(over="ignore", invalid="ignore"):
             return np.sum(y * y, -1) / np.sum(x * x, -1)
@@ -702,13 +758,13 @@ def test_local_reference_raises_on_nan_after_inf_cell():
     for limit, error in ((unchecked, ValueError),
                          (compute_blowup(quadratic_bond(2), 0.0), BlowupError)):
         with pytest.raises(error):
-            reference_local_reference(limit, u, dom, rule)
+            pointwise_local_reference(limit, u, sides, rule)
         with pytest.raises(error):
-            local_reference(limit, u, dom, rule)
-    # without the NaN both sum the +inf cell to +inf
+            local_reference(limit, u, sides, rule)
+    # without the NaN both sum the +inf node to +inf
     nan_free = field_with_gradient(lambda p: np.nan_to_num(grad(p), nan=1.0))
-    assert local_reference(unchecked, nan_free, dom, rule) == math.inf
-    assert reference_local_reference(unchecked, nan_free, dom, rule) == math.inf
+    assert local_reference(unchecked, nan_free, sides, rule) == math.inf
+    assert pointwise_local_reference(unchecked, nan_free, sides, rule) == math.inf
 
 
 def test_three_dimensional_study_reaches_small_horizons():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from peribond.linalg import (
     INF,
     cofactor,
     determinant,
+    is_real,
     matvec,
     rotation_from_rng,
     seeded,
@@ -201,3 +203,10 @@ def test_matvec_bits_do_not_depend_on_the_batch(m, n):
     assert np.allclose(whole, v @ a.T, rtol=1e-14, atol=1e-14)
     with pytest.raises(ValueError, match="cannot apply"):
         matvec(a, v[..., :n - 1] if n > 1 else np.ones((4, 2)))
+
+
+def test_is_real_takes_real_numbers_and_refuses_bools():
+    for value in (1, 1.5, -math.inf, math.nan, Fraction(1, 3), np.float32(2.0), np.int8(3)):
+        assert is_real(value), value
+    for value in (True, False, np.bool_(True), None, "1.0", 1j, np.array([1.0])):
+        assert not is_real(value), value

@@ -120,6 +120,15 @@ def scan(beta):
     (lambda: compute_blowup(UNDECLARED, beta=False), "beta = False"),
     # no degree is estimated unseen
     (lambda: compute_blowup(UNDECLARED), "beta = None: .*'custom-radial'.*estimate_beta"),
+    # a bool is no real number: each of these would run as if 1.0 were passed
+    (lambda: make_power_bond(True, 2.0, 2.0, dim=2), "c = True"),
+    (lambda: roundtrip_check(frobenius_squared(), build_rule(3, 4), rel_tol=True),
+     "rel_tol = True"),
+    (lambda: MatrixLattice(dim=2, bound=True, step=0.5), "bound = True"),
+    (lambda: convexify(tol=True), "tol = True"),
+    (lambda: BoxDomain((True, 1.0), (8, 8)), r"sides = \(True, 1.0\)"),
+    (lambda: energy(delta=True), "delta = True"),
+    (lambda: scan(True), "beta = True"),
 ], ids=["energy-beta-nan", "energy-beta-inf", "energy-beta-none", "energy-delta-nan",
         "energy-delta-negative", "energy-margin-nan", "energy-margin-negative",
         "grids-side-inf", "grids-side-nan", "grids-horizon-past-half-box",
@@ -132,7 +141,9 @@ def scan(beta):
         "invariances-trials-bool", "invariances-trials-fraction", "battery-randoms-bool",
         "battery-randoms-fraction", "convexify-sweeps-bool", "convexify-sweeps-fraction",
         "sphere-rule-float-order", "circle-rule-fraction", "blowup-beta-nan", "undeclared-beta-inf",
-        "undeclared-beta-bool", "blowup-degree-unknown"])
+        "undeclared-beta-bool", "blowup-degree-unknown", "bond-c-bool", "roundtrip-tol-bool",
+        "lattice-bound-bool", "convexify-tol-bool", "box-side-bool", "energy-delta-bool",
+        "scan-beta-bool"])
 def test_library_refuses_and_names_the_argument(call, named):
     with pytest.raises(ValueError, match=named):
         call()
