@@ -9,21 +9,15 @@ measures.
 
 import numpy as np
 
-from peribond import BoxDomain, DeformationField, convergence_study, make_power_bond, nonlocal_energy
+from peribond import DeformationField, convergence_study, make_power_bond
 
 w = make_power_bond(2 / (2 * np.pi), 2, 2, dim=2)
 gradient = np.diag([1.0, 2.0])
 field = DeformationField.affine(gradient)
 
-# a single horizon, restricted to the interior where the identity is sharp
-dom = BoxDomain((1.0, 1.0), (80, 80))
-energy = nonlocal_energy(w, 0.0, 0.1, field, dom, outer_margin=0.1)
-print("interior-restricted energy at delta = 0.1:", energy)
-print("covered area times |A|^2              :", (64 * 0.0125) ** 2 * 5.0)
-
 # the full study: gaps halve with the horizon
 study = convergence_study(w, 0.0, field, (1.0, 1.0), [0.2, 0.1, 0.05, 0.025])
-print("\n  delta     I_delta     I_local        gap    running slope")
+print("  delta     I_delta     I_local        gap    running slope")
 for d, e, ref, gap, slope in study.rows:
     print(f"  {d:5.3f}  {e:10.6f}  {ref:10.6f}  {gap:9.6f}  {slope:9.4f}")
 print("fitted slope:", study.fitted_slope)

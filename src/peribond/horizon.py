@@ -1,12 +1,13 @@
 """Finite-horizon bond energies on gridded box domains.
 
-The scaled double integral over interacting pairs is evaluated with a
-midpoint-rule double sum over grid cells. Two refinements keep the error
-well below the boundary-layer gap the convergence studies measure: cells
-straddling the interaction sphere |x - x'| = delta enter with their exact
-covered area or volume instead of an all-or-nothing center test (a closed
-form in 2D, that form integrated over slices in 3D), and the block of cells
-around the diagonal is integrated over its wall pyramids. Each center's
+The scaled double integral over the interacting pairs of the whole box,
+Omega x Omega, is evaluated with a midpoint-rule double sum over its grid
+cells. Two refinements keep the error well below the boundary-layer gap
+the convergence studies measure: cells straddling the interaction sphere
+|x - x'| = delta enter with their exact covered area or volume instead of
+an all-or-nothing center test (a closed form in 2D, that form integrated
+over slices in 3D), and the block of cells around the diagonal is
+integrated over its wall pyramids. Each center's
 block, clipped to the box, splits into one pyramid per wall with its apex
 at the center (Duffy, SIAM J. Numer. Anal. 19, 1982); a Gauss-Jacobi rule
 along the apex-to-wall segment absorbs the r^(dim-1) volume factor and the
@@ -83,13 +84,9 @@ class BoxDomain:
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
-    def axis_centers(self, axis: int) -> np.ndarray:
-        h = self.sides[axis] / self.resolution[axis]
-        return h * (np.arange(self.resolution[axis]) + 0.5)
-
     def centers(self) -> np.ndarray:
         """Cell centers, shape (*resolution, dim)."""
-        axes = [self.axis_centers(k) for k in range(self.dim)]
+        axes = [s / n * (np.arange(n) + 0.5) for s, n in zip(self.sides, self.resolution)]
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack(grids, axis=-1)
 
@@ -211,20 +208,6 @@ def _offset_stencil(dom: BoxDomain, delta: float):
             for kk, c in zip(k[keep].tolist(), cov[keep].tolist())]
 
 
-def _margin_cells(dom: BoxDomain, margin: float) -> list[int]:
-    """Excluded boundary cells per axis so centers sit >= margin from the wall."""
-    if not (math.isfinite(margin) and margin >= 0):
-        raise ValueError(f"outer_margin = {margin!r}: need a finite number of at least 0")
-    out = []
-    for j in range(dom.dim):
-        h = dom.spacing[j]
-        m = max(0, int(math.ceil(margin / h - 0.5 - 1e-12)))
-        if 2 * m >= dom.resolution[j]:
-            raise ValueError("outer margin leaves no cells in the domain")
-        out.append(m)
-    return out
-
-
 def _check_horizon(delta: float, dom: BoxDomain) -> None:
     """Refuse a horizon the grid of ``dom`` cannot carry: one that is not
     finite and positive, reaches half the shortest side or spans fewer than
@@ -251,18 +234,6 @@ def check_degree(beta: float, dim: int) -> None:
     if not (is_real(beta) and math.isfinite(beta) and dim + beta > 0):
         raise ValueError(f"beta = {beta!r}, dim = {dim!r}: need a finite degree with "
                          "dim + beta > 0, else the pair energy diverges at the diagonal")
-
-
-def _pair_ranges(res, k, margins):
-    """Per axis, the first and last outer cell whose partner at offset ``k``
-    lies in the box too; None when an axis has no such cell."""
-    ranges = []
-    for n, kj, m in zip(res, k, margins):
-        lo, hi = max(m, -kj), min(n - 1 - m, n - 1 - kj)
-        if hi < lo:
-            return None
-        ranges.append((lo, hi))
-    return ranges
 
 
 @functools.lru_cache(maxsize=64)
@@ -375,26 +346,19 @@ def _near_block_integral(w, field, dom, centers, rule, *, beta):
     return out
 
 
-def _clipping_classes(dom: BoxDomain, margins):
+def _clipping_classes(dom: BoxDomain):
     """Representative centers and cell counts of the near-block clipping
-    classes of the outer cells.
+    classes of the grid's cells.
 
     The 3h-block around a center is clipped by a wall only when the center
     lies in the first or last cell of that axis (a center 1.5h from a wall
-    touches it at the block edge). So on each axis an outer cell is first,
-    inner or last; inner cells are represented by the box midpoint. Returns
-    (centers (K, dim), counts (K,)) over the classes with cells, K <= 3^dim.
+    touches it at the block edge). So on each axis a cell is first, inner
+    or last; inner cells are represented by the box midpoint. Returns
+    (centers (3^dim, dim), counts (3^dim,)).
     """
-    per_axis = []
-    for j in range(dom.dim):
-        n, h = dom.resolution[j], dom.spacing[j]
-        edge = int(margins[j] == 0)  # first and last cells are outer cells
-        per_axis.append((
-            (0.5 * h, edge),
-            (dom.sides[j] / 2.0, n - 2 * margins[j] - 2 * edge),
-            ((n - 0.5) * h, edge),
-        ))
-    classes = [c for c in itertools.product(*per_axis) if all(k for _, k in c)]
+    per_axis = [((0.5 * h, 1), (side / 2.0, n - 2), ((n - 0.5) * h, 1))
+                for side, n, h in zip(dom.sides, dom.resolution, dom.spacing)]
+    classes = list(itertools.product(*per_axis))
     centers = np.array([[x for x, _ in c] for c in classes])
     counts = np.array([math.prod(k for _, k in c) for c in classes], dtype=float)
     return centers, counts
@@ -406,14 +370,13 @@ def nonlocal_energy(
     delta: float,
     field: DeformationField,
     dom: BoxDomain,
-    outer_margin: float = 0.0,
     rule: SphereQuadrature | None = None,
 ) -> float:
     """Scaled pair energy (n+beta)/delta^(n+beta) * double integral of the
-    bond density over interacting cell pairs.
+    bond density over the interacting cell pairs of the box, Omega x Omega.
 
     Each stencil offset adds its ball coverage times the bond summed over
-    the cell pairs at that offset; the diagonal block of each outer cell is
+    the cell pairs at that offset; the diagonal block of each cell is
     :func:`_near_block_integral`. An affine field's pair terms depend on the
     offset only: the bond is called once over all offsets, and each
     offset's term is its coverage times its pair count times that value,
@@ -428,9 +391,6 @@ def nonlocal_energy(
     delta
         Horizon, finite and positive. Must stay below half the shortest side
         and span at least three cells per axis.
-    outer_margin
-        Restrict the outer integration to cells at least this far from the
-        boundary (0 = whole box).
     rule
         Sphere rule on S^(dim-1), default ``build_rule(dim, 32)``. Its order
         sets the near block's face nodes: ``build_rule(dim, order)`` gives
@@ -443,8 +403,7 @@ def nonlocal_energy(
         If ``beta`` is not a finite real number, has dim + beta <= 0 or
         conflicts with the degree declared on ``w``; if ``delta`` is not
         a finite positive real, reaches half the shortest side or spans fewer
-        than three cells; if ``outer_margin`` is negative or not finite, or
-        leaves no cells; if ``rule`` lives on another sphere; or if the
+        than three cells; if ``rule`` lives on another sphere; or if the
         far-field sum or the near-block sum of the bond density is NaN, so
         a NaN bond value never yields an energy.
     """
@@ -453,7 +412,6 @@ def nonlocal_energy(
     _check_horizon(delta, dom)
 
     dim = dom.dim
-    margins = _margin_cells(dom, outer_margin)
     res = dom.resolution
     cellvol = dom.cell_volume
     stencil = _offset_stencil(dom, delta)
@@ -462,6 +420,8 @@ def nonlocal_energy(
     elif rule.dim != dim:
         raise ValueError(f"rule lives on S^{rule.dim - 1} but the domain is {dim}D")
 
+    # _check_horizon keeps 3 h_j <= delta < n_j h_j / 2 on every axis, so
+    # n_j >= 6 > reach_j: every offset k pairs n_j - |k_j| >= 1 cells per axis
     far = 0.0
     if field.matrix is not None:
         # an affine integrand depends on the offset only: one bond call
@@ -469,17 +429,12 @@ def nonlocal_energy(
         xts = np.array([xt for _, xt, _ in stencil]).reshape(-1, dim)
         vals = np.asarray(w(-xts, field.difference(np.zeros(dim), -xts))).tolist()
         for (k, _, cov), val in zip(stencil, vals):
-            ranges = _pair_ranges(res, k, margins)
-            if ranges is not None:
-                far += cov * math.prod(hi - lo + 1 for lo, hi in ranges) * val
+            far += cov * math.prod(n - abs(kj) for n, kj in zip(res, k)) * val
     else:
         u_grid = field.evaluate(dom.centers())  # (*res, m)
         for k, xt, cov in stencil:
-            ranges = _pair_ranges(res, k, margins)
-            if ranges is None:
-                continue
-            sl_out = tuple(slice(lo, hi + 1) for lo, hi in ranges)
-            sl_in = tuple(slice(lo + kj, hi + 1 + kj) for (lo, hi), kj in zip(ranges, k))
+            sl_out = tuple(slice(max(0, -kj), n - max(0, kj)) for n, kj in zip(res, k))
+            sl_in = tuple(slice(max(0, kj), n + min(0, kj)) for n, kj in zip(res, k))
             diff = u_grid[sl_out] - u_grid[sl_in]
             vals = np.asarray(w(-xt, diff))
             far += cov * float(np.sum(vals))
@@ -487,13 +442,12 @@ def nonlocal_energy(
         raise ValueError("far-field sum of the bond density is NaN")
     far *= cellvol * cellvol
 
-    # diagonal block over its wall pyramids, per outer cell
+    # diagonal block over its wall pyramids, per cell
     if field.matrix is not None:
         # the integrand does not depend on the center, only the clipping does
-        centers, counts = _clipping_classes(dom, margins)
+        centers, counts = _clipping_classes(dom)
     else:
-        inner = tuple(slice(m, n - m) for m, n in zip(margins, res))
-        centers = dom.centers()[inner].reshape(-1, dim)
+        centers = dom.centers().reshape(-1, dim)
         counts = np.ones(len(centers))
     values = _near_block_integral(w, field, dom, centers, rule, beta=beta)
     near = float(np.sum(counts * values))
@@ -545,14 +499,19 @@ def study_grids(sides, deltas, cells_per_horizon: int) -> list[tuple[float, BoxD
     Raises
     ------
     ValueError
-        If ``deltas`` is empty, holds a horizon that is not positive or
-        repeats one; if ``cells_per_horizon`` is not an integer of at least
-        3; if ``sides`` are not 2 or 3 finite positive lengths; or if a
-        horizon reaches half the shortest side or spans fewer than three
-        cells of its rounded grid, as :func:`nonlocal_energy` would refuse
-        it. One horizon is a study without a slope; the CLI, whose verdict
-        reads the slope, asks for two.
+        If ``sides`` or ``deltas`` hold a value that is not a real number, a
+        bool say; if ``deltas`` is empty, holds a horizon that is not
+        positive or repeats one; if ``cells_per_horizon`` is not an integer
+        of at least 3; if ``sides`` are not 2 or 3 finite positive lengths;
+        or if a horizon reaches half the shortest side or spans fewer than
+        three cells of its rounded grid, as :func:`nonlocal_energy` would
+        refuse it. One horizon is a study without a slope; the CLI, whose
+        verdict reads the slope, asks for two.
     """
+    sides, deltas = tuple(sides), list(deltas)
+    for name, values in (("sides", sides), ("deltas", deltas)):
+        if not all(is_real(v) for v in values):  # float() would run True as 1.0
+            raise ValueError(f"{name} = {values!r}: need real numbers")
     sides = tuple(float(s) for s in sides)
     deltas = [float(d) for d in deltas]
     # a repeated horizon repeats a row of the study; with two equal

@@ -14,9 +14,9 @@ from peribond.horizon import (
     BoxDomain,
     DeformationField,
     _ball_octant,
+    _check_horizon,
     _clipping_classes,
     _disk_quadrant,
-    _margin_cells,
     _near_block_integral,
     _offset_coverage,
     _offset_stencil,
@@ -166,11 +166,6 @@ def reference_voxel_fraction(k, h, delta, n):
     return float(np.sum(count)) / n ** 3
 
 
-def outer_centers(dom, margins):
-    inner = tuple(slice(m, n - m) for m, n in zip(margins, dom.resolution))
-    return dom.centers()[inner].reshape(-1, dom.dim)
-
-
 def analytic_2d():
     return DeformationField.analytic(lambda p: np.stack(
         [p[..., 0] + 0.1 * np.sin(2 * p[..., 1]), p[..., 1] + 0.2 * p[..., 0] ** 2], axis=-1
@@ -313,22 +308,30 @@ def test_frame_invariance(r):
     assert abs(rotated - base) < 1e-9 * (1 + abs(base))
 
 
-def test_interior_restricted_matches_local_density():
+@pytest.mark.parametrize("sides, res, delta, a, tol", [
+    ((1.0, 1.0), (80, 80), 0.1, A2, 2e-4),
+    ((1.0, 1.0, 1.0), (16, 16, 16), 0.25, np.diag([1.0, 2.0, 0.5]), 2e-3),
+], ids=["2d", "3d"])
+def test_interior_cell_energy_matches_local_density(sides, res, delta, a, tol):
     # oracle: for a degree-beta bond the full-ball inner integral equals
-    # delta^(n+beta)/(n+beta) times the local density, so the restricted
-    # energy is (covered area) * density(A)
-    dom = BoxDomain((1.0, 1.0), (80, 80))
-    w = quadratic_bond(2)
-    delta = 0.1
-    got = nonlocal_energy(w, 0.0, delta, DeformationField.affine(A2), dom,
-                          outer_margin=delta)
-    h = dom.spacing[0]
-    per_axis = sum(
-        1 for i in range(dom.resolution[0]) if min((i + 0.5) * h, 1 - (i + 0.5) * h) >= delta
-    )
-    covered = (per_axis * h) ** 2
-    expect = covered * 5.0  # |A|^2
-    assert got == pytest.approx(expect, rel=2e-4)
+    # delta^(n+beta)/(n+beta) times the local density, so a cell whose
+    # stencil lies inside the box carries W(A) = |A|^2 per unit volume: the
+    # cell volume times its coverage-weighted far-field bonds, plus its
+    # near block
+    dom = BoxDomain(sides, res)
+    dim = dom.dim
+    w, u = quadratic_bond(dim), DeformationField.affine(a)
+    mid = tuple(n // 2 for n in res)
+    x0 = dom.centers()[mid]
+    stencil = _offset_stencil(dom, delta)
+    k = np.array([kk for kk, _, _ in stencil])
+    assert np.all(mid + k >= 0) and np.all(mid + k < np.array(res))
+    xts = np.array([xt for _, xt, _ in stencil])
+    cov = np.array([c for _, _, c in stencil])
+    far = dom.cell_volume * float(np.sum(cov * w(-xts, u.difference(x0, -xts))))
+    near = _near_block_integral(w, u, dom, x0[None], build_rule(dim, 32), beta=0.0)[0]
+    got = dim / delta ** dim * (far + near)
+    assert got == pytest.approx(float(np.sum(a * a)), rel=tol)
 
 
 @pytest.mark.parametrize("sides, res, delta, a", [
@@ -345,17 +348,6 @@ def test_general_path_matches_affine_path(sides, res, delta, a):
     assert slow == pytest.approx(fast, rel=1e-12)
 
 
-def test_three_dimensional_energy_identity():
-    w = quadratic_bond(3)
-    dom = BoxDomain((1.0, 1.0, 1.0), (16, 16, 16))
-    a = np.diag([1.0, 2.0, 0.5])
-    got = nonlocal_energy(w, 0.0, 0.25, DeformationField.affine(a), dom,
-                          outer_margin=0.25)
-    per_axis = 8  # centers at (i+.5)/16 with distance >= 0.25 from both walls
-    covered = (per_axis / 16.0) ** 3
-    assert got == pytest.approx(covered * float(np.sum(a * a)), rel=2e-3)
-
-
 def test_energy_validations():
     dom = BoxDomain((1.0, 1.0), (40, 40))
     u = DeformationField.affine(A2)
@@ -366,16 +358,14 @@ def test_energy_validations():
         nonlocal_energy(w, 0.0, 0.05, u, dom)  # spans two cells only
     with pytest.raises(ValueError):
         nonlocal_energy(w, 1.0, 0.1, u, dom)  # degree conflicts with bond
-    with pytest.raises(ValueError):
-        nonlocal_energy(w, 0.0, 0.1, u, dom, outer_margin=0.6)
 
 
 @pytest.mark.parametrize("block", ["far", "near"])
 def test_energy_raises_on_nan_bond_values(block):
-    # 30^2 cells, delta = 0.1: outer cells start at x = 0.117 under the 0.1
-    # margin, so their near blocks stop at x = 0.067 while the far field
-    # reaches partners down to x = 0.017. The second field is NaN off the
-    # cell centers, which only the near block's polar nodes leave.
+    # 30^2 cells, delta = 0.1: the first field is NaN on the cell centers
+    # below x = 0.06, the first two columns, which the far field pairs with
+    # the rest of the box. The second field is NaN off the cell centers,
+    # which only the near block's pyramid nodes leave.
     dom = BoxDomain((1.0, 1.0), (30, 30))
     if block == "far":
         u = DeformationField.analytic(
@@ -387,7 +377,7 @@ def test_energy_raises_on_nan_bond_values(block):
             return np.where(on_grid[..., None], p, np.nan)
         u = DeformationField.analytic(u_fn, out_dim=2)
     with pytest.raises(ValueError, match="far-field" if block == "far" else "near-block"):
-        nonlocal_energy(quadratic_bond(2), 0.0, 0.1, u, dom, outer_margin=0.1)
+        nonlocal_energy(quadratic_bond(2), 0.0, 0.1, u, dom)
 
 
 def test_energy_rejects_rule_of_other_dimension():
@@ -452,30 +442,46 @@ def test_convergence_study_smooth_field_gaps_shrink():
 
 
 
-@pytest.mark.parametrize("sides, res, delta, margin", [
-    ((1.0, 1.0), (40, 40), 0.1, 0.0),
-    ((1.0, 1.0), (40, 40), 0.1, 0.1),
-    ((1.0, 1.3), (37, 52), 0.1, 0.0),
-    ((1.0, 1.3), (37, 52), 0.1, 0.1),
-    ((1.0, 1.0, 1.0), (24, 24, 24), 0.15, 0.0),
-    ((1.0, 1.0, 1.0), (24, 24, 24), 0.15, 0.15),
-    ((1.0, 1.2, 1.1), (20, 30, 25), 0.18, 0.0),
-    ((1.0, 1.2, 1.1), (20, 30, 25), 0.18, 0.18),
-])
-def test_affine_clipping_classes_match_per_center_loop(sides, res, delta, margin):
+@settings(max_examples=200)
+@given(data=st.data(), dim=st.sampled_from([2, 3]), share=st.floats(0.05, 0.999))
+def test_every_offset_and_clipping_class_has_cells(data, dim, share):
+    # on any grid _check_horizon accepts, 3 h_j <= delta < n_j h_j / 2, so
+    # every stencil offset k has n_j - |k_j| >= 1 cell pairs on each axis
+    # and every axis has first, inner and last cells: the far field needs
+    # no branch for an offset without pairs, nor the near block for an
+    # empty class
+    sides = tuple(data.draw(st.lists(st.floats(0.5, 1.5), min_size=dim, max_size=dim)))
+    delta = share * min(sides) / 2.0
+    res = tuple(math.ceil(3.0 * s / delta) + data.draw(st.integers(0, 8)) for s in sides)
+    dom = BoxDomain(sides, res)
+    _check_horizon(delta, dom)
+    k = np.array([kk for kk, _, _ in _offset_stencil(dom, delta)])
+    assert np.all(np.array(res) - np.abs(k) >= 1)
+    centers, counts = _clipping_classes(dom)
+    assert len(centers) == len(counts) == 3 ** dim
+    assert np.all(counts > 0) and counts.sum() == math.prod(res)
+
+
+@pytest.mark.parametrize("sides, res, delta", [
+    ((1.0, 1.0), (40, 40), 0.1),
+    ((1.0, 1.3), (37, 52), 0.1),
+    ((1.0, 1.0, 1.0), (24, 24, 24), 0.15),
+    ((1.0, 1.2, 1.1), (20, 30, 25), 0.18),
+], ids=["sides0-res0-0.1-0.0", "sides2-res2-0.1-0.0", "sides4-res4-0.15-0.0",
+        "sides6-res6-0.18-0.0"])
+def test_affine_clipping_classes_match_per_center_loop(sides, res, delta):
     dom = BoxDomain(sides, res)
     dim = dom.dim
     a = np.eye(dim) + 0.3 * np.random.default_rng(dim).standard_normal((dim, dim))
     w, u = quadratic_bond(dim), DeformationField.affine(a)
     rule = build_rule(dim, 32 if dim == 2 else 4)
-    margins = _margin_cells(dom, margin)
-    centers, counts = _clipping_classes(dom, margins)
+    centers, counts = _clipping_classes(dom)
     values = _near_block_integral(w, u, dom, centers, rule, beta=0.0)
-    # the classes cover every outer cell once, and each cell's own integral
-    # is its class's (per axis: 0 first cell, 1 inner, 2 last cell)
-    cells = outer_centers(dom, margins)
+    # the classes cover every cell once, and each cell's own integral is
+    # its class's (per axis: 0 first cell, 1 inner, 2 last cell)
+    cells = dom.centers().reshape(-1, dim)
     idx = np.rint(cells / dom.spacing - 0.5).astype(int)
-    assert len(counts) == (3 ** dim if margin == 0 else 1)
+    assert len(counts) == 3 ** dim
     assert counts.sum() == len(cells)
     per_cell = _near_block_integral(w, u, dom, cells, rule, beta=0.0)
     cell_class = np.where(idx == 0, 0, np.where(idx == np.array(res) - 1, 2, 1))
@@ -500,7 +506,7 @@ def test_general_near_block_chunks_match_per_center_loop():
     dom = BoxDomain((1.0, 1.0), (40, 40))
     w, u = quadratic_bond(2), analytic_2d()
     rule = build_rule(2, 32)
-    centers = outer_centers(dom, [0, 0])
+    centers = dom.centers().reshape(-1, 2)
     inner = 38 ** 2
     assert horizon._NEAR_CHUNK // (128 * 2) == 256 and inner > 256 and inner % 256
     got = _near_block_integral(w, u, dom, centers, rule, beta=0.0)
@@ -517,7 +523,7 @@ def test_near_block_matches_per_node_difference(case):
         dom = BoxDomain((1.0, 1.0, 1.0), (6, 5, 7))
         u = DeformationField.analytic(lambda p: p + 0.1 * np.sin(p[..., ::-1]) ** 2)
     w, rule = quadratic_bond(dom.dim), build_rule(dom.dim, 8)
-    centers = outer_centers(dom, [0] * dom.dim)
+    centers = dom.centers().reshape(-1, dom.dim)
     got = _near_block_integral(w, u, dom, centers, rule, beta=0.0)
     want = reference_near_block_integral(w, u, dom, centers, 1, horizon._RADIAL_NODES, 0.0)
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
@@ -539,9 +545,9 @@ def test_near_block_is_bit_equal_per_center_and_per_class(dim, field):
         u = (DeformationField.analytic(lambda p: p + 0.1 * np.sin(p[..., ::-1]) ** 2)
              if field == "analytic" else DeformationField.affine(np.diag([2.0, -1.0, 1.5])))
     rule, w = build_rule(dim, 32), quadratic_bond(dim)
-    classes, _ = _clipping_classes(dom, [0] * dim)
+    classes, _ = _clipping_classes(dom)
     assert len(classes) == 3 ** dim
-    centers = np.concatenate([classes, outer_centers(dom, [0] * dim)])
+    centers = np.concatenate([classes, dom.centers().reshape(-1, dim)])
     got = _near_block_integral(w, u, dom, centers, rule, beta=0.0)
     assert np.all(np.isfinite(got))
     one_by_one = [_near_block_integral(w, u, dom, centers[i:i + 1], rule, beta=0.0)[0]
@@ -572,7 +578,7 @@ def test_near_block_evaluates_u_inside_the_box(case):
         dom = BoxDomain((1.0, 1.2, 0.9), (5, 6, 7))
         u = DeformationField.analytic(lambda p: p + 0.1 * np.sin(p[..., ::-1]) ** 2, out_dim=3)
     recorded, seen = recording(u)
-    centers = outer_centers(dom, [0] * dom.dim)
+    centers = dom.centers().reshape(-1, dom.dim)
     _near_block_integral(quadratic_bond(dom.dim), recorded, dom, centers, build_rule(dom.dim, 32),
                          beta=0.0)
     points = np.concatenate(seen)

@@ -49,8 +49,8 @@ DOM = BoxDomain((1.0, 1.0), (40, 40))
 LATTICE = MatrixLattice(dim=1, bound=1.0, step=0.5)
 
 
-def energy(beta=0.0, delta=0.1, outer_margin=0.0):
-    return nonlocal_energy(BOND, beta, delta, FIELD, DOM, outer_margin=outer_margin)
+def energy(beta=0.0, delta=0.1):
+    return nonlocal_energy(BOND, beta, delta, FIELD, DOM)
 
 
 def study(beta):
@@ -75,8 +75,6 @@ def scan(beta):
     (lambda: energy(beta=None), "beta = None, dim = 2"),
     (lambda: energy(delta=math.nan), "delta = nan"),
     (lambda: energy(delta=-0.1), "delta = -0.1"),
-    (lambda: energy(outer_margin=math.nan), "outer_margin = nan"),
-    (lambda: energy(outer_margin=-0.1), "outer_margin = -0.1"),
     (lambda: study_grids((1.0, math.inf), [0.2, 0.1], 8), r"sides = \(1.0, inf\)"),
     (lambda: study_grids((1.0, math.nan), [0.2, 0.1], 8), r"sides = \(1.0, nan\)"),
     (lambda: study_grids((1.0, 1.0), [0.8, 0.4], 8), "delta = 0.8"),
@@ -129,10 +127,11 @@ def scan(beta):
     (lambda: BoxDomain((True, 1.0), (8, 8)), r"sides = \(True, 1.0\)"),
     (lambda: energy(delta=True), "delta = True"),
     (lambda: scan(True), "beta = True"),
+    (lambda: study_grids((True, 1.0), [0.2, 0.1], 8), r"sides = \(True, 1.0\)"),
+    (lambda: study_grids((3.0, 3.0), [True, 0.5], 8), r"deltas = \[True, 0.5\]"),
 ], ids=["energy-beta-nan", "energy-beta-inf", "energy-beta-none", "energy-delta-nan",
-        "energy-delta-negative", "energy-margin-nan", "energy-margin-negative",
-        "grids-side-inf", "grids-side-nan", "grids-horizon-past-half-box",
-        "grids-horizon-repeated", "convexify-tol-negative",
+        "energy-delta-negative", "grids-side-inf", "grids-side-nan",
+        "grids-horizon-past-half-box", "grids-horizon-repeated", "convexify-tol-negative",
         "convexify-tol-nan", "convexify-no-sweeps", "sphere-order-fraction",
         "circle-order-fraction", "scan-beta-negative", "scan-beta-nan", "scan-beta-inf",
         "energy-degree-minus-dim", "energy-degree-below-minus-dim", "bond-c-negative",
@@ -143,7 +142,7 @@ def scan(beta):
         "sphere-rule-float-order", "circle-rule-fraction", "blowup-beta-nan", "undeclared-beta-inf",
         "undeclared-beta-bool", "blowup-degree-unknown", "bond-c-bool", "roundtrip-tol-bool",
         "lattice-bound-bool", "convexify-tol-bool", "box-side-bool", "energy-delta-bool",
-        "scan-beta-bool"])
+        "scan-beta-bool", "grids-side-bool", "grids-horizon-bool"])
 def test_library_refuses_and_names_the_argument(call, named):
     with pytest.raises(ValueError, match=named):
         call()
