@@ -187,17 +187,14 @@ def _parse_number(kind, raw):
     return value
 
 
-_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-             "0": False, "false": False, "no": False, "off": False}
-
-
 def _parse_value(section: str, key: str, raw):
     """Parse the value of ``[section] key``, text from INI or a flag or a typed
     JSON value, and hold it to the key's least value."""
     spec, _, least = SCHEMA[section][key]
     try:
         if spec == "bool":
-            value = raw if isinstance(raw, bool) else _BOOLEANS.get(str(raw).strip().lower())
+            value = (raw if isinstance(raw, bool) else
+                     configparser.ConfigParser.BOOLEAN_STATES.get(str(raw).strip().lower()))
             if value is None:
                 raise ValueError("expected a boolean")
         elif spec == "floats":
@@ -577,7 +574,7 @@ def _task_converge(cfg: dict) -> tuple[dict, Iterator[str]]:
         pot, pot.beta, horizon.DeformationField.affine(matrix), sides,
         cfg["converge"]["deltas"],
         cells_per_horizon=cfg["converge"]["cells-per-horizon"],
-        rule=build_rule(dim, cfg["run"]["quad-order"]),
+        order=cfg["run"]["quad-order"],
     )
     slope = study.fitted_slope
     passed = not math.isnan(slope) and slope >= cfg["converge"]["slope-min"]
@@ -664,7 +661,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="seed of convexify's random-dyad pass")
     parser.add_argument("--threads", type=int,
                         help="at least 1; echoed in the reports, every task runs serially")
-    parser.add_argument("--quad-order", type=int, help="sphere rule order (circle gets 2x)")
+    parser.add_argument("--quad-order", type=int,
+                        help="sphere rule order (circle gets 2x); also sets every converge integral")
     parser.add_argument("--no-timestamp", action="store_true", default=None,
                         help="omit the timestamp so reports are byte-reproducible")
     parser.add_argument("--list-zoo", action="store_true", help="list built-in models and exit")

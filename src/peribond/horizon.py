@@ -33,7 +33,7 @@ from numpy.polynomial.legendre import leggauss
 from .linalg import is_real, matvec, vector_norm
 from .pipeline import BlowupResult, compute_blowup, local_density
 from .potentials import PairwisePotential
-from .quadrature import SphereQuadrature, build_rule, is_integer
+from .quadrature import build_rule, check_order, is_integer
 
 
 def _slice_rule(n: int):
@@ -261,13 +261,6 @@ def _gauss_jacobi(n: int, alpha: float):
     return nodes, weights
 
 
-def _face_nodes(rule: SphereQuadrature) -> int:
-    """Gauss-Legendre nodes per axis of each near-block face piece: the sphere
-    rule's order / 8, rounded up (``build_rule(dim, order)``; a circle rule
-    of ``order`` counts its points, twice the order it was built with)."""
-    return max(1, math.ceil(rule.order / (16 if rule.dim == 2 else 8)))
-
-
 def _pyramid_nodes(lo, hi, n_face: int, beta: float):
     """Nodes of the near block [x0 - lo, x0 + hi] of one center x0, as
     reference offsets x0 - x' (N, dim), with weights (N,) for integrands
@@ -301,7 +294,7 @@ def _pyramid_nodes(lo, hi, n_face: int, beta: float):
     return np.concatenate(offsets).reshape(-1, dim), np.concatenate(weights).ravel()
 
 
-def _near_block_integral(w, field, dom, centers, rule, *, beta):
+def _near_block_integral(w, field, dom, centers, order, *, beta):
     """Integral of the bond density over the diagonal 3h-block of each
     center, over its wall pyramids (:func:`_pyramid_nodes`).
 
@@ -314,10 +307,10 @@ def _near_block_integral(w, field, dom, centers, rule, *, beta):
     bytes, which sorts faster than rows compared column by column. Every
     field runs the same chunk loop over :meth:`DeformationField.difference`;
     an affine field's differences do not depend on the center, so one
-    center per class suffices (:func:`_clipping_classes`). ``rule``'s order
-    sets the face nodes (:func:`_face_nodes`), ``beta`` is the bond's
-    degree. Returns shape (C,), NaN for a center whose integrand is NaN at
-    a node. Chunks hold at most ``_NEAR_CHUNK`` (center, node, axis)
+    center per class suffices (:func:`_clipping_classes`). Each face piece
+    takes ceil(``order`` / 8) Gauss-Legendre nodes per axis; ``beta`` is the
+    bond's degree. Returns shape (C,), NaN for a center whose integrand is
+    NaN at a node. Chunks hold at most ``_NEAR_CHUNK`` (center, node, axis)
     entries.
     """
     dim = dom.dim
@@ -331,7 +324,7 @@ def _near_block_integral(w, field, dom, centers, rule, *, beta):
     rows = bounds.view(np.dtype((np.void, bounds.itemsize * 2 * dim))).ravel()
     _, first, which = np.unique(rows, return_index=True, return_inverse=True)
     boxes = bounds[first]
-    n_face = _face_nodes(rule)
+    n_face = math.ceil(order / 8)
     out = np.empty(len(centers))
     for g, box in enumerate(boxes):
         offs, wts = _pyramid_nodes(box[:dim], box[dim:], n_face, beta)
@@ -370,7 +363,7 @@ def nonlocal_energy(
     delta: float,
     field: DeformationField,
     dom: BoxDomain,
-    rule: SphereQuadrature | None = None,
+    order: int = 32,
 ) -> float:
     """Scaled pair energy (n+beta)/delta^(n+beta) * double integral of the
     bond density over the interacting cell pairs of the box, Omega x Omega.
@@ -391,11 +384,10 @@ def nonlocal_energy(
     delta
         Horizon, finite and positive. Must stay below half the shortest side
         and span at least three cells per axis.
-    rule
-        Sphere rule on S^(dim-1), default ``build_rule(dim, 32)``. Its order
-        sets the near block's face nodes: ``build_rule(dim, order)`` gives
-        ceil(order / 8) Gauss-Legendre nodes per axis of each face piece.
-        The pyramids' radial rule is fixed at 4 Gauss-Jacobi nodes.
+    order
+        Quad-order, an integer of at least 2: each near-block face piece
+        takes ceil(order / 8) Gauss-Legendre nodes per axis. The pyramids'
+        radial rule is fixed at 4 Gauss-Jacobi nodes.
 
     Raises
     ------
@@ -403,22 +395,19 @@ def nonlocal_energy(
         If ``beta`` is not a finite real number, has dim + beta <= 0 or
         conflicts with the degree declared on ``w``; if ``delta`` is not
         a finite positive real, reaches half the shortest side or spans fewer
-        than three cells; if ``rule`` lives on another sphere; or if the
-        far-field sum or the near-block sum of the bond density is NaN, so
-        a NaN bond value never yields an energy.
+        than three cells; if ``order`` is not an integer of at least 2; or if
+        the far-field sum or the near-block sum of the bond density is NaN,
+        so a NaN bond value never yields an energy.
     """
     check_degree(beta, dom.dim)
     w.degree(beta)
     _check_horizon(delta, dom)
+    check_order(order)
 
     dim = dom.dim
     res = dom.resolution
     cellvol = dom.cell_volume
     stencil = _offset_stencil(dom, delta)
-    if rule is None:
-        rule = build_rule(dim, 32)
-    elif rule.dim != dim:
-        raise ValueError(f"rule lives on S^{rule.dim - 1} but the domain is {dim}D")
 
     # _check_horizon keeps 3 h_j <= delta < n_j h_j / 2 on every axis, so
     # n_j >= 6 > reach_j: every offset k pairs n_j - |k_j| >= 1 cells per axis
@@ -449,7 +438,7 @@ def nonlocal_energy(
     else:
         centers = dom.centers().reshape(-1, dim)
         counts = np.ones(len(centers))
-    values = _near_block_integral(w, field, dom, centers, rule, beta=beta)
+    values = _near_block_integral(w, field, dom, centers, order, beta=beta)
     near = float(np.sum(counts * values))
     if math.isnan(near):
         raise ValueError("near-block sum of the bond density is NaN")
@@ -474,17 +463,18 @@ class ConvergenceStudy:
         return self.rows[-1][4]
 
 
-def local_reference(limit: BlowupResult, field: DeformationField, sides, rule) -> float:
+def local_reference(limit: BlowupResult, field: DeformationField, sides, order: int) -> float:
     """I_local: the local density at the deformation gradient, integrated
-    over the box [0, side_1] x ... An affine field gives the volume times
-    W(A); any other field a tensor Gauss-Legendre rule with quad-order // 4
-    nodes per axis, at least 2 (8 at the default order 32): ``rule.order //
-    8`` on the circle, ``rule.order // 4`` on the sphere. One local-density
-    call per node of the first axis bounds memory; every slab runs, so a NaN
-    raises even after a +inf slab."""
+    over the box [0, side_1] x ... on the sphere rule ``build_rule(len(sides),
+    order)``. An affine field gives the volume times W(A); any other field a
+    tensor Gauss-Legendre rule with order // 4 nodes per axis, at least 2 (8
+    at the default order 32). One local-density call per node of the first
+    axis bounds memory; every slab runs, so a NaN raises even after a +inf
+    slab."""
+    rule = build_rule(len(sides), order)
     if field.matrix is not None:
         return float(np.prod(sides)) * local_density(limit, field.matrix, rule)
-    x, w = leggauss(max(2, rule.order // (8 if rule.dim == 2 else 4)))
+    x, w = leggauss(max(2, order // 4))
     points = np.stack(np.meshgrid(*[s * (x + 1.0) / 2.0 for s in sides], indexing="ij"), axis=-1)
     weights = math.prod(np.meshgrid(*[s * w / 2.0 for s in sides], indexing="ij"))
     return sum(float(np.sum(wts * local_density(limit, field.gradient(pts), rule)))
@@ -539,7 +529,7 @@ def convergence_study(
     sides,
     deltas,
     cells_per_horizon: int = 8,
-    rule: SphereQuadrature | None = None,
+    order: int = 32,
 ) -> ConvergenceStudy:
     """Shrink the horizon and tabulate the gap to the local energy.
 
@@ -547,9 +537,9 @@ def convergence_study(
     delta, so the discretization error stays a fixed small fraction of the
     energy while the boundary-layer gap shrinks linearly. The local energy
     does not depend on the horizon: :func:`local_reference` computes it once
-    and every row reuses it. The one sphere rule ``rule`` (default
-    ``build_rule(dim, 32)``) serves the near block of each energy and the
-    local reference, and sizes the latter's Gauss rule over the box.
+    and every row reuses it. The one quad-order ``order`` sets the near
+    block of each energy and the local reference's sphere rule and Gauss
+    rule over the box.
 
     Raises
     ------
@@ -558,13 +548,12 @@ def convergence_study(
         :func:`nonlocal_energy` and :func:`local_reference` raise.
     """
     grids = study_grids(sides, deltas, cells_per_horizon)
-    rule = rule if rule is not None else build_rule(len(sides), 32)
     check_degree(beta, len(sides))  # the blow-up would refuse a NaN without naming beta
-    reference = local_reference(compute_blowup(w, beta), field, grids[0][1].sides, rule)
+    reference = local_reference(compute_blowup(w, beta), field, grids[0][1].sides, order)
     rows = []
     log_d, log_g = [], []
     for d, dom in grids:
-        energy = nonlocal_energy(w, beta, d, field, dom, rule=rule)
+        energy = nonlocal_energy(w, beta, d, field, dom, order=order)
         gap = abs(energy - reference)
         slope = math.nan
         if gap > 0:

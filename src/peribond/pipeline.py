@@ -56,7 +56,8 @@ def _blowup(w: PairwisePotential, beta: float, x_ref, y_def):
         If the scaled values are not finite on those levels, or their last
         step exceeds ``BLOWUP_REL_TOL * (1 + |v|)`` at the finest value v,
         which is what a degree above the true one produces. A degree far
-        enough below it sends v to 0 and can pass.
+        enough below it sends v to 0 and can pass here; :func:`compute_blowup`
+        refuses it first.
     """
     k_max = DEFAULT_K_RANGE[1]
     v = _scaled_values(w, beta, x_ref, y_def, (k_max - 2, k_max))
@@ -84,6 +85,13 @@ def _blowup(w: PairwisePotential, beta: float, x_ref, y_def):
     return float(limit) if limit.ndim == 0 else limit
 
 
+def _offset_pairs(w: PairwisePotential) -> list:
+    """The 8 fixed offset pairs (x_ref, y_def) the degree checks sample,
+    normals drawn from ``seeded(0)``."""
+    rng = seeded(0)
+    return [(normals(rng, w.ref_dim), normals(rng, w.def_dim)) for _ in range(8)]
+
+
 def estimate_beta(w: PairwisePotential) -> float:
     """Homogeneity degree of w near zero by log-log slope in t.
 
@@ -92,14 +100,11 @@ def estimate_beta(w: PairwisePotential) -> float:
     ``DEFAULT_K_RANGE``. A fit residual or a slope spread above 1e-6 means
     the potential is not asymptotically homogeneous, which is an error.
     """
-    rng = seeded(0)
     k_min, k_max = DEFAULT_K_RANGE
     log_t = np.array([-k * math.log(2.0) for k in range(k_min, k_max + 1)])
     fit_tol = 1e-6
     slopes = []
-    for _ in range(8):
-        x = normals(rng, w.ref_dim)
-        y = normals(rng, w.def_dim)
+    for x, y in _offset_pairs(w):
         v = _scaled_values(w, 0.0, x, y, DEFAULT_K_RANGE)
         if np.any(v == 0.0) or not np.all(np.isfinite(v)):
             raise ValueError(
@@ -146,7 +151,11 @@ def compute_blowup(w: PairwisePotential, beta: float | None = None) -> BlowupRes
     ``beta`` that is not a finite real number or conflicts with the declared
     one, since the horizon-scaling prefactor depends on it. A potential that
     declares no degree needs a ``beta``: pass :func:`estimate_beta`'s, else
-    ValueError.
+    ValueError. That ``beta`` is checked against the bond: at each of the 8
+    offset pairs of :func:`estimate_beta` where the scaled values of the two
+    finest levels are finite and nonzero, |log2(v_12 / v_11)| must stay
+    within 1e-6, else ValueError. A degree below the bond's would send the
+    scaled values, and the limit, to 0 geometrically.
 
     The result keeps the degree, not the potential. ``diagnostics`` samples
     every level of ``DEFAULT_K_RANGE`` at one reference offset pair;
@@ -158,6 +167,17 @@ def compute_blowup(w: PairwisePotential, beta: float | None = None) -> BlowupRes
         raise ValueError(f"beta = None: the {w.kind!r} potential declares no degree; "
                          "pass one, for instance estimate_beta(w)")
     beta_hat = float(beta_hat)
+    if w.beta is None:
+        k_max = DEFAULT_K_RANGE[1]
+        worst = 0.0
+        for x, y in _offset_pairs(w):
+            v = _scaled_values(w, beta_hat, x, y, (k_max - 1, k_max))
+            if np.all(np.isfinite(v) & (v != 0.0)):
+                worst = max(worst, abs(math.log2(abs(v[1])) - math.log2(abs(v[0]))))
+        if worst > 1e-6:
+            raise ValueError(f"beta = {beta!r}: the {w.kind!r} potential is not of this degree; "
+                             f"its scaled values change by a factor of 2^{worst:.3g} between "
+                             "the two finest t (at most 2^1e-06 allowed)")
 
     def evaluate(x_ref, y_def):
         return _blowup(w, beta_hat, x_ref, y_def)

@@ -25,6 +25,12 @@ def sphere_measure(dim: int) -> float:
     raise ValueError(f"supported sphere dimensions are 2 and 3, got {dim}")
 
 
+def check_order(order) -> None:
+    """Refuse a quad-order that is not an integer of at least 2."""
+    if not is_integer(order) or order < 2:
+        raise ValueError(f"order = {order!r}: need an integer of at least 2")
+
+
 @dataclass(frozen=True)
 class SphereQuadrature:
     """Nodes on S^(dim-1) with positive weights summing to the surface measure.
@@ -101,8 +107,7 @@ def build_sphere_rule(order: int) -> SphereQuadrature:
         Spherical polynomials of total degree <= 2*order - 1 are integrated
         exactly.
     """
-    if not is_integer(order) or order < 2:
-        raise ValueError(f"order = {order!r}: need an integer of at least 2")
+    check_order(order)
     t, wt = leggauss(order)  # t = cos(polar angle) on [-1, 1]
     nphi = 2 * order
     phi = 2.0 * math.pi * (np.arange(nphi) + 0.5) / nphi
@@ -119,8 +124,7 @@ def build_sphere_rule(order: int) -> SphereQuadrature:
 def build_rule(dim: int, order: int) -> SphereQuadrature:
     """Dispatch: order circle points on S^1 are 2*order so that the default
     order 32 gives the 64-point circle and the 32x64 sphere rule."""
-    if not is_integer(order):
-        raise ValueError(f"order = {order!r}: need an integer")
+    check_order(order)
     if dim == 2:
         return build_circle_rule(2 * order)
     if dim == 3:

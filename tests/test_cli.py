@@ -235,7 +235,7 @@ def test_converge_default_config_runs_2d_study(tmp_path):
 
 def test_converge_quad_order_drives_both_sphere_integrals(tmp_path):
     # quad-order 16 reaches the near block of each energy as well as the
-    # local reference: the rows are the library study's at build_rule(2, 16).
+    # local reference: the rows are the library study's at order 16.
     # On a square box the x and y walls clip equally many cells, and the
     # quadratic bond's near block sums to its exact value under any
     # symmetric face rule; an oblong box shows the rule in the energy
@@ -248,15 +248,15 @@ def test_converge_quad_order_drives_both_sphere_integrals(tmp_path):
     pot, conv = build_model("potential", resolved["potential"]), resolved["converge"]
     field = horizon.DeformationField.affine(np.reshape(conv["matrix"], (2, 2)))
 
-    def study(deltas, **rule):
+    def study(deltas, **order):
         return horizon.convergence_study(pot, pot.beta, field, conv["box"], deltas,
-                                         cells_per_horizon=conv["cells-per-horizon"], **rule)
+                                         cells_per_horizon=conv["cells-per-horizon"], **order)
 
     with open(out / "detail.csv", newline="") as fh:
         rows = [list(map(float, row)) for row in list(csv.reader(fh))[1:]]
-    want = study(conv["deltas"], rule=build_rule(2, 16)).rows
+    want = study(conv["deltas"], order=16).rows
     np.testing.assert_array_equal(rows, want)  # the first row's slope is nan
-    # the energy itself moves with the rule, not only the local reference
+    # the energy itself moves with the order, not only the local reference
     assert rows[0][1] != study(conv["deltas"][:1]).rows[0][1]
 
 

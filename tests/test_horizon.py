@@ -110,10 +110,10 @@ def midpoint_near_block(w, field, dom, x0, per_half_cell):
     return total * float(np.prod(step))
 
 
-def pointwise_local_reference(limit, field, sides, rule):
-    """The local reference of a non-affine field on its tensor Gauss rule
-    over the box, one node at a time."""
-    x, w = leggauss(max(2, rule.order // (8 if rule.dim == 2 else 4)))
+def pointwise_local_reference(limit, field, sides, rule, nodes):
+    """The local reference of a non-affine field on its tensor Gauss rule of
+    ``nodes`` per axis over the box, one node at a time."""
+    x, w = leggauss(nodes)
     total = 0.0
     for index in itertools.product(range(len(x)), repeat=len(sides)):
         point = np.array([[s * (x[i] + 1.0) / 2.0 for s, i in zip(sides, index)]])
@@ -249,7 +249,7 @@ def test_analytic_3d_field_without_out_dim():
     fresh = DeformationField.analytic(lambda p: p @ np.eye(3).T)
     limit = compute_blowup(quadratic_bond(3), 0.0)
     dom = BoxDomain((1.0, 1.0, 1.0), (2, 2, 2))
-    got = local_reference(limit, fresh, dom.sides, build_rule(3, 16))
+    got = local_reference(limit, fresh, dom.sides, 16)
     assert got == pytest.approx(3.0, rel=1e-8)
 
 
@@ -329,7 +329,7 @@ def test_interior_cell_energy_matches_local_density(sides, res, delta, a, tol):
     xts = np.array([xt for _, xt, _ in stencil])
     cov = np.array([c for _, _, c in stencil])
     far = dom.cell_volume * float(np.sum(cov * w(-xts, u.difference(x0, -xts))))
-    near = _near_block_integral(w, u, dom, x0[None], build_rule(dim, 32), beta=0.0)[0]
+    near = _near_block_integral(w, u, dom, x0[None], 32, beta=0.0)[0]
     got = dim / delta ** dim * (far + near)
     assert got == pytest.approx(float(np.sum(a * a)), rel=tol)
 
@@ -380,13 +380,6 @@ def test_energy_raises_on_nan_bond_values(block):
         nonlocal_energy(quadratic_bond(2), 0.0, 0.1, u, dom)
 
 
-def test_energy_rejects_rule_of_other_dimension():
-    dom = BoxDomain((1.0, 1.0), (40, 40))
-    with pytest.raises(ValueError, match="S\\^2"):
-        nonlocal_energy(quadratic_bond(2), 0.0, 0.1, DeformationField.affine(A2), dom,
-                        rule=build_rule(3, 8))
-
-
 @pytest.mark.parametrize("kwargs, named", [
     ({"deltas": []}, "deltas"),
     ({"deltas": [0.2, 0.0]}, "deltas"),
@@ -435,7 +428,7 @@ def test_convergence_study_smooth_field_gaps_shrink():
         lambda p: np.stack([p[..., 0] ** 2, p[..., 1] ** 2 + p[..., 0]], axis=-1))
     study = convergence_study(
         quadratic_bond(2), 0.0, u, (1.0, 1.0), [0.25, 0.125], cells_per_horizon=6,
-        rule=build_rule(2, 16),
+        order=16,
     )
     gaps = [row[3] for row in study.rows]
     assert gaps[1] < gaps[0]
@@ -474,16 +467,16 @@ def test_affine_clipping_classes_match_per_center_loop(sides, res, delta):
     dim = dom.dim
     a = np.eye(dim) + 0.3 * np.random.default_rng(dim).standard_normal((dim, dim))
     w, u = quadratic_bond(dim), DeformationField.affine(a)
-    rule = build_rule(dim, 32 if dim == 2 else 4)
+    order = 32 if dim == 2 else 4
     centers, counts = _clipping_classes(dom)
-    values = _near_block_integral(w, u, dom, centers, rule, beta=0.0)
+    values = _near_block_integral(w, u, dom, centers, order, beta=0.0)
     # the classes cover every cell once, and each cell's own integral is
     # its class's (per axis: 0 first cell, 1 inner, 2 last cell)
     cells = dom.centers().reshape(-1, dim)
     idx = np.rint(cells / dom.spacing - 0.5).astype(int)
     assert len(counts) == 3 ** dim
     assert counts.sum() == len(cells)
-    per_cell = _near_block_integral(w, u, dom, cells, rule, beta=0.0)
+    per_cell = _near_block_integral(w, u, dom, cells, order, beta=0.0)
     cell_class = np.where(idx == 0, 0, np.where(idx == np.array(res) - 1, 2, 1))
     h = dom.spacing
     rep_class = np.where(centers < h, 0, np.where(centers > np.array(sides) - h, 2, 1))
@@ -495,7 +488,7 @@ def test_affine_clipping_classes_match_per_center_loop(sides, res, delta):
         firsts.append(cells[np.argmax(mine)])
     # the loop at one actual cell of each class, the midpoint's included
     want = float(np.sum(counts * reference_near_block_integral(
-        w, u, dom, np.array(firsts), horizon._face_nodes(rule), horizon._RADIAL_NODES, 0.0)))
+        w, u, dom, np.array(firsts), math.ceil(order / 8), horizon._RADIAL_NODES, 0.0)))
     got = float(np.sum(counts * values))
     assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -505,11 +498,10 @@ def test_general_near_block_chunks_match_per_center_loop():
     # geometry and take chunks of 256 centers, the last one partial
     dom = BoxDomain((1.0, 1.0), (40, 40))
     w, u = quadratic_bond(2), analytic_2d()
-    rule = build_rule(2, 32)
     centers = dom.centers().reshape(-1, 2)
     inner = 38 ** 2
     assert horizon._NEAR_CHUNK // (128 * 2) == 256 and inner > 256 and inner % 256
-    got = _near_block_integral(w, u, dom, centers, rule, beta=0.0)
+    got = _near_block_integral(w, u, dom, centers, 32, beta=0.0)
     want = reference_near_block_integral(w, u, dom, centers, 4, horizon._RADIAL_NODES, 0.0)
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
@@ -522,10 +514,23 @@ def test_near_block_matches_per_node_difference(case):
     else:
         dom = BoxDomain((1.0, 1.0, 1.0), (6, 5, 7))
         u = DeformationField.analytic(lambda p: p + 0.1 * np.sin(p[..., ::-1]) ** 2)
-    w, rule = quadratic_bond(dom.dim), build_rule(dom.dim, 8)
+    w = quadratic_bond(dom.dim)
     centers = dom.centers().reshape(-1, dom.dim)
-    got = _near_block_integral(w, u, dom, centers, rule, beta=0.0)
+    got = _near_block_integral(w, u, dom, centers, 8, beta=0.0)
     want = reference_near_block_integral(w, u, dom, centers, 1, horizon._RADIAL_NODES, 0.0)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("order", [2, 8, 9, 16, 17, 32])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_near_block_takes_ceil_order_over_8_face_nodes(dim, order):
+    # the same face nodes on the circle as on the sphere: 1 up to order 8,
+    # 2 from order 9, 3 from order 17
+    dom, u, centers = accuracy_case(dim, "analytic")
+    w = quadratic_bond(dim)
+    got = _near_block_integral(w, u, dom, centers, order, beta=0.0)
+    want = reference_near_block_integral(w, u, dom, centers, math.ceil(order / 8),
+                                         horizon._RADIAL_NODES, 0.0)
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
@@ -544,16 +549,16 @@ def test_near_block_is_bit_equal_per_center_and_per_class(dim, field):
         dom = BoxDomain((1.0, 1.2, 0.9), (5, 6, 7))
         u = (DeformationField.analytic(lambda p: p + 0.1 * np.sin(p[..., ::-1]) ** 2)
              if field == "analytic" else DeformationField.affine(np.diag([2.0, -1.0, 1.5])))
-    rule, w = build_rule(dim, 32), quadratic_bond(dim)
+    w = quadratic_bond(dim)
     classes, _ = _clipping_classes(dom)
     assert len(classes) == 3 ** dim
     centers = np.concatenate([classes, dom.centers().reshape(-1, dim)])
-    got = _near_block_integral(w, u, dom, centers, rule, beta=0.0)
+    got = _near_block_integral(w, u, dom, centers, 32, beta=0.0)
     assert np.all(np.isfinite(got))
-    one_by_one = [_near_block_integral(w, u, dom, centers[i:i + 1], rule, beta=0.0)[0]
+    one_by_one = [_near_block_integral(w, u, dom, centers[i:i + 1], 32, beta=0.0)[0]
                   for i in range(len(centers))]
     assert np.array_equal(got, one_by_one)
-    per_class = [_near_block_integral(w, u, dom, c[None], rule, beta=0.0)[0] for c in classes]
+    per_class = [_near_block_integral(w, u, dom, c[None], 32, beta=0.0)[0] for c in classes]
     assert np.array_equal(got[:len(classes)], per_class)
 
 
@@ -579,8 +584,7 @@ def test_near_block_evaluates_u_inside_the_box(case):
         u = DeformationField.analytic(lambda p: p + 0.1 * np.sin(p[..., ::-1]) ** 2, out_dim=3)
     recorded, seen = recording(u)
     centers = dom.centers().reshape(-1, dom.dim)
-    _near_block_integral(quadratic_bond(dom.dim), recorded, dom, centers, build_rule(dom.dim, 32),
-                         beta=0.0)
+    _near_block_integral(quadratic_bond(dom.dim), recorded, dom, centers, 32, beta=0.0)
     points = np.concatenate(seen)
     assert len(points) > len(centers)
     assert np.all(points >= 0.0) and np.all(points <= np.asarray(dom.sides))
@@ -596,7 +600,7 @@ def test_near_block_first_and_last_cells_match_midpoint_sum():
     h, w = dom.spacing, quadratic_bond(2)
     centers = np.array([[h[0] / 2, 0.5], [1.0 - h[0] / 2, 0.5], [0.5, h[1] / 2],
                         [0.5, 1.0 - h[1] / 2], h / 2, [1.0 - h[0] / 2, h[1] / 2]])
-    got = _near_block_integral(w, u, dom, centers, build_rule(2, 32), beta=0.0)
+    got = _near_block_integral(w, u, dom, centers, 32, beta=0.0)
     want = np.array([midpoint_near_block(w, u, dom, x0, 40) for x0 in centers])
     assert got[0] == pytest.approx(1.19993e-3, rel=1e-5)
     assert np.all(np.abs(got - want) <= 2e-4 * want)
@@ -637,7 +641,7 @@ def test_near_block_accuracy_against_converged_reference(dim, field, p, q):
     if beta >= 0:
         mid = [midpoint_near_block(w, u, dom, x0, 40 if dim == 2 else 12) for x0 in centers]
         assert np.all(np.abs(mid / exact - 1.0) <= 3e-4)
-    pyramid = np.abs(_near_block_integral(w, u, dom, centers, rule, beta=beta) / exact - 1.0)
+    pyramid = np.abs(_near_block_integral(w, u, dom, centers, 32, beta=beta) / exact - 1.0)
     polar = np.abs(reference_polar_near_block(w, u, dom, centers, rule) / exact - 1.0)
     assert np.all(pyramid <= polar)
     if (p, q) == (2.0, 2.0):
@@ -707,10 +711,10 @@ def test_study_local_energy_matches_closed_form(dim, examples):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_affine_local_reference_is_volume_times_density(dim):
     a = np.diag([1.0, 2.0, 1.5][:dim]) + 0.1
-    limit, rule = compute_blowup(quadratic_bond(dim), 0.0), build_rule(dim, 16)
+    limit = compute_blowup(quadratic_bond(dim), 0.0)
     sides = (0.7, 1.3, 0.9)[:dim]
-    got = local_reference(limit, DeformationField.affine(a), sides, rule)
-    assert got == float(np.prod(sides)) * local_density(limit, a, rule)
+    got = local_reference(limit, DeformationField.affine(a), sides, 16)
+    assert got == float(np.prod(sides)) * local_density(limit, a, build_rule(dim, 16))
 
 
 def test_study_computes_local_reference_once(monkeypatch):
@@ -727,14 +731,16 @@ def test_study_computes_local_reference_once(monkeypatch):
     assert len({row[2] for row in study.rows}) == 1
 
 
-@pytest.mark.parametrize("dim, order", [(2, 32), (3, 32), (2, 4), (3, 2)])
+@pytest.mark.parametrize("order", [2, 4, 8, 9, 16, 17, 32])
+@pytest.mark.parametrize("dim", [2, 3])
 def test_local_reference_slabs_match_pointwise_loop(dim, order):
-    # 8 nodes per axis at order 32, the floor of 2 at the lowest orders
+    # order // 4 nodes per axis on the circle as on the sphere, 8 at order
+    # 32; the floor of 2 at the lowest orders
     u = DeformationField.analytic(lambda p: p + 0.1 * np.sin(p[..., ::-1]) ** 2)
-    limit, rule = compute_blowup(quadratic_bond(dim), 0.0), build_rule(dim, order)
+    limit = compute_blowup(quadratic_bond(dim), 0.0)
     sides = (1.0, 0.6, 1.4)[:dim]
-    got = local_reference(limit, u, sides, rule)
-    want = pointwise_local_reference(limit, u, sides, rule)
+    got = local_reference(limit, u, sides, order)
+    want = pointwise_local_reference(limit, u, sides, build_rule(dim, order), max(2, order // 4))
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -764,13 +770,13 @@ def test_local_reference_raises_on_nan_after_inf_slab():
     for limit, error in ((unchecked, ValueError),
                          (compute_blowup(quadratic_bond(2), 0.0), BlowupError)):
         with pytest.raises(error):
-            pointwise_local_reference(limit, u, sides, rule)
+            pointwise_local_reference(limit, u, sides, rule, 8)
         with pytest.raises(error):
-            local_reference(limit, u, sides, rule)
+            local_reference(limit, u, sides, 32)
     # without the NaN both sum the +inf node to +inf
     nan_free = field_with_gradient(lambda p: np.nan_to_num(grad(p), nan=1.0))
-    assert local_reference(unchecked, nan_free, sides, rule) == math.inf
-    assert pointwise_local_reference(unchecked, nan_free, sides, rule) == math.inf
+    assert local_reference(unchecked, nan_free, sides, 32) == math.inf
+    assert pointwise_local_reference(unchecked, nan_free, sides, rule, 8) == math.inf
 
 
 def test_three_dimensional_study_reaches_small_horizons():

@@ -44,6 +44,7 @@ from peribond.recoverability import (
 
 BOND = make_power_bond(1.0 / math.pi, 2.0, 2.0, dim=2)  # declares degree 0
 UNDECLARED = PairwisePotential.from_radial_profile(lambda r, s: s * s / (r * r), ref_dim=2, def_dim=2)
+UNDECLARED3 = PairwisePotential.from_radial_profile(lambda r, s: s * s / (r * r))  # degree 0
 FIELD = DeformationField.affine([[1.0, 0.0], [0.0, 2.0]])
 DOM = BoxDomain((1.0, 1.0), (40, 40))
 LATTICE = MatrixLattice(dim=1, bound=1.0, step=0.5)
@@ -129,6 +130,17 @@ def scan(beta):
     (lambda: scan(True), "beta = True"),
     (lambda: study_grids((True, 1.0), [0.2, 0.1], 8), r"sides = \(True, 1.0\)"),
     (lambda: study_grids((3.0, 3.0), [True, 0.5], 8), r"deltas = \[True, 0.5\]"),
+    # a degree below the undeclared bond's own sends its blow-up to 0: the
+    # local density at diag(1, 2) read 2.4e-24 at -2.5 and -7.7e-32 at -4
+    (lambda: compute_blowup(UNDECLARED, beta=-2.5), r"beta = -2.5: the 'custom-radial' .*2\^2.5"),
+    (lambda: compute_blowup(UNDECLARED, beta=-4.0), r"beta = -4.0: the 'custom-radial' .*2\^4"),
+    (lambda: convergence_study(UNDECLARED3, -2.5, DeformationField.affine(np.diag([1.0, 2.0, 1.5])),
+                               (1.0, 1.0, 1.0), [0.3, 0.2], 3), "beta = -2.5: the 'custom-radial'"),
+    # the circle's 2 x order points are the rule's business, not the caller's
+    (lambda: build_rule(2, 1), "order = 1"),
+    (lambda: nonlocal_energy(BOND, 0.0, 0.1, FIELD, DOM, order=1), "order = 1"),
+    (lambda: nonlocal_energy(BOND, 0.0, 0.1, FIELD, DOM, order=2.5), "order = 2.5"),
+    (lambda: nonlocal_energy(BOND, 0.0, 0.1, FIELD, DOM, order=True), "order = True"),
 ], ids=["energy-beta-nan", "energy-beta-inf", "energy-beta-none", "energy-delta-nan",
         "energy-delta-negative", "grids-side-inf", "grids-side-nan",
         "grids-horizon-past-half-box", "grids-horizon-repeated", "convexify-tol-negative",
@@ -142,7 +154,10 @@ def scan(beta):
         "sphere-rule-float-order", "circle-rule-fraction", "blowup-beta-nan", "undeclared-beta-inf",
         "undeclared-beta-bool", "blowup-degree-unknown", "bond-c-bool", "roundtrip-tol-bool",
         "lattice-bound-bool", "convexify-tol-bool", "box-side-bool", "energy-delta-bool",
-        "scan-beta-bool", "grids-side-bool", "grids-horizon-bool"])
+        "scan-beta-bool", "grids-side-bool", "grids-horizon-bool",
+        "undeclared-degree-below-2d", "undeclared-degree-far-below-2d",
+        "undeclared-study-degree-below-3d", "circle-order-one", "energy-order-one",
+        "energy-order-fraction", "energy-order-bool"])
 def test_library_refuses_and_names_the_argument(call, named):
     with pytest.raises(ValueError, match=named):
         call()
@@ -180,6 +195,17 @@ def test_roundtrip_refuses_a_battery_no_row_decides(invariant, dim):
     with pytest.raises(IndeterminateResidualError,
                        match=f"'profile-{invariant}' .* all 27 test matrices"):
         roundtrip_check(density, build_rule(dim, 32))
+
+
+@pytest.mark.parametrize("profile", [
+    lambda r, s: s * s / (r * r),
+    # scaled values fall 16-fold per level at the reference pair, to 3.6e-15
+    lambda r, s: (s / r - 1.0) ** 2 + r ** 4,
+    lambda r, s: s * s / (r * r) * (1.0 + 1e-4 * r),
+], ids=["s2-over-r2", "stretch-well-plus-r4", "s2-over-r2-perturbed"])
+def test_an_undeclared_bond_passes_at_its_own_degree(profile):
+    bond = PairwisePotential.from_radial_profile(profile, ref_dim=2, def_dim=2)
+    assert compute_blowup(bond, beta=0.0).beta_hat == 0.0
 
 
 def test_a_degree_within_1e_9_of_the_declared_one_passes():
@@ -227,7 +253,7 @@ SMALL_DOM = BoxDomain((1.0, 1.0), (12, 12))
 
 def _bond_energy(evaluator):
     bond = dataclasses.replace(BOND, fn=evaluator)
-    return nonlocal_energy(bond, 0.0, 0.25, FIELD, SMALL_DOM, rule=build_rule(2, 8))
+    return nonlocal_energy(bond, 0.0, 0.25, FIELD, SMALL_DOM, order=8)
 
 
 def _invariances(evaluator):  # the limit is built here, so its own samples count too
