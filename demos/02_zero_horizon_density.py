@@ -22,7 +22,7 @@ from peribond import (
 sigma = 4 * np.pi
 w = make_power_bond(3 / sigma, 2, 2, dim=3)
 print("declared homogeneity degree:", w.beta)
-print("estimated from log-log slopes:", estimate_beta(w))
+print("estimated from the finest-level scaling steps:", estimate_beta(w))
 
 limit = compute_blowup(w)
 print("extrapolation residual at the reference pair:",

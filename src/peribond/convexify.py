@@ -55,10 +55,12 @@ class MatrixLattice:
     def __post_init__(self):
         if self.mode not in ("full", "diagonal"):
             raise ValueError(f"unknown lattice mode {self.mode!r}")
+        if not (is_integer(self.dim) and self.dim >= 1):
+            raise ValueError(f"dim = {self.dim!r}: need a positive integer")
         if not (is_real(self.bound) and is_real(self.step)):
             raise ValueError(f"bound = {self.bound!r}, step = {self.step!r}: need real numbers")
-        if not (self.dim >= 1 and self.bound > 0 and self.step > 0):
-            raise ValueError("dim, bound and step must be positive")
+        if not (self.bound > 0 and self.step > 0):
+            raise ValueError("bound and step must be positive")
         if self.bound < 1:
             raise ValueError(f"bound must be at least 1 to hold +-1, not {self.bound!r}")
         for value, name in ((self.bound / self.step, "bound"), (1.0 / self.step, "1")):

@@ -31,7 +31,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .linalg import is_real, matvec, vector_norm
-from .pipeline import BlowupResult, compute_blowup, local_density
+from .pipeline import BlowupResult, compute_blowup, local_density, resolve_degree
 from .potentials import PairwisePotential
 from .quadrature import build_rule, check_order, is_integer
 
@@ -54,6 +54,13 @@ _RADIAL_NODES = 4
 _NEAR_CHUNK = 2**16
 
 
+def _check_sides(sides) -> None:
+    """Refuse box sides that are not 2 or 3 finite positive real lengths."""
+    if len(sides) not in (2, 3) or not all(is_real(s) and math.isfinite(s) and s > 0
+                                           for s in sides):
+        raise ValueError(f"sides = {sides!r}: need 2 or 3 finite positive lengths")
+
+
 @dataclass(frozen=True)
 class BoxDomain:
     """Axis-aligned box [0, side_1] x ... with a regular cell grid."""
@@ -64,13 +71,10 @@ class BoxDomain:
     def __post_init__(self):
         if len(self.sides) != len(self.resolution):
             raise ValueError("sides and resolution must have matching length")
-        if len(self.sides) not in (2, 3):
-            raise ValueError("box domains support dimensions 2 and 3")
+        _check_sides(self.sides)
         # a fractional cell count would skew every pair count of the grid
         if not all(is_integer(r) and r > 0 for r in self.resolution):
             raise ValueError(f"resolution = {self.resolution!r}: need positive integers")
-        if not all(is_real(s) and math.isfinite(s) and s > 0 for s in self.sides):
-            raise ValueError(f"sides = {self.sides!r}: need finite positive lengths")
 
     @property
     def dim(self) -> int:
@@ -379,8 +383,8 @@ def nonlocal_energy(
     Parameters
     ----------
     w, beta
-        Bond density and its homogeneity degree (must match a declared
-        degree on ``w``; the prefactor depends on it).
+        Bond density and its homogeneity degree, resolved by
+        :func:`~peribond.pipeline.resolve_degree` (the prefactor needs it).
     delta
         Horizon, finite and positive. Must stay below half the shortest side
         and span at least three cells per axis.
@@ -392,15 +396,15 @@ def nonlocal_energy(
     Raises
     ------
     ValueError
-        If ``beta`` is not a finite real number, has dim + beta <= 0 or
-        conflicts with the degree declared on ``w``; if ``delta`` is not
+        If ``beta`` has dim + beta <= 0 or ``resolve_degree`` refuses it (a
+        NaN, say); if ``delta`` is not
         a finite positive real, reaches half the shortest side or spans fewer
         than three cells; if ``order`` is not an integer of at least 2; or if
         the far-field sum or the near-block sum of the bond density is NaN,
         so a NaN bond value never yields an energy.
     """
     check_degree(beta, dom.dim)
-    w.degree(beta)
+    resolve_degree(w, beta)
     _check_horizon(delta, dom)
     check_order(order)
 
@@ -466,11 +470,13 @@ class ConvergenceStudy:
 def local_reference(limit: BlowupResult, field: DeformationField, sides, order: int) -> float:
     """I_local: the local density at the deformation gradient, integrated
     over the box [0, side_1] x ... on the sphere rule ``build_rule(len(sides),
-    order)``. An affine field gives the volume times W(A); any other field a
+    order)``; ``sides`` as :class:`BoxDomain` takes them, else ValueError.
+    An affine field gives the volume times W(A); any other field a
     tensor Gauss-Legendre rule with order // 4 nodes per axis, at least 2 (8
     at the default order 32). One local-density call per node of the first
     axis bounds memory; every slab runs, so a NaN raises even after a +inf
     slab."""
+    _check_sides(sides)
     rule = build_rule(len(sides), order)
     if field.matrix is not None:
         return float(np.prod(sides)) * local_density(limit, field.matrix, rule)
@@ -489,19 +495,19 @@ def study_grids(sides, deltas, cells_per_horizon: int) -> list[tuple[float, BoxD
     Raises
     ------
     ValueError
-        If ``sides`` or ``deltas`` hold a value that is not a real number, a
-        bool say; if ``deltas`` is empty, holds a horizon that is not
+        If ``sides`` are not 2 or 3 finite positive lengths, as
+        :class:`BoxDomain` takes them; if ``deltas`` holds a value that is
+        not a real number, a bool say, is empty, holds a horizon that is not
         positive or repeats one; if ``cells_per_horizon`` is not an integer
-        of at least 3; if ``sides`` are not 2 or 3 finite positive lengths;
-        or if a horizon reaches half the shortest side or spans fewer than
-        three cells of its rounded grid, as :func:`nonlocal_energy` would
-        refuse it. One horizon is a study without a slope; the CLI, whose
-        verdict reads the slope, asks for two.
+        of at least 3; or if a horizon reaches half the shortest side or
+        spans fewer than three cells of its rounded grid, as
+        :func:`nonlocal_energy` would refuse it. One horizon is a study
+        without a slope; the CLI, whose verdict reads the slope, asks for two.
     """
     sides, deltas = tuple(sides), list(deltas)
-    for name, values in (("sides", sides), ("deltas", deltas)):
-        if not all(is_real(v) for v in values):  # float() would run True as 1.0
-            raise ValueError(f"{name} = {values!r}: need real numbers")
+    _check_sides(sides)
+    if not all(is_real(d) for d in deltas):  # float() would run True as 1.0
+        raise ValueError(f"deltas = {deltas!r}: need real numbers")
     sides = tuple(float(s) for s in sides)
     deltas = [float(d) for d in deltas]
     # a repeated horizon repeats a row of the study; with two equal
@@ -514,9 +520,7 @@ def study_grids(sides, deltas, cells_per_horizon: int) -> list[tuple[float, BoxD
     grids = []
     for d in deltas:
         h = d / cells_per_horizon
-        # a non-finite side gets one cell, which BoxDomain refuses by name
-        dom = BoxDomain(sides, tuple(max(1, int(round(s / h))) if math.isfinite(s) else 1
-                                     for s in sides))
+        dom = BoxDomain(sides, tuple(max(1, int(round(s / h))) for s in sides))
         _check_horizon(d, dom)
         grids.append((d, dom))
     return grids
@@ -548,7 +552,7 @@ def convergence_study(
         :func:`nonlocal_energy` and :func:`local_reference` raise.
     """
     grids = study_grids(sides, deltas, cells_per_horizon)
-    check_degree(beta, len(sides))  # the blow-up would refuse a NaN without naming beta
+    check_degree(beta, len(sides))  # dim + beta <= 0, refused before the local reference runs
     reference = local_reference(compute_blowup(w, beta), field, grids[0][1].sides, order)
     rows = []
     log_d, log_g = [], []

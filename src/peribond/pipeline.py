@@ -2,10 +2,11 @@
 
 The pipeline has three numerical stages: take the homogeneity degree of
 the potential near zero separation (declared, passed, or estimated by
-:func:`estimate_beta`), evaluate the small-scale limit w(t*x, t*y)/t^beta
-as t -> 0 on a geometric grid with extrapolation, and integrate that limit
-against directions on the unit sphere to obtain the local density. The quasiconvexification stage lives
-in :mod:`peribond.convexify`.
+:func:`estimate_beta`; one test on the grid's three finest levels checks an
+undeclared one), evaluate the small-scale limit w(t*x, t*y)/t^beta as t -> 0
+on that grid with extrapolation, and integrate it against directions on the
+unit sphere to obtain the local density. The quasiconvexification stage
+lives in :mod:`peribond.convexify`.
 """
 
 import math
@@ -18,9 +19,9 @@ from .linalg import is_integer, normals, rotation_from_rng, seeded
 from .potentials import PairwisePotential
 from .quadrature import SphereQuadrature
 
-#: geometric grid t_k = 2^-k for the small-scale limit: the degree fit and
-#: :func:`compute_blowup`'s diagnostics read every level, its ``evaluate``
-#: the three finest.
+#: geometric grid t_k = 2^-k for the small-scale limit: :func:`compute_blowup`'s
+#: diagnostics read every level; its ``evaluate`` and the degree test of
+#: :func:`resolve_degree` and :func:`estimate_beta` read the three finest.
 DEFAULT_K_RANGE = (4, 12)
 
 #: relative Cauchy tolerance for accepting the limit.
@@ -85,47 +86,62 @@ def _blowup(w: PairwisePotential, beta: float, x_ref, y_def):
     return float(limit) if limit.ndim == 0 else limit
 
 
-def _offset_pairs(w: PairwisePotential) -> list:
-    """The 8 fixed offset pairs (x_ref, y_def) the degree checks sample,
-    normals drawn from ``seeded(0)``."""
+def _finest_steps(w: PairwisePotential, beta: float) -> np.ndarray:
+    """The one degree test's data: log2 |v_k / v_(k+1)| of the scaled values
+    v_k = w(t_k x, t_k y) / t_k^beta between the three finest levels, the
+    ones :func:`_blowup` reads, at 8 fixed offset pairs, normals drawn from
+    ``seeded(0)``. Shape (8, 2); a bond of degree b steps by b - beta. A pair
+    where a value is zero or not finite reads NaN."""
     rng = seeded(0)
-    return [(normals(rng, w.ref_dim), normals(rng, w.def_dim)) for _ in range(8)]
+    x, y = zip(*[(normals(rng, w.ref_dim), normals(rng, w.def_dim)) for _ in range(8)])
+    k_max = DEFAULT_K_RANGE[1]
+    v = _scaled_values(w, beta, np.array(x), np.array(y), (k_max - 2, k_max)).T  # (8, 3)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        steps = np.log2(np.abs(v[:, :-1] / v[:, 1:]))
+    steps[~np.all(np.isfinite(v) & (v != 0.0), axis=1)] = np.nan
+    return steps
+
+
+def _check_steps(w: PairwisePotential, beta: float) -> None:
+    """Refuse ``beta`` if a step of :func:`_finest_steps` at it exceeds 1e-6
+    (NaN pairs skipped): below the bond's degree the limit would be 0."""
+    steps = np.abs(_finest_steps(w, beta))
+    worst = float(np.max(steps, initial=0.0, where=~np.isnan(steps)))
+    if worst > 1e-6:
+        raise ValueError(f"beta = {beta!r}: the {w.kind!r} potential is not of this degree; "
+                         f"its scaled values change by a factor of 2^{worst:.3g} between "
+                         "two of the three finest t (at most 2^1e-06 allowed)")
+
+
+def resolve_degree(w: PairwisePotential, beta: float | None) -> float:
+    """The degree of the blow-up and the horizon scaling: ``w.degree(beta)``,
+    which refuses a ``beta`` that is not a finite real or conflicts with the
+    declared degree. A bond that declares none needs a ``beta`` that passes
+    :func:`_check_steps`; a declared degree costs no bond call."""
+    beta_hat = w.degree(beta)
+    if beta_hat is None:
+        raise ValueError(f"beta = None: the {w.kind!r} potential declares no degree; "
+                         "pass one, for instance estimate_beta(w)")
+    if w.beta is None:
+        _check_steps(w, beta_hat)
+    return float(beta_hat)
 
 
 def estimate_beta(w: PairwisePotential) -> float:
-    """Homogeneity degree of w near zero by log-log slope in t.
+    """Homogeneity degree of w near zero: the mean over the 8 offset pairs of
+    :func:`_finest_steps` of the finest step at degree 0,
+    log2 |w(t_11 x, t_11 y) / w(t_12 x, t_12 y)|.
 
-    Averages least-squares slopes of log |w(t*x, t*y)| against log t over
-    8 fixed offset pairs, normals drawn from ``seeded(0)``, on the grid
-    ``DEFAULT_K_RANGE``. A fit residual or a slope spread above 1e-6 means
-    the potential is not asymptotically homogeneous, which is an error.
+    ValueError if the bond vanishes or is not finite at a pair, or if the
+    estimate fails :func:`_check_steps`, as a sum of two powers does.
     """
-    k_min, k_max = DEFAULT_K_RANGE
-    log_t = np.array([-k * math.log(2.0) for k in range(k_min, k_max + 1)])
-    fit_tol = 1e-6
-    slopes = []
-    for x, y in _offset_pairs(w):
-        v = _scaled_values(w, 0.0, x, y, DEFAULT_K_RANGE)
-        if np.any(v == 0.0) or not np.all(np.isfinite(v)):
-            raise ValueError(
-                "potential vanishes or is non-finite along a sampled ray; "
-                "cannot estimate the homogeneity degree"
-            )
-        log_v = np.log(np.abs(v))
-        coeffs, residuals, *_ = np.polyfit(log_t, log_v, 1, full=True)
-        rms = math.sqrt(float(residuals[0]) / len(log_t)) if len(residuals) else 0.0
-        if rms > fit_tol:
-            raise ValueError(
-                "potential is not asymptotically homogeneous: log-log fit "
-                f"residual {rms:.3e} exceeds {fit_tol:.1e}"
-            )
-        slopes.append(float(coeffs[0]))
-    if max(slopes) - min(slopes) > fit_tol:
-        raise ValueError(
-            "potential is not asymptotically homogeneous: slope spread "
-            f"{max(slopes) - min(slopes):.3e} across samples exceeds {fit_tol:.1e}"
-        )
-    return float(np.mean(slopes))
+    steps = _finest_steps(w, 0.0)
+    if np.any(np.isnan(steps)):
+        raise ValueError("potential vanishes or is non-finite along a sampled ray; "
+                         "cannot estimate the homogeneity degree")
+    beta_hat = float(np.mean(steps[:, -1]))
+    _check_steps(w, beta_hat)
+    return beta_hat
 
 
 @dataclass(frozen=True)
@@ -147,37 +163,18 @@ def compute_blowup(w: PairwisePotential, beta: float | None = None) -> BlowupRes
     ``beta`` passes; the result's ``evaluate`` is the one public route to
     that limit.
 
-    :meth:`PairwisePotential.degree` resolves the degree and refuses a
-    ``beta`` that is not a finite real number or conflicts with the declared
-    one, since the horizon-scaling prefactor depends on it. A potential that
-    declares no degree needs a ``beta``: pass :func:`estimate_beta`'s, else
-    ValueError. That ``beta`` is checked against the bond: at each of the 8
-    offset pairs of :func:`estimate_beta` where the scaled values of the two
-    finest levels are finite and nonzero, |log2(v_12 / v_11)| must stay
-    within 1e-6, else ValueError. A degree below the bond's would send the
-    scaled values, and the limit, to 0 geometrically.
+    :func:`resolve_degree` resolves the degree, since the horizon-scaling
+    prefactor depends on it: it refuses a ``beta`` that is not a finite real
+    number or conflicts with the declared one and, for a potential that
+    declares no degree, a missing ``beta`` (pass :func:`estimate_beta`'s) or
+    one the bond's scaled values at the three finest levels contradict.
 
     The result keeps the degree, not the potential. ``diagnostics`` samples
     every level of ``DEFAULT_K_RANGE`` at one reference offset pair;
     :class:`BlowupError` is raised here when one of those samples is not
     finite, since ``evaluate`` reads only the finest three.
     """
-    beta_hat = w.degree(beta)
-    if beta_hat is None:
-        raise ValueError(f"beta = None: the {w.kind!r} potential declares no degree; "
-                         "pass one, for instance estimate_beta(w)")
-    beta_hat = float(beta_hat)
-    if w.beta is None:
-        k_max = DEFAULT_K_RANGE[1]
-        worst = 0.0
-        for x, y in _offset_pairs(w):
-            v = _scaled_values(w, beta_hat, x, y, (k_max - 1, k_max))
-            if np.all(np.isfinite(v) & (v != 0.0)):
-                worst = max(worst, abs(math.log2(abs(v[1])) - math.log2(abs(v[0]))))
-        if worst > 1e-6:
-            raise ValueError(f"beta = {beta!r}: the {w.kind!r} potential is not of this degree; "
-                             f"its scaled values change by a factor of 2^{worst:.3g} between "
-                             "the two finest t (at most 2^1e-06 allowed)")
+    beta_hat = resolve_degree(w, beta)
 
     def evaluate(x_ref, y_def):
         return _blowup(w, beta_hat, x_ref, y_def)

@@ -46,7 +46,9 @@ def extract_candidate(density: StoredEnergy, dim: int):
 def default_test_matrices(dim: int, randoms: int = 20) -> list[np.ndarray]:
     """Battery: identity multiples, volume-preserving stretches diag(l, 1/l, 1),
     a distinct-diagonal matrix, and the first ``randoms`` of a fixed sequence
-    of random matrices, normals drawn from ``seeded(0)``."""
+    of random matrices, normals drawn from ``seeded(0)``, for ``dim`` 2 or 3."""
+    if not is_integer(dim) or dim not in (2, 3):
+        raise ValueError(f"dim = {dim!r}: need 2 or 3")
     if not is_integer(randoms) or randoms < 0:
         raise ValueError(f"randoms = {randoms!r}: need an integer of at least 0")
     mats = [t * np.eye(dim) for t in (0.5, 1.0, 2.0)]

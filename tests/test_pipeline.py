@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -102,6 +103,23 @@ def test_compute_blowup_checks_every_level_at_reference_pair():
 def test_estimate_beta_powers():
     assert estimate_beta(make_power_bond(1.0, 4.0, 2.0)) == pytest.approx(2.0, abs=1e-6)
     assert estimate_beta(quadratic_bond(2)) == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("p, q, dim", [(2.0, 2.0, 2), (2.0, 2.0, 3), (4.0, 3.0, 3)])
+def test_estimate_beta_is_exact_for_power_bonds(p, q, dim):
+    # t = 2^-k scales every factor of c |y|^p / |x|^q exactly
+    w = make_power_bond(dim / (2 * math.pi if dim == 2 else 4 * math.pi), p, q, dim=dim)
+    assert estimate_beta(w) == w.beta
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.floats(0.1, 10.0), p=st.floats(0.0, 6.0), q=st.floats(0.0, 4.0),
+       dim=st.sampled_from([2, 3]))
+def test_estimate_beta_finds_an_undeclared_power(c, p, q, dim):
+    w = dataclasses.replace(make_power_bond(c, p, q, dim=dim), beta=None)
+    beta = estimate_beta(w)
+    assert abs(beta - (p - q)) <= 1e-12
+    assert compute_blowup(w, beta).beta_hat == beta
 
 
 def test_estimate_beta_rejects_mixed_powers():

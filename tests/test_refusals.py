@@ -21,10 +21,11 @@ from peribond.horizon import (
     BoxDomain,
     DeformationField,
     convergence_study,
+    local_reference,
     nonlocal_energy,
     study_grids,
 )
-from peribond.pipeline import BlowupError, compute_blowup, verify_limit_invariances
+from peribond.pipeline import BlowupError, compute_blowup, estimate_beta, verify_limit_invariances
 from peribond.potentials import (
     PairwisePotential,
     ScalarProfile,
@@ -56,6 +57,10 @@ def energy(beta=0.0, delta=0.1):
 
 def study(beta):
     return convergence_study(BOND, beta, FIELD, (1.0, 1.0), [0.2, 0.1], 8)
+
+
+def reference(sides):
+    return local_reference(compute_blowup(BOND), FIELD, sides, 8)
 
 
 def invariances(trials):
@@ -141,6 +146,23 @@ def scan(beta):
     (lambda: nonlocal_energy(BOND, 0.0, 0.1, FIELD, DOM, order=1), "order = 1"),
     (lambda: nonlocal_energy(BOND, 0.0, 0.1, FIELD, DOM, order=2.5), "order = 2.5"),
     (lambda: nonlocal_energy(BOND, 0.0, 0.1, FIELD, DOM, order=True), "order = True"),
+    # numpy would fail inside the sweep with a TypeError that names no argument
+    (lambda: MatrixLattice(True, 1.0, 0.5, "diagonal"), "dim = True"),
+    (lambda: MatrixLattice(2.0, 1.0, 0.5, "diagonal"), "dim = 2.0"),
+    # the box BoxDomain refuses: these returned nan, 5.0 and -5.0 at diag(1, 2)
+    (lambda: reference((1.0, math.nan)), r"sides = \(1.0, nan\)"),
+    (lambda: reference((True, 1.0)), r"sides = \(True, 1.0\)"),
+    (lambda: reference((1.0, -1.0)), r"sides = \(1.0, -1.0\)"),
+    (lambda: reference((1.0,) * 4), r"sides = \(1.0, 1.0, 1.0, 1.0\)"),
+    # dim 4 mixed 3x3 stretches among 4x4 identity multiples
+    (lambda: default_test_matrices(4, randoms=0), "dim = 4"),
+    (lambda: default_test_matrices(1, randoms=0), "dim = 1"),
+    (lambda: default_test_matrices(True), "dim = True"),
+    (lambda: default_test_matrices(2.0), "dim = 2.0"),
+    # a degree below the undeclared bond's own: the energy read 4.409 at -0.5
+    # and 0.294 at -1.5 on this box, against the degree-0 value
+    (lambda: nonlocal_energy(UNDECLARED, -0.5, 0.2, FIELD, DOM), "beta = -0.5: the 'custom-radial'"),
+    (lambda: nonlocal_energy(UNDECLARED, -1.5, 0.2, FIELD, DOM), "beta = -1.5: the 'custom-radial'"),
 ], ids=["energy-beta-nan", "energy-beta-inf", "energy-beta-none", "energy-delta-nan",
         "energy-delta-negative", "grids-side-inf", "grids-side-nan",
         "grids-horizon-past-half-box", "grids-horizon-repeated", "convexify-tol-negative",
@@ -157,7 +179,10 @@ def scan(beta):
         "scan-beta-bool", "grids-side-bool", "grids-horizon-bool",
         "undeclared-degree-below-2d", "undeclared-degree-far-below-2d",
         "undeclared-study-degree-below-3d", "circle-order-one", "energy-order-one",
-        "energy-order-fraction", "energy-order-bool"])
+        "energy-order-fraction", "energy-order-bool", "lattice-dim-bool", "lattice-dim-float",
+        "reference-side-nan", "reference-side-bool", "reference-side-negative",
+        "reference-four-sides", "battery-dim-four", "battery-dim-one", "battery-dim-bool",
+        "battery-dim-float", "undeclared-energy-degree-below", "undeclared-energy-degree-far-below"])
 def test_library_refuses_and_names_the_argument(call, named):
     with pytest.raises(ValueError, match=named):
         call()
@@ -197,15 +222,21 @@ def test_roundtrip_refuses_a_battery_no_row_decides(invariant, dim):
         roundtrip_check(density, build_rule(dim, 32))
 
 
-@pytest.mark.parametrize("profile", [
-    lambda r, s: s * s / (r * r),
+@pytest.mark.parametrize("profile, tol", [
+    (lambda r, s: s * s / (r * r), 0.0),
     # scaled values fall 16-fold per level at the reference pair, to 3.6e-15
-    lambda r, s: (s / r - 1.0) ** 2 + r ** 4,
-    lambda r, s: s * s / (r * r) * (1.0 + 1e-4 * r),
+    (lambda r, s: (s / r - 1.0) ** 2 + r ** 4, 1e-9),
+    # the factor 1 + 1e-4 r steps by about 1e-4 2^-12 r / ln 2 = 3.5e-8 r
+    (lambda r, s: s * s / (r * r) * (1.0 + 1e-4 * r), 1e-7),
 ], ids=["s2-over-r2", "stretch-well-plus-r4", "s2-over-r2-perturbed"])
-def test_an_undeclared_bond_passes_at_its_own_degree(profile):
+def test_an_undeclared_bond_passes_at_its_own_degree(profile, tol):
     bond = PairwisePotential.from_radial_profile(profile, ref_dim=2, def_dim=2)
     assert compute_blowup(bond, beta=0.0).beta_hat == 0.0
+    # a line fit over every level k = 4..12 refused the last two: their
+    # lower-order terms have not died out at the coarse levels
+    beta = estimate_beta(bond)
+    assert abs(beta) <= tol
+    assert compute_blowup(bond, beta).beta_hat == beta
 
 
 def test_a_degree_within_1e_9_of_the_declared_one_passes():
