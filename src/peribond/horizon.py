@@ -52,6 +52,7 @@ _RADIAL_NODES = 4
 
 # (center, node, axis) entries per near-block chunk
 _NEAR_CHUNK = 2**16
+_MAX_CELLS = 2**52  # cells per side: past it, (i + 1/2) h rounds the last center onto the wall
 
 
 def _check_sides(sides) -> None:
@@ -73,8 +74,8 @@ class BoxDomain:
             raise ValueError("sides and resolution must have matching length")
         _check_sides(self.sides)
         # a fractional cell count would skew every pair count of the grid
-        if not all(is_integer(r) and r > 0 for r in self.resolution):
-            raise ValueError(f"resolution = {self.resolution!r}: need positive integers")
+        if not all(is_integer(r) and 0 < r <= _MAX_CELLS for r in self.resolution):
+            raise ValueError(f"resolution = {self.resolution!r}: need positive integers up to 2^52")
 
     @property
     def dim(self) -> int:
@@ -383,8 +384,8 @@ def nonlocal_energy(
     Parameters
     ----------
     w, beta
-        Bond density and its homogeneity degree, resolved by
-        :func:`~peribond.pipeline.resolve_degree` (the prefactor needs it).
+        Bond density and its homogeneity degree, declared or passed, checked
+        by :func:`~peribond.pipeline.resolve_degree` (the prefactor needs it).
     delta
         Horizon, finite and positive. Must stay below half the shortest side
         and span at least three cells per axis.
@@ -397,11 +398,11 @@ def nonlocal_energy(
     ------
     ValueError
         If ``beta`` has dim + beta <= 0 or ``resolve_degree`` refuses it (a
-        NaN, say); if ``delta`` is not
-        a finite positive real, reaches half the shortest side or spans fewer
-        than three cells; if ``order`` is not an integer of at least 2; or if
-        the far-field sum or the near-block sum of the bond density is NaN,
-        so a NaN bond value never yields an energy.
+        NaN, or a degree the bond contradicts); if ``delta`` is not a finite
+        positive real, reaches half the shortest side or spans fewer than
+        three cells; if ``order`` is not an integer of at least 2; or if the
+        bond is NaN in the degree test, the far-field sum or the near-block
+        sum, so a NaN bond value never yields an energy.
     """
     check_degree(beta, dom.dim)
     resolve_degree(w, beta)
@@ -498,8 +499,9 @@ def study_grids(sides, deltas, cells_per_horizon: int) -> list[tuple[float, BoxD
         If ``sides`` are not 2 or 3 finite positive lengths, as
         :class:`BoxDomain` takes them; if ``deltas`` holds a value that is
         not a real number, a bool say, is empty, holds a horizon that is not
-        positive or repeats one; if ``cells_per_horizon`` is not an integer
-        of at least 3; or if a horizon reaches half the shortest side or
+        positive, repeats one or needs over 2^52 cells per side; if
+        ``cells_per_horizon`` is not an integer of at least 3; or if a
+        horizon reaches half the shortest side or
         spans fewer than three cells of its rounded grid, as
         :func:`nonlocal_energy` would refuse it. One horizon is a study
         without a slope; the CLI, whose verdict reads the slope, asks for two.
@@ -519,8 +521,10 @@ def study_grids(sides, deltas, cells_per_horizon: int) -> list[tuple[float, BoxD
         raise ValueError(f"cells_per_horizon = {cells_per_horizon!r}: need an integer of at least 3")
     grids = []
     for d in deltas:
-        h = d / cells_per_horizon
-        dom = BoxDomain(sides, tuple(max(1, int(round(s / h))) for s in sides))
+        cells = [s / (d / cells_per_horizon) for s in sides]
+        if not all(c <= _MAX_CELLS for c in cells):  # an infinite count too
+            raise ValueError(f"deltas = {deltas!r}: delta = {d!r} needs over 2^52 cells per side")
+        dom = BoxDomain(sides, tuple(max(1, int(round(c))) for c in cells))
         _check_horizon(d, dom)
         grids.append((d, dom))
     return grids

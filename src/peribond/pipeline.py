@@ -2,8 +2,8 @@
 
 The pipeline has three numerical stages: take the homogeneity degree of
 the potential near zero separation (declared, passed, or estimated by
-:func:`estimate_beta`; one test on the grid's three finest levels checks an
-undeclared one), evaluate the small-scale limit w(t*x, t*y)/t^beta as t -> 0
+:func:`estimate_beta`; one test on the grid's three finest levels checks it
+whichever it is), evaluate the small-scale limit w(t*x, t*y)/t^beta as t -> 0
 on that grid with extrapolation, and integrate it against directions on the
 unit sphere to obtain the local density. The quasiconvexification stage
 lives in :mod:`peribond.convexify`.
@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import is_integer, normals, rotation_from_rng, seeded
+from .linalg import is_integer, is_real, normals, rotation_from_rng, seeded
 from .potentials import PairwisePotential
 from .quadrature import SphereQuadrature
 
@@ -58,7 +58,7 @@ def _blowup(w: PairwisePotential, beta: float, x_ref, y_def):
         step exceeds ``BLOWUP_REL_TOL * (1 + |v|)`` at the finest value v,
         which is what a degree above the true one produces. A degree far
         enough below it sends v to 0 and can pass here; :func:`compute_blowup`
-        refuses it first.
+        refuses it first, declared or passed.
     """
     k_max = DEFAULT_K_RANGE[1]
     v = _scaled_values(w, beta, x_ref, y_def, (k_max - 2, k_max))
@@ -90,14 +90,17 @@ def _finest_steps(w: PairwisePotential, beta: float) -> np.ndarray:
     """The one degree test's data: log2 |v_k / v_(k+1)| of the scaled values
     v_k = w(t_k x, t_k y) / t_k^beta between the three finest levels, the
     ones :func:`_blowup` reads, at 8 fixed offset pairs, normals drawn from
-    ``seeded(0)``. Shape (8, 2); a bond of degree b steps by b - beta. A pair
-    where a value is zero or not finite reads NaN."""
+    ``seeded(0)``: log2 |w_k / w_(k+1)| - beta, as t_k = 2 t_(k+1). Shape
+    (8, 2); a bond of degree b steps by b - beta. A pair where a bond value
+    is zero or infinite reads NaN; a NaN bond value raises ValueError."""
     rng = seeded(0)
     x, y = zip(*[(normals(rng, w.ref_dim), normals(rng, w.def_dim)) for _ in range(8)])
     k_max = DEFAULT_K_RANGE[1]
-    v = _scaled_values(w, beta, np.array(x), np.array(y), (k_max - 2, k_max)).T  # (8, 3)
+    v = _scaled_values(w, 0.0, np.array(x), np.array(y), (k_max - 2, k_max)).T  # (8, 3)
+    if np.any(np.isnan(v)):
+        raise ValueError(f"the {w.kind!r} potential is NaN at an offset pair of the degree test")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        steps = np.log2(np.abs(v[:, :-1] / v[:, 1:]))
+        steps = np.log2(np.abs(v[:, :-1] / v[:, 1:])) - beta
     steps[~np.all(np.isfinite(v) & (v != 0.0), axis=1)] = np.nan
     return steps
 
@@ -114,17 +117,21 @@ def _check_steps(w: PairwisePotential, beta: float) -> None:
 
 
 def resolve_degree(w: PairwisePotential, beta: float | None) -> float:
-    """The degree of the blow-up and the horizon scaling: ``w.degree(beta)``,
-    which refuses a ``beta`` that is not a finite real or conflicts with the
-    declared degree. A bond that declares none needs a ``beta`` that passes
-    :func:`_check_steps`; a declared degree costs no bond call."""
-    beta_hat = w.degree(beta)
-    if beta_hat is None:
+    """The one rule for the degree of the blow-up and the horizon scaling:
+    ``beta``, or the declared degree when ``beta`` is None. ValueError if
+    neither is given, if the degree is a bool or not a finite real, if it is
+    more than 1e-9 from the declared one, or if :func:`_check_steps` refuses
+    it, declared or passed (3 bond calls)."""
+    if beta is None and w.beta is None:
         raise ValueError(f"beta = None: the {w.kind!r} potential declares no degree; "
                          "pass one, for instance estimate_beta(w)")
-    if w.beta is None:
-        _check_steps(w, beta_hat)
-    return float(beta_hat)
+    beta = w.beta if beta is None else beta
+    if not (is_real(beta) and math.isfinite(beta)):
+        raise ValueError(f"beta = {beta!r}: need a finite real degree")
+    if w.beta is not None and abs(beta - w.beta) > 1e-9:
+        raise ValueError(f"degree {beta!r} conflicts with the declared degree {w.beta!r}")
+    _check_steps(w, beta)
+    return float(beta)
 
 
 def estimate_beta(w: PairwisePotential) -> float:
@@ -164,10 +171,10 @@ def compute_blowup(w: PairwisePotential, beta: float | None = None) -> BlowupRes
     that limit.
 
     :func:`resolve_degree` resolves the degree, since the horizon-scaling
-    prefactor depends on it: it refuses a ``beta`` that is not a finite real
-    number or conflicts with the declared one and, for a potential that
-    declares no degree, a missing ``beta`` (pass :func:`estimate_beta`'s) or
-    one the bond's scaled values at the three finest levels contradict.
+    prefactor depends on it: it refuses a missing ``beta`` for a potential
+    that declares no degree (pass :func:`estimate_beta`'s), a ``beta`` that
+    is not a finite real or conflicts with the declared one, and a degree,
+    declared or passed, that the bond's three finest levels contradict.
 
     The result keeps the degree, not the potential. ``diagnostics`` samples
     every level of ``DEFAULT_K_RANGE`` at one reference offset pair;

@@ -94,25 +94,12 @@ class PairwisePotential(_Model):
     each other, and ``fn`` returns values of their broadcast shape: callers
     pass reference offsets shared by many deformed ones unbroadcast, so
     their norms are taken once. ``beta`` is the declared homogeneity degree
-    of the pair (None = unknown).
+    of the pair (None = unknown), checked by :func:`~peribond.pipeline.resolve_degree`.
     """
 
     beta: float | None = None
     ref_dim: int = 3
     def_dim: int = 3
-
-    def degree(self, beta: float | None = None) -> float | None:
-        """The homogeneity degree: ``beta`` if given, else the declared one
-        (None when neither is). A ``beta`` that is a bool or not a finite
-        real number raises ValueError, and so does one more than 1e-9 from
-        the declared degree: the horizon scaling depends on it."""
-        if beta is None:
-            return self.beta
-        if not (is_real(beta) and math.isfinite(beta)):
-            raise ValueError(f"beta = {beta!r}: need a finite real degree")
-        if self.beta is not None and abs(beta - self.beta) > 1e-9:
-            raise ValueError(f"degree {beta!r} conflicts with the declared degree {self.beta!r}")
-        return beta
 
     @staticmethod
     def from_radial_profile(

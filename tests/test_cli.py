@@ -671,6 +671,10 @@ def test_unparsable_value_exit_64(tmp_path, capsys, name, text, named):
      ["[converge]", "delta = 0.29", "fewer than 3"]),
     ("quadrature-check", "converge", "deltas = 0.29 0.2\ncells-per-horizon = 3",
      ["[converge]", "delta = 0.29", "fewer than 3"]),
+    # the cell count overflowed to inf (exit 64, no argument named) and put a
+    # cell center on the wall (exit 1)
+    ("converge", "converge", "deltas = 0.1 1e-320", ["[converge]", "deltas = [0.1, 1e-320]", "2^52"]),
+    ("converge", "converge", "deltas = 0.1 1.7e-15", ["[converge]", "deltas = [0.1, 1.7e-15]", "2^52"]),
     ("gamma-limit", "potential", "dim = 2\np = 2\nq = 4",
      ["[potential]", "dim = 2", "q = 4.0", "beta = -2.0", "dim + beta > 0"]),
     ("converge", "potential", "dim = 2\np = 2\nq = 4",
@@ -688,7 +692,8 @@ def test_unparsable_value_exit_64(tmp_path, capsys, name, text, named):
         "matrix-entries-off-box", "potential-dim-4", "horizon-past-half-box",
         "horizon-past-half-box-other-task", "horizon-repeated", "horizon-repeated-other-task",
         "horizon-under-3-cells",
-        "horizon-under-3-cells-other-task", "bond-degree-minus-dim",
+        "horizon-under-3-cells-other-task", "horizon-denormal", "horizon-past-2-52-cells",
+        "bond-degree-minus-dim",
         "bond-degree-minus-dim-converge", "bond-degree-below-minus-dim", "bond-c-negative"])
 def test_out_of_range_value_exit_64(tmp_path, capsys, task, section, line, named):
     text = f"[run]\ntask = {task}\n" + ("" if section == "run" else f"\n[{section}]\n")

@@ -130,6 +130,21 @@ def test_estimate_beta_rejects_mixed_powers():
         estimate_beta(w)
 
 
+def test_resolve_degree_checks_a_passed_degree_against_the_declared_one():
+    bond = make_power_bond(1.0, 2.0, 2.0, dim=2)
+    assert pipeline.resolve_degree(bond, None) == 0.0
+    assert pipeline.resolve_degree(bond, 5e-10) == 5e-10
+    with pytest.raises(ValueError, match="degree 2e-09 conflicts with the declared degree 0.0"):
+        pipeline.resolve_degree(bond, 2e-9)
+    undeclared = PairwisePotential("custom", {}, bond.fn, ref_dim=2, def_dim=2)
+    with pytest.raises(ValueError, match="beta = None: the 'custom' potential declares no degree"):
+        pipeline.resolve_degree(undeclared, None)
+    assert pipeline.resolve_degree(undeclared, 0.0) == 0.0
+    # a passed degree is checked against the bond, as a declared one is
+    with pytest.raises(ValueError, match="beta = 7.0: the 'custom' potential is not of this degree"):
+        pipeline.resolve_degree(undeclared, 7.0)
+
+
 def test_compute_blowup_degree_conflict():
     w = quadratic_bond(2)
     with pytest.raises(ValueError):

@@ -208,15 +208,6 @@ def test_every_model_describes_itself(model, description):
     assert model.describe() == description
 
 
-def test_degree_checks_a_passed_degree_against_the_declared_one():
-    bond = make_power_bond(1.0, 2.0, 2.0, dim=2)
-    assert bond.degree() == 0.0 and bond.degree(5e-10) == 5e-10
-    with pytest.raises(ValueError, match="degree 2e-09 conflicts with the declared degree 0.0"):
-        bond.degree(2e-9)
-    undeclared = PairwisePotential("custom", {}, bond.fn, ref_dim=2, def_dim=2)
-    assert undeclared.degree() is None and undeclared.degree(7.0) == 7.0
-
-
 def test_check_dim_names_both_sizes():
     cof = make_profile_energy("cof", ScalarProfile.well())
     cof.check_dim(3)

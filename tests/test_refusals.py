@@ -25,7 +25,13 @@ from peribond.horizon import (
     nonlocal_energy,
     study_grids,
 )
-from peribond.pipeline import BlowupError, compute_blowup, estimate_beta, verify_limit_invariances
+from peribond.pipeline import (
+    BlowupError,
+    compute_blowup,
+    estimate_beta,
+    resolve_degree,
+    verify_limit_invariances,
+)
 from peribond.potentials import (
     PairwisePotential,
     ScalarProfile,
@@ -49,6 +55,7 @@ UNDECLARED3 = PairwisePotential.from_radial_profile(lambda r, s: s * s / (r * r)
 FIELD = DeformationField.affine([[1.0, 0.0], [0.0, 2.0]])
 DOM = BoxDomain((1.0, 1.0), (40, 40))
 LATTICE = MatrixLattice(dim=1, bound=1.0, step=0.5)
+SMALL_DOM = BoxDomain((1.0, 1.0), (12, 12))
 
 
 def energy(beta=0.0, delta=0.1):
@@ -57,6 +64,10 @@ def energy(beta=0.0, delta=0.1):
 
 def study(beta):
     return convergence_study(BOND, beta, FIELD, (1.0, 1.0), [0.2, 0.1], 8)
+
+
+def declared(beta):  # s^2 / r^2, of degree 0, declared at ``beta``
+    return dataclasses.replace(UNDECLARED, beta=beta)
 
 
 def reference(sides):
@@ -163,6 +174,23 @@ def scan(beta):
     # and 0.294 at -1.5 on this box, against the degree-0 value
     (lambda: nonlocal_energy(UNDECLARED, -0.5, 0.2, FIELD, DOM), "beta = -0.5: the 'custom-radial'"),
     (lambda: nonlocal_energy(UNDECLARED, -1.5, 0.2, FIELD, DOM), "beta = -1.5: the 'custom-radial'"),
+    # a declared degree is checked as a passed one is: the energy read 4.409,
+    # 1.3145 and 98.567 at -0.5, -1 and 1 against 13.145 at degree 0, and
+    # the local density at diag(1, 2) 2.4e-24 at -2.5 against 15.71
+    (lambda: nonlocal_energy(declared(-0.5), -0.5, 0.2, FIELD, DOM),
+     "beta = -0.5: the 'custom-radial'"),
+    (lambda: nonlocal_energy(declared(-1.0), -1.0, 0.2, FIELD, DOM),
+     "beta = -1.0: the 'custom-radial'"),
+    (lambda: nonlocal_energy(declared(1.0), 1.0, 0.2, FIELD, DOM), "beta = 1.0: the 'custom-radial'"),
+    (lambda: compute_blowup(declared(-2.5)), "beta = -2.5: the 'custom-radial'"),
+    # past 2^52 cells per side the last cell center rounds onto the wall;
+    # 1e-320 overflowed the cell count, 1.7e-15 put a center on the wall
+    (lambda: study_grids((1.0, 1.0), [0.1, 1e-320], 8), r"deltas = \[0.1, 1e-320\]"),
+    (lambda: study_grids((1.0, 1.0), [0.1, 1.7e-15], 8), r"deltas = \[0.1, 1.7e-15\]"),
+    (lambda: BoxDomain((1.0, 1.0), (2**52 + 1, 8)), r"resolution = \(4503599627370497, 8\)"),
+    # a NaN at one offset pair of the degree test was skipped as a zero is
+    (lambda: compute_blowup(dataclasses.replace(UNDECLARED, fn=NaNAt(UNDECLARED.fn, 1, 3)), 0.0),
+     "the 'custom-radial' potential is NaN"),
 ], ids=["energy-beta-nan", "energy-beta-inf", "energy-beta-none", "energy-delta-nan",
         "energy-delta-negative", "grids-side-inf", "grids-side-nan",
         "grids-horizon-past-half-box", "grids-horizon-repeated", "convexify-tol-negative",
@@ -182,7 +210,10 @@ def scan(beta):
         "energy-order-fraction", "energy-order-bool", "lattice-dim-bool", "lattice-dim-float",
         "reference-side-nan", "reference-side-bool", "reference-side-negative",
         "reference-four-sides", "battery-dim-four", "battery-dim-one", "battery-dim-bool",
-        "battery-dim-float", "undeclared-energy-degree-below", "undeclared-energy-degree-far-below"])
+        "battery-dim-float", "undeclared-energy-degree-below", "undeclared-energy-degree-far-below",
+        "declared-energy-degree-below", "declared-energy-degree-far-below",
+        "declared-energy-degree-above", "declared-blowup-degree-below", "grids-horizon-denormal",
+        "grids-horizon-past-2-52-cells", "box-resolution-past-2-52", "undeclared-bond-nan"])
 def test_library_refuses_and_names_the_argument(call, named):
     with pytest.raises(ValueError, match=named):
         call()
@@ -244,20 +275,46 @@ def test_a_degree_within_1e_9_of_the_declared_one_passes():
     assert energy(beta=-5e-10) == pytest.approx(energy(beta=0.0), rel=1e-8)
 
 
+# the bond r^d below is finite and nonzero at the degree test's levels for
+# moderate d only: at t = 2^-12, |d| = 90 leaves the double range
+DEGREES = st.floats(-20.0, 20.0)
+
+
 @settings(max_examples=300)
-@given(declared=st.none() | st.floats(allow_nan=False, allow_infinity=False),
-       passed=st.none() | st.booleans() | st.floats())
+@given(declared=st.none() | DEGREES,
+       passed=st.none() | st.booleans() | DEGREES | st.sampled_from([math.nan, math.inf, -math.inf]))
 def test_degree_is_the_passed_finite_float_or_the_declared_one(declared, passed):
-    bond = dataclasses.replace(UNDECLARED, beta=declared)
     finite = passed is not None and not isinstance(passed, bool) and math.isfinite(passed)
-    if passed is None:
-        assert bond.degree(passed) is declared
+    # a bond of the degree it declares; declaring none, of the degree passed
+    degree = declared if declared is not None else passed if finite else 0.0
+    bond = PairwisePotential.from_radial_profile(lambda r, s: r**degree, beta=declared,
+                                                 ref_dim=2, def_dim=2)
+    if passed is None and declared is not None:
+        assert resolve_degree(bond, passed) == declared
     elif finite and (declared is None or abs(passed - declared) <= 1e-9):
-        assert bond.degree(passed) is passed
+        assert resolve_degree(bond, passed) == passed
     else:
         named = "conflicts with the declared degree" if finite else f"beta = {passed!r}"
         with pytest.raises(ValueError, match=re.escape(named)):
-            bond.degree(passed)
+            resolve_degree(bond, passed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(0.0, 4.0), q=st.floats(0.0, 0.9),
+       eps=st.just(0.0) | st.floats(1e-5, 1.0) | st.floats(-1.0, -1e-5))
+def test_a_declared_degree_is_checked_against_the_bond(p, q, eps):
+    # q < 1 and |eps| <= 1 keep 2 + beta > 0, so check_degree lets it through
+    beta = p - q + eps
+    bond = PairwisePotential.from_radial_profile(lambda r, s: s**p / r**q, beta=beta,
+                                                 ref_dim=2, def_dim=2)
+    routes = (lambda: compute_blowup(bond),
+              lambda: nonlocal_energy(bond, beta, 0.25, FIELD, SMALL_DOM, order=8))
+    for route in routes:
+        if eps == 0.0:
+            route()
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"beta = {beta!r}: the 'custom-radial'")):
+                route()
 
 
 class NaNAt:
@@ -279,12 +336,13 @@ class NaNAt:
 FROB2 = frobenius_squared().fn
 A3 = np.diag([2.0, 0.5, 1.0])
 BOND3 = make_power_bond(1.0, 2.0, 2.0, dim=3)
-SMALL_DOM = BoxDomain((1.0, 1.0), (12, 12))
 
 
-def _bond_energy(evaluator):
-    bond = dataclasses.replace(BOND, fn=evaluator)
-    return nonlocal_energy(bond, 0.0, 0.25, FIELD, SMALL_DOM, order=8)
+def _bond_energy(bond):
+    def run(evaluator):
+        return nonlocal_energy(dataclasses.replace(bond, fn=evaluator), 0.0, 0.25, FIELD,
+                               SMALL_DOM, order=8)
+    return run
 
 
 def _invariances(evaluator):  # the limit is built here, so its own samples count too
@@ -300,19 +358,24 @@ def _scan(beta):
 
 
 # entry point -> (run it with this evaluator in its model, the error it raises,
-# the evaluator the model is built from)
+# the evaluator the model is built from); a pair of errors is the degree
+# test's, for its 3 bond calls, and the one after them
 VERDICT_ENTRY_POINTS = {
     "roundtrip_check": (
         lambda f: roundtrip_check(custom_energy(f, dim=3), build_rule(3, 4),
                                   default_test_matrices(3, randoms=2)),
         ValueError, FROB2),
-    "verify_limit_invariances": (_invariances, BlowupError, BOND3.fn),
+    "verify_limit_invariances": (_invariances, (ValueError, BlowupError), BOND3.fn),
+    "compute_blowup-undeclared": (
+        lambda f: compute_blowup(dataclasses.replace(UNDECLARED, fn=f), 0.0),
+        (ValueError, BlowupError), UNDECLARED.fn),
     "rank_one_convexify": (
         lambda f: rank_one_convexify(custom_energy(f), MatrixLattice(2, 1.0, 0.5, "full")),
         ValueError, FROB2),
     "mooney_rivlin_inequality_check-cof-term": (_scan(1.0), ValueError, ScalarProfile.well().fn),
     "mooney_rivlin_inequality_check-growth": (_scan(0.0), ValueError, ScalarProfile.well().fn),
-    "nonlocal_energy": (_bond_energy, ValueError, BOND.fn),
+    "nonlocal_energy": (_bond_energy(BOND), ValueError, BOND.fn),
+    "nonlocal_energy-undeclared": (_bond_energy(UNDECLARED), ValueError, UNDECLARED.fn),
 }
 
 
@@ -331,5 +394,7 @@ def test_nan_at_one_evaluation_never_yields_a_result(name, data):
     run, error, fn = VERDICT_ENTRY_POINTS[name]
     call = data.draw(st.integers(0, evaluations(name) - 1), label="call")
     index = data.draw(st.integers(0, 10**6), label="index")
+    if isinstance(error, tuple):
+        error = error[call >= 3]
     with pytest.raises(error):
         run(NaNAt(fn, call, index))
